@@ -75,16 +75,24 @@ class ChowPresentation:
             self.quotient = LatticeQuotient(len(self.generators), self.relations)
             self.group = self.quotient.group
         else:
-            r = zlinalg.rank_frac(self.relations) if self.relations else 0
             self.quotient = None
-            self.group = AbGroup(len(self.generators) - r)
-            self._echelon = _echelon(self.relations, len(self.generators))
+            self._echelon = zlinalg.rref(self.relations, len(self.generators))
+            self.group = AbGroup(len(self.generators) - self._echelon.rank)
 
     def class_of(self, cls):
         """Canonical coordinates of a Chow class in the quotient."""
         if self.coeff == "Z":
             return self.quotient.class_of(cls.vector)
-        return _reduce_frac(self._echelon, cls.vector)
+        return self._echelon.reduce(cls.vector)
+
+    def free_representatives(self):
+        """Generator vectors whose classes form a basis of the free part."""
+        if self.coeff == "Z":
+            return self.quotient.free_representatives()
+        # over Q the non-pivot generators give a basis of the quotient
+        n = len(self.generators)
+        pivots = set(self._echelon.pivots)
+        return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n) if i not in pivots]
 
     def classes_equal(self, a, b):
         return self.class_of(a) == self.class_of(b)
@@ -127,36 +135,6 @@ def chow_group(fan, k, coeff="Z"):
     return ChowPresentation(fan, k, coeff)
 
 
-def _echelon(rows, n):
-    a = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return [a[i] for i in range(r)], pivots
-
-
-def _reduce_frac(echelon, vec):
-    rows, pivots = echelon
-    v = [Fraction(x) for x in vec]
-    for row, c in zip(rows, pivots):
-        if v[c]:
-            f = v[c]
-            v = [x - f * y for x, y in zip(v, row)]
-    return tuple(v)
-
-
 # multiplication ----------------------------------------------------------
 
 
@@ -177,19 +155,16 @@ def _ray_times_generator(fan, ray, cone_idx, coeff):
     # zero on the other rays of the cone, then expand by the relation
     rows = [fan.rays[i] for i in cone]
     rhs = [1 if i == ray else 0 for i in cone]
-    # want m with rays . m = rhs; as x . A = b with A the rank x |cone| matrix
-    A = IntMatrix.from_rows([[rows[j][i] for j in range(len(rows))] for i in range(fan.rank)], len(rows))
-    m = zlinalg.solve_int(A, rhs) if coeff == "Z" else None
-    if m is None:
-        sol = zlinalg.solve_frac([list(r) for r in rows], rhs)
-        if sol is None:
+    if coeff == "Z":
+        # want m with rays . m = rhs; as x . A = b with A the rank x |cone| matrix
+        A = IntMatrix.from_rows([[rows[j][i] for j in range(len(rows))] for i in range(fan.rank)], len(rows))
+        m = zlinalg.solve_int(A, rhs)
+        if m is None:
+            raise ValueError("integral separating form requires a unimodular cone")
+    else:
+        m = zlinalg.solve_frac([list(r) for r in rows], rhs)
+        if m is None:
             raise ValueError("no linear form separates the ray inside its cone")
-        if coeff == "Z":
-            if any(Fraction(x).denominator != 1 for x in sol):
-                raise ValueError("integral separating form requires a unimodular cone")
-            m = tuple(int(Fraction(x)) for x in sol)
-        else:
-            m = sol
     for zeta, gen in enumerate(fan.rays):
         zeta_cone = fan.cone_index((zeta,))
         if zeta in cone:
@@ -381,12 +356,7 @@ def ray_cocycle(fan, ray, coeff="Z"):
         sign = comp.face_sign(gid, did)
         R = sheaf.restriction(comp, 1, gid, did)
         values = ahat.data[did]
-        pushed = []
-        for j in range(R.cols):
-            unit = tuple(1 if i == j else 0 for i in range(R.cols))
-            lift = zlinalg.solve_int(R, unit)
-            assert lift is not None, "pushforward lift must exist"
-            pushed.append(sum(l * v for l, v in zip(lift, values)))
+        pushed = [sum(l * v for l, v in zip(lift, values)) for lift in zlinalg.section_rows(R)]
         cur = b.value(gid)
         b.set_value(gid, tuple(x + sign * y for x, y in zip(cur, pushed)))
     result = a - b

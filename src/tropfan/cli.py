@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import jsonschema
@@ -158,9 +157,12 @@ def load_fan_data(data, origin="<fan>", strict=True):
             raise InputError(f"{origin}: $.weights: need one weight per maximal cone")
         if any(w == 0 for w in data["weights"]):
             raise InputError(f"{origin}: $.weights: weights must be nonzero")
-        weights = TropicalWeights.from_list(
-            fan, data["weights"], [tuple(sorted(c)) for c in data["maximal_cones"]]
-        )
+        try:
+            weights = TropicalWeights.from_list(
+                fan, data["weights"], [tuple(sorted(c)) for c in data["maximal_cones"]]
+            )
+        except ValueError as exc:
+            raise InputError(f"{origin}: $.weights: {exc}")
     func = None
     if "function" in data:
         func = _parse_function(data["function"], len(rays), origin)
@@ -200,14 +202,6 @@ def load_function_file(path, nrays):
     return _parse_function(data, nrays, path)
 
 
-def _thread_count():
-    raw = os.environ.get("TROPFAN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # rendering -----------------------------------------------------------------
 
 
@@ -230,20 +224,8 @@ def render_table(title, dim, entries):
 
 def _cohomology_payload(fan, space, variant, coeff):
     target = fan if space == "fan" else homology.compactification(fan)
-    d = fan.dim
     vname = {"std": "cohomology", "bm": "borel_moore", "c": "compact_support"}[variant]
-
-    def one(p):
-        gs = homology.ComplexGroups(homology.build_complex(target, p, vname, coeff))
-        return {q: gs.group(q) for q in range(d + 1)}
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(d + 1)))
-    else:
-        rows = [one(p) for p in range(d + 1)]
-    return {(p, q): rows[p][q] for p in range(d + 1) for q in range(d + 1)}
+    return homology.table(target, coeff, vname)
 
 
 # subcommands ----------------------------------------------------------------

@@ -15,30 +15,9 @@ tau).  The incidence sign of a covering pair orients the cell complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import exterior, zlinalg
-from .zlinalg import Sublattice
-
-
-@dataclass(frozen=True)
-class CompFace:
-    """A closed face of the compactification: cones tau below sigma.
-
-    The dimension is the cone-dimension difference and the sedentarity
-    is tau.
-    """
-
-    tau: tuple
-    sigma: tuple
-
-    @property
-    def dim(self):
-        return len(self.sigma) - len(self.tau)
-
-    @property
-    def sedentarity(self):
-        return self.tau
+from . import exterior
+from .fan import _quotient_generator
+from .zlinalg import Sublattice, vecmat
 
 
 class Compactification:
@@ -62,24 +41,16 @@ class Compactification:
         self._covers = None
         self._sign_cache = {}
         self._tangent = {}
-
-    def face(self, fid):
-        t, s = self.faces[fid]
-        return CompFace(self.fan.cones[t], self.fan.cones[s])
+        # coefficient-lattice bases and restriction matrices, filled by tropfan.sheaf
+        self.sheaf_basis = {}
+        self.sheaf_restriction = {}
 
     def dim(self, fid):
         t, s = self.faces[fid]
         return len(self.fan.cones[s]) - len(self.fan.cones[t])
 
-    def sedentarity(self, fid):
-        return self.faces[fid][0]
-
     def faces_of_dim(self, q):
         return [i for i in range(len(self.faces)) if self.dim(i) == q]
-
-    @property
-    def top_dim(self):
-        return max(self.dim(i) for i in range(len(self.faces)))
 
     def is_subface(self, gid, did):
         """Face order: (tg, sg) below (td, sd) iff td < tg < sg < sd in the fan."""
@@ -147,8 +118,8 @@ class Compactification:
         small = _image_lattice(fan, t, s_small)
         big = _image_lattice(fan, t, s_big)
         extra = next(i for i in fan.cones[s_big] if i not in fan.cones[s_small])
-        side = _apply_rows(star.proj, fan.rays[extra])
-        normal = _quotient_generator_safe(small, big, side, m)
+        side = vecmat(fan.rays[extra], star.proj)
+        normal = _quotient_generator(small.basis, big.basis, side)
         k = len(fan.cones[s_small]) - len(fan.cones[t])
         nu_small = fan.nu_face(t, s_small)
         w = exterior.wedge_coords(normal, 1, nu_small, k, m)
@@ -159,21 +130,10 @@ class Compactification:
     def _sign_sedentarity_drop(self, t_small, t_big, s):
         # gamma = (t_big, s) is covered by delta = (t_small, s), t_small below t_big
         fan = self.fan
-        star_small = fan.star(t_small)
-        star_big = fan.star(t_big)
-        m_small = star_small.quotient_rank
-        m_big = star_big.quotient_rank
+        m_small = fan.star(t_small).quotient_rank
         _, e_cls = fan.unit_normal(t_small, t_big)
         k = len(fan.cones[s]) - len(fan.cones[t_big])
-        nu_gamma = fan.nu_face(t_big, s)
-        # transition matrix from star(t_small) coordinates to star(t_big) coordinates
-        trans = tuple(
-            _apply_rows(star_big.proj, star_small.section[i]) for i in range(m_small)
-        )
-        A = exterior.induced_matrix(trans, k, m_small, m_big)
-        rows = [[A[a][b] for a in range(len(A))] for b in range(len(A[0]) if A else 0)]
-        nu_prime = zlinalg.solve_frac(rows, nu_gamma)
-        assert nu_prime is not None, "face multivector does not lift"
+        nu_prime = fan.lift_multivector(t_small, t_big, k, fan.nu_face(t_big, s))
         w = exterior.wedge_coords(e_cls, 1, nu_prime, k, m_small)
         c = fan.varpi_face(t_small, s, w)
         assert c != 0
@@ -187,31 +147,11 @@ class Compactification:
         return self._tangent[fid]
 
 
-def _apply_rows(matrix_rows, vec):
-    if not matrix_rows:
-        return ()
-    m = len(matrix_rows[0])
-    out = [0] * m
-    for x, row in zip(vec, matrix_rows):
-        if x:
-            for j in range(m):
-                out[j] += x * row[j]
-    return tuple(out)
-
-
 def _image_lattice(fan, t, s):
     """HNF basis of the image of N_sigma in N^tau, as a Sublattice."""
     star = fan.star(t)
-    rows = [
-        _apply_rows(star.proj, r) for r in fan.cone_lattice(s).basis.row_tuples()
-    ]
+    rows = [vecmat(r, star.proj) for r in fan.cone_lattice(s).basis.row_tuples()]
     return Sublattice.from_rows(rows, star.quotient_rank)
-
-
-def _quotient_generator_safe(small, big, side, ambient):
-    from .fan import _quotient_generator
-
-    return _quotient_generator(small.basis, big.basis, side)
 
 
 def comp_faces(fan):

@@ -17,6 +17,7 @@ from math import gcd
 from . import chow as chow_mod
 from . import homology as homol
 from . import sheaf, zlinalg
+from .exterior import det
 from .fan import TropicalWeights, is_balanced, is_saturated, is_unimodular
 from .zlinalg import EQ, GE, GT, IntMatrix
 
@@ -82,8 +83,8 @@ def chow_pd_check(fan, weights=None, coeff="Z"):
             report.ok = False
             report.reasons.append(f"rank A^{k} != rank A^{d - k}")
             continue
-        ra = _free_reps(a)
-        rb = _free_reps(b)
+        ra = a.free_representatives()
+        rb = b.free_representatives()
         gram = []
         for va in ra:
             row = []
@@ -93,8 +94,6 @@ def chow_pd_check(fan, weights=None, coeff="Z"):
                 prod = chow_mod.chow_multiply(fan, ca, cb, coeff)
                 row.append(chow_mod.degree_map(fan, weights, prod))
             gram.append(row)
-        from .exterior import det
-
         dt = det(gram) if gram else 1
         report.gram_determinants[k] = dt
         want_unit = coeff == "Z"
@@ -102,20 +101,6 @@ def chow_pd_check(fan, weights=None, coeff="Z"):
             report.ok = False
             report.reasons.append(f"pairing A^{k} x A^{d - k} has Gram determinant {dt}")
     return report
-
-
-def _free_reps(pres):
-    if pres.coeff == "Z":
-        return pres.quotient.free_representatives()
-    # rational mode: the non-pivot coordinates give a basis of the quotient
-    _, pivots = pres._echelon
-    out = []
-    for i in range(len(pres.generators)):
-        if i not in pivots:
-            v = [0] * len(pres.generators)
-            v[i] = 1
-            out.append(tuple(v))
-    return out
 
 
 @dataclass
@@ -229,7 +214,6 @@ def _stratum_pairing_values(fan, f, cone_idx):
         assert lam is not None
     else:
         lam = (Fraction(0),) * fan.rank
-    star = fan.star(cone_idx)
     values = []
     covers = sorted(
         (c for c in fan.cones_containing(cone_idx) if len(fan.cones[c]) == len(cone) + 1),
@@ -352,7 +336,7 @@ def verification_report(fan):
     ring_checks = []
     if unimod:
         for p in range(d + 1):
-            psi_status[p] = _psi_status_unimodular(fan, comp, groups_by_p[p], p, satur)
+            psi_status[p] = _psi_status_unimodular(fan, groups_by_p[p], p, satur)
         ring_checks = _ring_spot_checks(fan)
     else:
         for p in range(d + 1):
@@ -381,20 +365,21 @@ def verification_report(fan):
     )
 
 
-def chow_to_cohomology_map(fan, p):
-    """Class vectors in H^{p,p} of the generator preimage cocycles."""
-    comp = homol.compactification(fan)
-    gc = homol.build_complex(comp, p, "cohomology")
-    groups = homol.ComplexGroups(gc)
-    labels = gc.spaces.get(p, ())
+def chow_to_cohomology_map(fan, p, groups):
+    """Class vectors in H^{p,p} of the generator preimage cocycles.
+
+    ``groups`` is the :class:`~tropfan.homology.ComplexGroups` of the
+    degree-p cohomology complex of the compactification.
+    """
+    labels = groups.gc.spaces.get(p, ())
     images = []
     for s in fan.cones_of_dim(p):
         a = chow_mod.chow_generator_cocycle(fan, s)
         images.append(groups.class_of(p, a.vector(labels)))
-    return groups, images
+    return images
 
 
-def _psi_status_unimodular(fan, comp, groups, p, saturated):
+def _psi_status_unimodular(fan, groups, p, saturated):
     """Verified status of the map from A^p to H^(p,p) for unimodular fans.
 
     Surjectivity is checked by generating the canonical group with the
@@ -409,7 +394,7 @@ def _psi_status_unimodular(fan, comp, groups, p, saturated):
         ok = H.is_trivial
         good = "iso" if saturated else "surjective-torsion-kernel"
         return good if ok else "psi-failure"
-    _, images = chow_to_cohomology_map(fan, p)
+    images = chow_to_cohomology_map(fan, p, groups)
     f, t = H.free_rank, len(H.torsion)
     rows = [list(img) for img in images]
     for i, dtor in enumerate(H.torsion):
@@ -451,7 +436,8 @@ def _kernel_of_class_map(images, H, n):
 
 
 def _ring_spot_checks(fan):
-    d = fan.dim
+    if fan.dim < 2:
+        return []
     checks = []
     cocycle_cache = {}
 
@@ -460,18 +446,13 @@ def _ring_spot_checks(fan):
             cocycle_cache[s] = chow_mod.chow_generator_cocycle(fan, s)
         return cocycle_cache[s]
 
+    pres1 = chow_mod.chow_group(fan, 1, "Z")
+    pres2 = chow_mod.chow_group(fan, 2, "Z")
     rays = fan.cones_of_dim(1)
     pairs = [(a, b) for a in rays for b in rays if a <= b]
     for s1, s2 in pairs:
-        deg = 2
-        if deg > d:
-            continue
-        a = cocycle(s1)
-        b = cocycle(s2)
-        cupped = homol.cup(a, b)
+        cupped = homol.cup(cocycle(s1), cocycle(s2))
         lhs = chow_mod.cocycle_to_chow(fan, cupped)
-        pres1 = chow_mod.chow_group(fan, 1, "Z")
         rhs = chow_mod.chow_multiply(fan, pres1.generator(s1), pres1.generator(s2))
-        pres = chow_mod.chow_group(fan, deg, "Z")
-        checks.append(((fan.cones[s1], fan.cones[s2]), pres.classes_equal(lhs, rhs)))
+        checks.append(((fan.cones[s1], fan.cones[s2]), pres2.classes_equal(lhs, rhs)))
     return checks

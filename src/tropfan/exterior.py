@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from .zlinalg import vecmat
+
 
 @lru_cache(maxsize=None)
 def monomials(m, p):
@@ -114,14 +116,7 @@ def induced_matrix(P_rows, p, m_src, m_dst):
 
 def apply_induced(P_rows, p, m_src, m_dst, x):
     """Image of the multivector x under /\\^p of v -> v . P."""
-    M = induced_matrix(P_rows, p, m_src, m_dst)
-    out = [0] * dim(m_dst, p)
-    for a, xa in enumerate(x):
-        if xa:
-            row = M[a]
-            for b in range(len(out)):
-                out[b] += xa * row[b]
-    return tuple(out)
+    return vecmat(x, induced_matrix(P_rows, p, m_src, m_dst), dim(m_dst, p))
 
 
 def contract_vector(alpha, k, x, p, m):

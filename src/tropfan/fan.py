@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import exterior, zlinalg
-from .zlinalg import IntMatrix, Sublattice
+from .zlinalg import IntMatrix, Sublattice, vecmat
 
 
 def _primitive(vec):
@@ -107,6 +107,7 @@ class Fan:
         self._nu = {}
         self._nu_face = {}
         self._unit_normal = {}
+        self._compactification = None  # filled by homology.compactification
         for r in self.rays:
             if len(r) != rank:
                 raise ValueError("ray has wrong length")
@@ -118,8 +119,11 @@ class Fan:
 
     @classmethod
     def from_max_cones(cls, rank, rays, maximal_cones, name=""):
-        """Build the face closure of a list of maximal cones."""
-        maxset = [tuple(sorted(c)) for c in maximal_cones]
+        """Build the face closure of a list of maximal cones.
+
+        An empty list gives the fan whose only cone is the origin.
+        """
+        maxset = [tuple(sorted(c)) for c in maximal_cones] or [()]
         seen = set()
         for c in maxset:
             for k in range(len(c) + 1):
@@ -147,9 +151,6 @@ class Fan:
     @property
     def zero_cone(self):
         return self._cone_index[()]
-
-    def facets(self):
-        return sorted(self.maximal)
 
     def is_pure(self):
         return len({len(self.cones[i]) for i in self.maximal}) <= 1
@@ -179,10 +180,6 @@ class Fan:
         if not candidates:
             return None
         return min(candidates, key=lambda k: len(self.cones[k]))
-
-    def meet(self, i, j):
-        u = tuple(sorted(set(self.cones[i]) & set(self.cones[j])))
-        return self._cone_index.get(u)
 
     # lattices and orientation ----------------------------------------
 
@@ -265,7 +262,7 @@ class Fan:
         B_tau = self.cone_lattice(tau_idx).basis
         lift = _quotient_generator(B_tau, B_sigma, self.rays[extra])
         star = self.star(tau_idx)
-        cls = _apply(star.proj, lift)
+        cls = vecmat(lift, star.proj)
         self._unit_normal[key] = (lift, cls)
         return self._unit_normal[key]
 
@@ -275,6 +272,25 @@ class Fan:
         if cone_idx not in self._star:
             self._star[cone_idx] = _build_star(self, cone_idx)
         return self._star[cone_idx]
+
+    def transition_rows(self, t_small, t_big):
+        """Matrix of the projection star(t_small) -> star(t_big) on row vectors."""
+        proj = self.star(t_big).proj
+        return tuple(vecmat(row, proj) for row in self.star(t_small).section)
+
+    def lift_multivector(self, t_small, t_big, k, target):
+        """A rational k-multivector in star(t_small) projecting to ``target``.
+
+        Solves against /\\^k of :meth:`transition_rows`, with free
+        coordinates pinned to zero.
+        """
+        m_small = self.star(t_small).quotient_rank
+        m_big = self.star(t_big).quotient_rank
+        A = exterior.induced_matrix(self.transition_rows(t_small, t_big), k, m_small, m_big)
+        rows = [[A[a][b] for a in range(len(A))] for b in range(len(A[0]) if A else 0)]
+        sol = zlinalg.solve_frac(rows, target)
+        assert sol is not None, "multivector does not lift"
+        return sol
 
 
 @dataclass
@@ -305,19 +321,6 @@ class StarData:
             eta = self.cone_preimage[star_max]
             data[star.cones[star_max]] = weights[weights.fan.cones[eta]]
         return TropicalWeights(star, data)
-
-
-def _apply(matrix_rows, vec):
-    """Row vector times matrix given as a tuple of rows."""
-    if not matrix_rows:
-        return ()
-    m = len(matrix_rows[0])
-    out = [0] * m
-    for x, row in zip(vec, matrix_rows):
-        if x:
-            for j in range(m):
-                out[j] += x * row[j]
-    return tuple(out)
 
 
 def _subsets(c, k):
@@ -353,7 +356,7 @@ def _quotient_generator(B_small, B_big, side_vec):
     v = zlinalg.primitive_cosolution(phi)
     if pairing < 0:
         v = tuple(-x for x in v)
-    return _apply(B_big.row_tuples(), v)
+    return vecmat(v, B_big.row_tuples())
 
 
 def _build_star(fan, cone_idx):
@@ -383,7 +386,7 @@ def _build_star(fan, cone_idx):
     multiplicity = {}
     for s, c in enumerate(covers):
         extra = next(i for i in fan.cones[c] if i not in cone_set)
-        img = _apply(proj, fan.rays[extra])
+        img = vecmat(fan.rays[extra], proj)
         prim, g = _primitive(img)
         assert g > 0, "projected ray collapses"
         star_rays.append(prim)
@@ -484,7 +487,7 @@ def is_saturated_at(fan, cone_idx):
     for c in fan.cones_containing(cone_idx):
         if c in fan.maximal:
             eta_basis = fan.cone_lattice(c).basis.row_tuples()
-            rows.extend(_apply(star.proj, r) for r in eta_basis)
+            rows.extend(vecmat(r, star.proj) for r in eta_basis)
     if not rows:
         return True
     L = Sublattice.from_rows(rows, star.quotient_rank)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import exterior, sheaf, zlinalg
 from .compactify import Compactification, comp_faces
 from .fan import Fan
-from .zlinalg import AbGroup, IntMatrix, LatticeQuotient
+from .zlinalg import AbGroup, IntMatrix, LatticeQuotient, vecmat
 
 VARIANTS = ("cohomology", "homology", "borel_moore", "compact_support")
 _DUAL_VARIANTS = {"cohomology": True, "compact_support": True, "homology": False, "borel_moore": False}
@@ -33,7 +33,7 @@ _COMPACT_ONLY = {"cohomology": True, "homology": True, "borel_moore": False, "co
 
 def compactification(fan):
     """The cached face complex of the canonical compactification."""
-    if not hasattr(fan, "_compactification"):
+    if fan._compactification is None:
         fan._compactification = comp_faces(fan)
     return fan._compactification
 
@@ -201,9 +201,6 @@ class ComplexGroups:
         assert c is not None, "vector is not a cycle"
         return self._quotients[q].class_of(c)
 
-    def is_boundary(self, q, vec):
-        return all(x == 0 for x in self.class_of(q, vec))
-
 
 def groups(gc):
     """List of homology groups of the complex, indexed by degree."""
@@ -276,14 +273,7 @@ class Cochain:
         return tuple(out)
 
     def map_integral(self):
-        data = {}
-        for fid, v in self.data.items():
-            w = []
-            for x in v:
-                fx = Fraction(x)
-                assert fx.denominator == 1, "cochain is not integral"
-                w.append(int(fx))
-            data[fid] = tuple(w)
+        data = {fid: _integral(v) for fid, v in self.data.items()}
         return Cochain(self.comp, self.p, self.q, data)
 
 
@@ -305,18 +295,6 @@ def coboundary(a):
                         cur[j] += sign * v[i] * row[j]
         out.set_value(did, cur)
     return out
-
-
-def _lift_multivector(fan, t_small, t_big, k, target):
-    """A rational k-multivector in star(t_small) projecting to ``target``."""
-    m_small = fan.star(t_small).quotient_rank
-    m_big = fan.star(t_big).quotient_rank
-    trans = sheaf.transition_rows(fan, t_small, t_big)
-    A = exterior.induced_matrix(trans, k, m_small, m_big)
-    rows = [[A[a][b] for a in range(len(A))] for b in range(len(A[0]) if A else 0)]
-    sol = zlinalg.solve_frac(rows, target)
-    assert sol is not None, "multivector does not lift"
-    return sol
 
 
 def cup(a, b):
@@ -355,7 +333,7 @@ def cup(a, b):
             nu_ts = fan.nu_face(t, sigma)
             nu_se = fan.nu_face(sigma, eta)
             m_t = fan.star(t).quotient_rank
-            lift = _lift_multivector(fan, t, sigma, b.q, nu_se)
+            lift = fan.lift_multivector(t, sigma, b.q, nu_se)
             w = exterior.wedge_coords(nu_ts, a.q, lift, b.q, m_t)
             coefficient = fan.varpi_face(t, eta, w)
             if coefficient == 0:
@@ -371,14 +349,7 @@ def cup(a, b):
 
 def _transport_dual(comp, p, gid, did, values):
     M = sheaf.dual_transport(comp, p, gid, did)
-    out = [0] * M.cols
-    for i in range(M.rows):
-        if values[i]:
-            row = M.row(i)
-            for j in range(M.cols):
-                if row[j]:
-                    out[j] += values[i] * row[j]
-    return tuple(out)
+    return vecmat(values, M.row_tuples(), M.cols)
 
 
 def unit_cochain(comp):
@@ -458,17 +429,9 @@ def _cubical_block(fan, comp, p, t, s):
     # lift each basis vector of SF_(k_dst) at infinity of s through the
     # surjection from the mixed face (t, s)
     R = sheaf.restriction(comp, k_dst, face_s, face_ts)
-    lifts = []
-    for j in range(r_dst):
-        unit = tuple(1 if i == j else 0 for i in range(r_dst))
-        c = zlinalg.solve_int(R, unit)
-        assert c is not None, "pushforward lift must exist"
-        vec = [0] * exterior.dim(m_t, k_dst)
-        for ci, row in zip(c, sheaf.basis(comp, face_ts, k_dst)):
-            if ci:
-                for idx, x in enumerate(row):
-                    vec[idx] += ci * x
-        lifts.append(tuple(vec))
+    mixed = sheaf.basis(comp, face_ts, k_dst)
+    width = exterior.dim(m_t, k_dst)
+    lifts = [vecmat(c, mixed, width) for c in zlinalg.section_rows(R)]
     Bt = IntMatrix.from_rows(sheaf.basis(comp, face_t, k_src))
     cols = []
     for j in range(r_dst):
@@ -657,15 +620,8 @@ def fundamental_cycle(fan, weights):
 def _boundary_vanishes(fan, comp, chain):
     gc = build_complex(fan, chain.p, "borel_moore")
     labels = gc.spaces.get(chain.q, ())
-    v = chain.vector(labels)
     M = gc.map_out(chain.q)
-    out = [0] * M.cols
-    for i, x in enumerate(v):
-        if x:
-            row = M.row(i)
-            for j in range(M.cols):
-                out[j] += x * row[j]
-    return not any(out)
+    return not any(vecmat(chain.vector(labels), M.row_tuples(), M.cols))
 
 
 def cap(fan, weights, alpha_values, k):
@@ -693,6 +649,7 @@ def cap(fan, weights, alpha_values, k):
 
 
 def _integral(vec):
+    """The entries of a vector with integral Fraction values, as ints."""
     out = []
     for x in vec:
         f = Fraction(x)

@@ -17,31 +17,10 @@ bases.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exterior, zlinalg
 from .zlinalg import IntMatrix
-
-
-@dataclass(frozen=True)
-class CoefficientLattice:
-    """HNF basis of SF_p at a face, in wedge-monomial coordinates."""
-
-    face: tuple
-    degree: int
-    star_rank: int
-    basis: tuple
-
-    @property
-    def rank(self):
-        return len(self.basis)
-
-
-def _cache(comp):
-    if not hasattr(comp, "_sheaf_cache"):
-        comp._sheaf_cache = {"basis": {}, "restriction": {}, "extend": {}}
-    return comp._sheaf_cache
 
 
 def star_rank(comp, fid):
@@ -51,7 +30,7 @@ def star_rank(comp, fid):
 
 def basis(comp, fid, p):
     """HNF basis rows of SF_p at the face, in /\\^p star coordinates."""
-    cache = _cache(comp)["basis"]
+    cache = comp.sheaf_basis
     key = (fid, p)
     if key in cache:
         return cache[key]
@@ -83,31 +62,12 @@ def rank(comp, fid, p):
     return len(basis(comp, fid, p))
 
 
-def sf_lower(comp, p, fid):
-    """The coefficient lattice SF_p at a face of the compactification."""
-    t, s = comp.faces[fid]
-    return CoefficientLattice(
-        face=(t, s), degree=p, star_rank=star_rank(comp, fid), basis=basis(comp, fid, p)
-    )
-
-
 def coords_in(comp, fid, p, vec):
     """Integer coordinates of a multivector over the SF_p basis, or None."""
     b = basis(comp, fid, p)
     if not b:
         return None if any(vec) else ()
     return zlinalg.in_rowspace(IntMatrix.from_rows(b), vec)
-
-
-def transition_rows(fan, t_small, t_big):
-    """Matrix of the projection star(t_small) -> star(t_big) on row vectors."""
-    star_small = fan.star(t_small)
-    star_big = fan.star(t_big)
-    out = []
-    for i in range(star_small.quotient_rank):
-        row = star_small.section[i]
-        out.append(_apply(star_big.proj, row))
-    return tuple(out)
 
 
 def restriction(comp, p, gid, did):
@@ -117,7 +77,7 @@ def restriction(comp, p, gid, did):
     general case composes both.  Rows are indexed by the basis of
     SF_p(delta), entries are coordinates over the basis of SF_p(gamma).
     """
-    cache = _cache(comp)["restriction"]
+    cache = comp.sheaf_restriction
     key = (p, gid, did)
     if key in cache:
         return cache[key]
@@ -131,7 +91,7 @@ def restriction(comp, p, gid, did):
     if td == tg:
         mapped = list(b_delta)
     else:
-        trans = transition_rows(fan, td, tg)
+        trans = fan.transition_rows(td, tg)
         m_src = fan.star(td).quotient_rank
         m_dst = fan.star(tg).quotient_rank
         mapped = [
@@ -201,16 +161,4 @@ def wedge_duals(comp, fid, p, a_values, q, b_values):
     out = []
     for row in basis(comp, fid, p + q):
         out.append(sum(f * x for f, x in zip(prod, row)))
-    return tuple(out)
-
-
-def _apply(matrix_rows, vec):
-    if not matrix_rows:
-        return ()
-    m = len(matrix_rows[0])
-    out = [0] * m
-    for x, row in zip(vec, matrix_rows):
-        if x:
-            for j in range(m):
-                out[j] += x * row[j]
     return tuple(out)

@@ -8,7 +8,8 @@ are adequate and keep everything exact.
 
 The main entry points are :func:`snf`, :func:`hnf`, :func:`kernel_basis`,
 :func:`cokernel_group`, :func:`saturate`, the quotient-group helper
-:class:`LatticeQuotient`, and the exact feasibility solver
+:class:`LatticeQuotient`, the rational elimination :func:`rref`, the
+row-vector product :func:`vecmat`, and the exact feasibility solver
 :func:`feasible` / :func:`strict_lp_feasible`.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 
 class IntMatrix:
@@ -179,10 +179,6 @@ class SNFResult:
     D: IntMatrix
     V: IntMatrix
     Vinv: IntMatrix
-
-    def __iter__(self):
-        # callers usually want just (U, D, V)
-        return iter((self.U, self.D, self.V))
 
     @property
     def divisors(self):
@@ -399,9 +395,6 @@ class Sublattice:
     def rank(self):
         return self.basis.rows
 
-    def contains(self, vec):
-        return in_rowspace(self.basis, vec) is not None
-
 
 def saturate(L):
     """Saturation of a sublattice and the index of L inside it.
@@ -448,13 +441,7 @@ def in_rowspace(B, vec):
     if any(v):
         return None
     # coeff are coordinates over H rows; convert back through T
-    out = [0] * B.rows
-    for i, c in enumerate(coeff):
-        if c:
-            trow = T.row(i)
-            for j in range(B.rows):
-                out[j] += c * trow[j]
-    return tuple(out)
+    return vecmat(coeff, T.row_tuples(), B.rows)
 
 
 def solve_int(A, b):
@@ -463,45 +450,63 @@ def solve_int(A, b):
     return coeff
 
 
-def rank_frac(rows):
-    """Rank of a matrix with Fraction/int entries via Gaussian elimination."""
-    a = [[Fraction(e) for e in r] for r in rows]
-    rank = 0
-    cols = len(a[0]) if a else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        rank += 1
-        if r == len(a):
-            break
-    return rank
+def vecmat(vec, rows, width=None):
+    """Row vector times a matrix given as a sequence of rows.
 
-
-def solve_frac(rows, rhs):
-    """One rational solution g of rows . g = rhs, or None.
-
-    ``rows`` is a list of coefficient rows (the system is
-    sum_j rows[i][j] * g[j] = rhs[i]).  Free variables are set to zero,
-    which makes the solution deterministic.
+    ``width`` is the number of columns; it is read off the first row
+    when omitted, so it must be given for a matrix with no rows.
     """
-    m = len(rows)
-    if m == 0:
-        return ()
-    n = len(rows[0])
-    a = [[Fraction(e) for e in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    out = [0] * width
+    for x, row in zip(vec, rows):
+        if x:
+            for j in range(width):
+                out[j] += x * row[j]
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class Echelon:
+    """Reduced row echelon form over Q of a list of rows.
+
+    ``rows`` holds every row after elimination, the pivot rows first
+    (scaled to a leading one); ``pivots`` lists their pivot columns.
+    """
+
+    rows: list
+    pivots: list
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def reduce(self, vec):
+        """Normal form of ``vec`` modulo the row space: zero on every pivot."""
+        v = [Fraction(x) for x in vec]
+        for row, c in zip(self.rows, self.pivots):
+            if v[c]:
+                f = v[c]
+                v = [x - f * y for x, y in zip(v, row)]
+        return tuple(v)
+
+
+def rref(rows, ncols=None):
+    """Gauss-Jordan elimination over Q on the first ``ncols`` columns.
+
+    Pivots are taken column by column from the first row at or below
+    the current one with a nonzero entry.  Columns past ``ncols`` (an
+    augmented right-hand side) are carried along but never pivoted on.
+    """
+    a = [[Fraction(e) for e in r] for r in rows]
+    m = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
     pivots = []
     r = 0
-    for c in range(n):
+    for c in range(ncols):
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if a[i][c] != 0), None)
         if piv is None:
             continue
@@ -514,15 +519,46 @@ def solve_frac(rows, rhs):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    return Echelon(a, pivots)
+
+
+def rank_frac(rows):
+    """Rank of a matrix with Fraction/int entries."""
+    return rref(rows).rank
+
+
+def solve_frac(rows, rhs):
+    """One rational solution g of rows . g = rhs, or None.
+
+    ``rows`` is a list of coefficient rows (the system is
+    sum_j rows[i][j] * g[j] = rhs[i]).  Free variables are set to zero,
+    which makes the solution deterministic.
+    """
+    if not rows:
+        return ()
+    n = len(rows[0])
+    ech = rref([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if any(row[n] != 0 for row in ech.rows[ech.rank :]):
+        return None
     g = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        g[c] = a[i][n]
+    for row, c in zip(ech.rows, ech.pivots):
+        g[c] = row[n]
     return tuple(g)
+
+
+def section_rows(A):
+    """Integer rows x_j with x_j * A = e_j, one per column j of A.
+
+    Together they are a section of the surjection v -> v * A of Z^rows
+    onto Z^cols; each is one :func:`solve_int`.
+    """
+    out = []
+    for j in range(A.cols):
+        unit = tuple(1 if i == j else 0 for i in range(A.cols))
+        x = solve_int(A, unit)
+        assert x is not None, "map has no integral section"
+        out.append(x)
+    return out
 
 
 class LatticeQuotient:
@@ -539,12 +575,12 @@ class LatticeQuotient:
         R = IntMatrix.from_rows(relation_rows, n) if relation_rows else IntMatrix(0, n, [])
         self.relations = R
         if R.rows == 0:
-            self._V = IntMatrix.identity(n)
+            self._V = IntMatrix.identity(n).row_tuples()
             self._Vinv = IntMatrix.identity(n)
             self._divisors = [0] * n
         else:
             res = snf(R)
-            self._V = res.V
+            self._V = res.V.row_tuples()
             self._Vinv = res.Vinv
             divs = list(res.divisors)
             self._divisors = divs + [0] * (n - len(divs))
@@ -556,12 +592,7 @@ class LatticeQuotient:
         """Canonical coordinates (free parts, then torsion parts) of a class."""
         if len(vec) != self.n:
             raise ValueError("length mismatch")
-        y = [0] * self.n
-        V = self._V
-        for i, x in enumerate(vec):
-            if x:
-                for j in range(self.n):
-                    y[j] += x * V[i, j]
+        y = vecmat(vec, self._V, self.n)
         free = tuple(y[i] for i in self._free_idx)
         tor = tuple(y[i] % self._divisors[i] for i in self._tor_idx)
         return free + tor
@@ -575,14 +606,6 @@ class LatticeQuotient:
     def free_representatives(self):
         """Vectors in Z^n whose classes are the canonical free generators."""
         return [self._Vinv.row(i) for i in self._free_idx]
-
-    def torsion_representatives(self):
-        """Vectors in Z^n whose classes generate the torsion summands."""
-        return [self._Vinv.row(i) for i in self._tor_idx]
-
-
-def _normalize_constraint(coeffs, const, rel):
-    return [Fraction(c) for c in coeffs], Fraction(const), rel
 
 
 EQ, GE, GT = "=", ">=", ">"
@@ -648,7 +671,7 @@ def feasible(constraints, nvars):
     followed by Fourier-Motzkin elimination with per-constraint
     strictness flags.
     """
-    norm = [_normalize_constraint(*c) for c in constraints]
+    norm = [([Fraction(c) for c in coeffs], Fraction(const), rel) for coeffs, const, rel in constraints]
     # working constraint: (coeffs list, const, strict?, provenance dict)
     eqs = []
     ineqs = []
@@ -725,7 +748,6 @@ def feasible(constraints, nvars):
 
     # back substitution for a feasible point
     x = [Fraction(0)] * nvars
-    known = set()
     for var, pos, neg in reversed(levels):
         lowers = []
         uppers = []
@@ -748,7 +770,6 @@ def feasible(constraints, nvars):
         else:
             val = (lo[0] + hi[0]) / 2
         x[var] = val
-        known.add(var)
     for var, expr, expr_const in reversed(subs):
         x[var] = sum(e * x[i] for i, e in enumerate(expr) if e != 0) + expr_const
 

@@ -134,6 +134,26 @@ class TestRaySpanLattice:
         assert run(["diagnostics", "--fan", str(p)]) == 0
         assert "unimodular: no" in capsys.readouterr().out
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TROPFAN_THREADS", "2")
-        assert run(["cohomology", "--fan", FAN("p2")]) == 0
+
+class TestOriginOnlyFan:
+    def test_empty_maximal_cones_match_zero_cone(self, tmp_path, capsys):
+        # "maximal_cones": [] and [[]] both describe the fan of the origin alone
+        outs = {}
+        for tag, cones in (("empty", []), ("origin", [[]])):
+            p = tmp_path / f"{tag}.json"
+            p.write_text(json.dumps({"name": "origin", "rank": 2, "rays": [], "maximal_cones": cones}))
+            for cmd in ("cohomology", "verify"):
+                assert run([cmd, "--fan", str(p)]) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                outs[(tag, cmd)] = captured.out
+        for cmd in ("cohomology", "verify"):
+            assert outs[("empty", cmd)] == outs[("origin", cmd)]
+        assert outs[("empty", "cohomology")].splitlines()[-1].split() == ["0", "|", "Z"]
+
+    def test_weights_without_maximal_cones_rejected(self, tmp_path, capsys):
+        # the origin is the one maximal cone, and it has no weight here
+        p = tmp_path / "empty_weights.json"
+        p.write_text(json.dumps({"rank": 2, "rays": [], "maximal_cones": [], "weights": []}))
+        assert run(["verify", "--fan", str(p)]) == 2
+        assert "$.weights" in capsys.readouterr().err

@@ -16,8 +16,11 @@ from tropfan.zlinalg import (
     feasible,
     hnf,
     kernel_basis,
+    rank_frac,
+    rref,
     saturate,
     snf,
+    solve_frac,
     strict_lp_feasible,
 )
 
@@ -167,6 +170,36 @@ class TestLatticeQuotient:
         reps = q.free_representatives()
         assert len(reps) == 1
         assert not q.is_zero(reps[0])
+
+
+class TestRationalElimination:
+    @given(matrices(), st.lists(st.integers(-9, 9), min_size=4, max_size=4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_and_solve(self, M, draw, in_image):
+        rows = M.row_tuples()
+        if in_image:
+            # right-hand side M . x, so the system is consistent
+            rhs = [sum(a * x for a, x in zip(r, draw)) for r in rows]
+        else:
+            rhs = draw[: M.rows]
+        assert rank_frac(rows) == snf(M).rank
+        augmented = IntMatrix.from_rows([r + (b,) for r, b in zip(rows, rhs)], M.cols + 1)
+        consistent = snf(augmented).rank == snf(M).rank
+        sol = solve_frac(rows, rhs)
+        assert (sol is not None) == consistent
+        if sol is not None:
+            assert len(sol) == M.cols
+            for r, b in zip(rows, rhs):
+                assert sum(a * x for a, x in zip(r, sol)) == b
+
+    @given(matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_reduce_kills_the_row_space(self, M):
+        ech = rref(M.row_tuples())
+        for r in M.row_tuples():
+            assert not any(ech.reduce(r))
+        for row, c in zip(ech.rows, ech.pivots):
+            assert row[c] == 1
 
 
 class TestLP:
