@@ -183,6 +183,13 @@ def load_fan_file(path, strict=True):
     return load_fan_data(_load_json(path), origin=path, strict=strict)
 
 
+def _load_fan_arg(args, strict=True):
+    """:func:`load_fan_file` of ``args.fan``; :func:`run` frees the fan on return."""
+    loaded = load_fan_file(args.fan, strict)
+    args.fans.append(loaded[0])
+    return loaded
+
+
 def load_matroid_file(path):
     data = _load_json(path)
     _validate_schema(data, MATROID_SCHEMA, path)
@@ -232,7 +239,7 @@ def _cohomology_payload(fan, space, variant, coeff):
 
 
 def cmd_diagnostics(args):
-    fan, weights, _ = load_fan_file(args.fan, strict=False)
+    fan, weights, _ = _load_fan_arg(args, strict=False)
     level = "geometric" if args.geometric else "combinatorial"
     diags = validate(fan, level)
     lines = [f"fan: {fan.name}  rank {fan.rank}  dim {fan.dim}"]
@@ -259,7 +266,7 @@ def cmd_diagnostics(args):
 
 
 def cmd_cohomology(args):
-    fan, _, _ = load_fan_file(args.fan)
+    fan, _, _ = _load_fan_arg(args)
     table = _cohomology_payload(fan, args.space, args.variant, args.coeff)
     d = fan.dim
     if args.json:
@@ -291,7 +298,7 @@ def cmd_cohomology(args):
 
 
 def cmd_chow(args):
-    fan, _, _ = load_fan_file(args.fan)
+    fan, _, _ = _load_fan_arg(args)
     degrees = [args.degree] if args.degree is not None else list(range(fan.dim + 1))
     for k in degrees:
         try:
@@ -317,7 +324,7 @@ def cmd_chow(args):
 
 
 def cmd_mw(args):
-    fan, _, _ = load_fan_file(args.fan)
+    fan, _, _ = _load_fan_arg(args)
     basis = chow_mod.minkowski_weights(fan, args.dim)
     cones = [fan.cones[i] for i in fan.cones_of_dim(args.dim)]
     print(f"MW_{args.dim}: rank {len(basis)} on cones {cones}")
@@ -349,7 +356,7 @@ def cmd_bergman(args):
 
 
 def cmd_manifold_check(args):
-    fan, weights, _ = load_fan_file(args.fan)
+    fan, weights, _ = _load_fan_arg(args)
     report = criteria.homology_manifold_check(fan, weights, args.coeff)
     print("true" if report.ok else "false")
     for cone, res in report.per_face.items():
@@ -360,7 +367,7 @@ def cmd_manifold_check(args):
 
 
 def cmd_ample(args):
-    fan, _, func = load_fan_file(args.fan)
+    fan, _, func = _load_fan_arg(args)
     if args.function:
         func = load_function_file(args.function, len(fan.rays))
     if func is None:
@@ -379,7 +386,7 @@ def cmd_ample(args):
 
 
 def cmd_verify(args):
-    fan, _, _ = load_fan_file(args.fan)
+    fan, _, _ = _load_fan_arg(args)
     report = criteria.verification_report(fan)
     d = report.dim
     print(f"fan {report.fan_name}: dim {d}, unimodular {report.unimodular}, saturated {report.saturated}")
@@ -462,6 +469,7 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.fans = []
     try:
         return args.func(args)
     except InputError as exc:
@@ -470,6 +478,9 @@ def run(argv=None):
     except AssertionError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        for fan in args.fans:
+            fan.drop_caches()
 
 
 def main(argv=None):

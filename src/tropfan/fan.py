@@ -273,6 +273,19 @@ class Fan:
             self._star[cone_idx] = _build_star(self, cone_idx)
         return self._star[cone_idx]
 
+    def drop_caches(self):
+        """Forget the cached stars and compactification, and theirs.
+
+        Both point back to this fan (the star of the origin is the fan
+        itself), so while it keeps them the fan is freed only by the
+        cyclic garbage collector; after this, by reference counting.
+        """
+        stars, self._star = self._star, {}
+        self._compactification = None
+        for star in stars.values():
+            if star.fan is not self:
+                star.fan.drop_caches()
+
     def transition_rows(self, t_small, t_big):
         """Matrix of the projection star(t_small) -> star(t_big) on row vectors."""
         proj = self.star(t_big).proj
@@ -476,7 +489,7 @@ def is_unimodular(fan):
             per_cone[i] = True
             continue
         M = IntMatrix.from_rows([fan.rays[j] for j in c], fan.rank)
-        per_cone[i] = zlinalg.snf(M).divisors == (1,) * len(c)
+        per_cone[i] = zlinalg.snf_divisors(M) == (1,) * len(c)
     return per_cone, all(per_cone.values())
 
 

@@ -143,48 +143,33 @@ def build_complex(space, p, variant="cohomology", coeff="Z"):
                 if row[j]:
                     M[off_s + i][off_d + j] += sign * row[j]
 
-    mats = {
-        q: IntMatrix.from_rows(m, len(spaces.get(q + step, ()))) if m else IntMatrix(0, len(spaces.get(q + step, ())), [])
-        for q, m in maps.items()
-    }
+    mats = {q: IntMatrix._trusted_rows(m, len(spaces.get(q + step, ()))) for q, m in maps.items()}
     gc = GradedComplex(comp, p, variant, coeff, step, {q: tuple(v) for q, v in spaces.items()}, mats)
     assert gc.check_dd_zero(), "differential does not square to zero"
     return gc
 
 
 class ComplexGroups:
-    """Homology groups of a graded complex with a class map per degree."""
+    """Homology groups of a graded complex with a class map per degree.
+
+    The groups come from the invariant factors of the differentials
+    alone: each map is reduced once, as the outgoing map of its source
+    degree and the incoming map of its target degree.  With n cells in
+    degree q, H_q = Z^(n - rk d_out - rk d_in) plus the torsion of d_in:
+    the kernel of d_out is saturated, so the torsion of Z^n / im d_in
+    lies in it.  The kernel basis, its solver and the quotient behind
+    :meth:`class_of` are built on the first call for a degree.
+    """
 
     def __init__(self, gc):
         self.gc = gc
-        self._kernels = {}
-        self._quotients = {}
-        degrees = sorted(gc.spaces)
+        self._class_maps = {}
+        divisors = {q: zlinalg.snf_divisors(gc.map_out(q)) for q in gc.spaces}
         self.groups = {}
-        for q in degrees:
-            n = gc.dim(q)
-            out = gc.map_out(q)
-            prev = gc.map_out(q - gc.step) if (q - gc.step) in gc.spaces else IntMatrix.zeros(0, n)
-            if gc.coeff == "Q":
-                r_out = zlinalg.rank_frac(out.row_tuples()) if out.rows and out.cols else 0
-                r_in = zlinalg.rank_frac(prev.row_tuples()) if prev.rows and prev.cols else 0
-                self.groups[q] = AbGroup(n - r_out - r_in)
-                continue
-            K = zlinalg.kernel_basis(out.transpose()) if out.cols else IntMatrix.identity(n)
-            if K.rows == 0 and n:
-                K = IntMatrix(0, n, [])
-            rel_rows = []
-            for i in range(prev.rows):
-                v = prev.row(i)
-                if not any(v):
-                    continue
-                c = zlinalg.solve_int(K, v) if K.rows else None
-                assert c is not None, "image does not lie in the kernel"
-                rel_rows.append(c)
-            quot = LatticeQuotient(K.rows, rel_rows)
-            self._kernels[q] = K
-            self._quotients[q] = quot
-            self.groups[q] = quot.group
+        for q in sorted(gc.spaces):
+            d_in = divisors.get(q - gc.step, ())
+            torsion = tuple(d for d in d_in if d >= 2) if gc.coeff == "Z" else ()
+            self.groups[q] = AbGroup(gc.dim(q) - len(divisors[q]) - len(d_in), torsion)
 
     def group(self, q):
         return self.groups.get(q, AbGroup(0))
@@ -193,13 +178,38 @@ class ComplexGroups:
         """Canonical coordinates of the class of a cycle/cocycle vector."""
         if self.gc.coeff != "Z":
             raise ValueError("class map only available over Z")
-        K = self._kernels[q]
-        if K.rows == 0:
+        solver, quot = self._class_map(q)
+        if solver is None:
             assert not any(vec), "nonzero vector in a trivial kernel"
             return ()
-        c = zlinalg.solve_int(K, tuple(vec))
+        c = solver.solve(tuple(vec))
         assert c is not None, "vector is not a cycle"
-        return self._quotients[q].class_of(c)
+        return quot.class_of(c)
+
+    def _class_map(self, q):
+        """Solver over a kernel basis of degree q and the quotient by the image.
+
+        Built on first use and checked against the group read off the
+        divisors.
+        """
+        if q not in self._class_maps:
+            gc = self.gc
+            out = gc.map_out(q)
+            K = zlinalg.kernel_basis(out.transpose()) if out.cols else IntMatrix.identity(gc.dim(q))
+            solver = zlinalg.RowSolver(K) if K.rows else None
+            rel_rows = []
+            if q - gc.step in gc.spaces:
+                for v in gc.map_out(q - gc.step).row_tuples():
+                    if any(v):
+                        c = solver.solve(v) if solver else None
+                        if c is None:
+                            raise AssertionError(f"image does not lie in the kernel in degree {q}")
+                        rel_rows.append(c)
+            quot = LatticeQuotient(K.rows, rel_rows)
+            if quot.group != self.group(q):
+                raise AssertionError(f"class map quotient {quot.group} differs from H_{q} = {self.group(q)}")
+            self._class_maps[q] = (solver, quot)
+        return self._class_maps[q]
 
 
 def groups(gc):
@@ -401,7 +411,7 @@ def cubical_complex(fan, p, coeff="Z"):
                     for j, x in enumerate(row):
                         if x:
                             M[off_t + i][off_s + j] += x
-        mats[q] = IntMatrix.from_rows(M, cols) if M else IntMatrix(0, cols, [])
+        mats[q] = IntMatrix._trusted_rows(M, cols)
     gc = GradedComplex(comp, p, "cubical", coeff, 1, spaces, mats)
     assert gc.check_dd_zero(), "cubical differential does not square to zero"
     return gc
@@ -489,7 +499,7 @@ class DoubleComplex:
                             x = block[i][j]
                             if x:
                                 M[si][pos[dl]] += x
-            mats[q] = IntMatrix.from_rows(M, len(nxt)) if M else IntMatrix(0, len(nxt), [])
+            mats[q] = IntMatrix._trusted_rows(M, len(nxt))
         return GradedComplex(comp, self.p, "cohomology", coeff, 1, ordered, mats)
 
 

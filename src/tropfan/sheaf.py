@@ -98,16 +98,16 @@ def restriction(comp, p, gid, did):
             exterior.apply_induced(trans, p, m_src, m_dst, row) for row in b_delta
         ]
     rows = []
-    gb = IntMatrix.from_rows(b_gamma) if b_gamma else None
+    solver = zlinalg.RowSolver(IntMatrix._trusted_rows(b_gamma, len(b_gamma[0]))) if b_gamma else None
     for v in mapped:
-        if gb is None:
+        if solver is None:
             assert not any(v), "restriction leaves the target lattice"
             rows.append(())
             continue
-        c = zlinalg.in_rowspace(gb, v)
+        c = solver.solve(v)
         assert c is not None, "restriction image not integral over the target basis"
         rows.append(c)
-    M = IntMatrix.from_rows(rows, len(b_gamma)) if rows else IntMatrix(0, len(b_gamma), [])
+    M = IntMatrix._trusted_rows(rows, len(b_gamma))
     cache[key] = M
     return M
 

@@ -6,7 +6,9 @@ package.  Matrices at the scale of this project are tiny (at most a few
 hundred rows), so the classical cubic algorithms with careful pivoting
 are adequate and keep everything exact.
 
-The main entry points are :func:`snf`, :func:`hnf`, :func:`kernel_basis`,
+The main entry points are :func:`snf`, its divisors-only variant
+:func:`snf_divisors`, :func:`hnf` and the factor-once solver
+:class:`RowSolver` built on it, :func:`kernel_basis`,
 :func:`cokernel_group`, :func:`saturate`, the quotient-group helper
 :class:`LatticeQuotient`, the rational elimination :func:`rref`, the
 row-vector product :func:`vecmat`, and the exact feasibility solver
@@ -37,6 +39,25 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
+    def _trusted(cls, rows, cols, entries):
+        """A matrix over a tuple of ints that the package computed itself.
+
+        Skips the per-entry ``int()`` coercion and the length check of
+        the public constructor, which stay for matrices built from
+        outside input.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
+    def _trusted_rows(cls, rows, cols):
+        """Trusted :meth:`from_rows`: computed int rows, all of width ``cols``."""
+        return cls._trusted(len(rows), cols, tuple(itertools.chain.from_iterable(rows)))
+
+    @classmethod
     def from_rows(cls, rows, cols=None):
         rows = [tuple(r) for r in rows]
         if cols is None:
@@ -49,11 +70,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._trusted(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls._trusted(rows, cols, (0,) * (rows * cols))
 
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -65,11 +86,8 @@ class IntMatrix:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self):
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        e, c = self.entries, self.cols
+        return IntMatrix._trusted(c, self.rows, tuple(itertools.chain.from_iterable(e[j::c] for j in range(c))))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -91,7 +109,7 @@ class IntMatrix:
                     for j in range(other.cols):
                         acc[j] += rk * orow[j]
             out.extend(acc)
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix._trusted(self.rows, other.cols, tuple(out))
 
     def __eq__(self, other):
         return (
@@ -151,6 +169,14 @@ class AbGroup:
         return " x ".join(parts) if parts else "0"
 
 
+def _identity_rows(n):
+    """The n x n identity as mutable rows, for the transforms of snf and hnf."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
 def _swap_rows(a, i, j):
     a[i], a[j] = a[j], a[i]
 
@@ -200,9 +226,9 @@ def snf(M):
     """
     m, n = M.rows, M.cols
     a = M.row_list()
-    U = IntMatrix.identity(m).row_list()
-    V = IntMatrix.identity(n).row_list()
-    Vinv = IntMatrix.identity(n).row_list()
+    U = _identity_rows(m)
+    V = _identity_rows(n)
+    Vinv = _identity_rows(n)
 
     def row_op(i, j, k):
         _add_row(a, i, j, k)
@@ -281,11 +307,66 @@ def snf(M):
                 U[i][c] = -U[i][c]
 
     return SNFResult(
-        IntMatrix.from_rows(U, m),
-        IntMatrix.from_rows(a, n),
-        IntMatrix.from_rows(V, n),
-        IntMatrix.from_rows(Vinv, n),
+        IntMatrix._trusted_rows(U, m),
+        IntMatrix._trusted_rows(a, n),
+        IntMatrix._trusted_rows(V, n),
+        IntMatrix._trusted_rows(Vinv, n),
     )
+
+
+def snf_divisors(M):
+    """Invariant factors of M, as :attr:`SNFResult.divisors`, without transforms.
+
+    Unit pivots go first, on sparse rows: a +-1 entry clears its column
+    by row operations, after which column operations would clear its
+    row without touching any other, so the pivot splits off a divisor 1
+    and its row and column drop out.  Rows are visited shortest first
+    and each takes the unit entry whose column is sparsest, which keeps
+    fill-in low.  The residual block, with no unit entry left, goes to
+    the dense :func:`snf`.
+    """
+    rows = [r for r in ({j: e for j, e in enumerate(M.row(i)) if e} for i in range(M.rows)) if r]
+    where = {}  # column -> indices of the rows with a nonzero entry in it
+    for i, r in enumerate(rows):
+        for j in r:
+            where.setdefault(j, set()).add(i)
+    alive = set(range(len(rows)))
+    units = 0
+    progress = True
+    while progress:
+        progress = False
+        for i in sorted(alive, key=lambda i: len(rows[i])):
+            if i not in alive:
+                continue
+            r = rows[i]
+            j = min((j for j, e in r.items() if e == 1 or e == -1), key=lambda j: len(where[j]), default=None)
+            if j is None:
+                continue
+            for k in where[j] - {i}:
+                rk = rows[k]
+                f = rk[j] * r[j]
+                for c, e in r.items():
+                    v = rk.get(c, 0) - f * e
+                    if v:
+                        if c not in rk:
+                            where[c].add(k)
+                        rk[c] = v
+                    elif c in rk:
+                        del rk[c]
+                        where[c].discard(k)
+                if not rk:
+                    alive.discard(k)
+            for c in r:
+                where[c].discard(i)
+            alive.discard(i)
+            units += 1
+            progress = True
+    if not alive:
+        return (1,) * units
+    residual = [rows[i] for i in sorted(alive)]
+    cols = sorted(set().union(*residual))
+    dense = [tuple(r.get(c, 0) for c in cols) for r in residual]
+    return (1,) * units + snf(IntMatrix._trusted_rows(dense, len(cols))).divisors
 
 
 def hnf(M):
@@ -297,7 +378,7 @@ def hnf(M):
     """
     m, n = M.rows, M.cols
     a = M.row_list()
-    T = IntMatrix.identity(m).row_list()
+    T = _identity_rows(m)
 
     def row_op(i, j, k):
         _add_row(a, i, j, k)
@@ -339,7 +420,7 @@ def hnf(M):
             r += 1
             if r == m:
                 break
-    return IntMatrix.from_rows(a, n), IntMatrix.from_rows(T, m)
+    return IntMatrix._trusted_rows(a, n), IntMatrix._trusted_rows(T, m)
 
 
 def hnf_basis(rows, cols):
@@ -357,24 +438,14 @@ def kernel_basis(M):
     as a column).  The basis spans a saturated sublattice.
     """
     res = snf(M)
-    r = res.rank
-    rows = []
-    for j in range(r, M.cols):
-        rows.append(tuple(res.V[i, j] for i in range(M.cols)))
-    if not rows:
-        return IntMatrix(0, M.cols, [])
-    return IntMatrix.from_rows(rows, M.cols)
+    # the kernel columns of V, read as rows of its transpose
+    return IntMatrix._trusted_rows(res.V.transpose().row_tuples()[res.rank :], M.cols)
 
 
 def cokernel_group(M):
     """The abelian group Z^cols / rowspace(M)."""
-    if M.rows == 0:
-        return AbGroup(M.cols)
-    res = snf(M)
-    divisors = res.divisors
-    free = M.cols - len(divisors)
-    torsion = tuple(d for d in divisors if d >= 2)
-    return AbGroup(free, torsion)
+    divisors = snf_divisors(M)
+    return AbGroup(M.cols - len(divisors), tuple(d for d in divisors if d >= 2))
 
 
 @dataclass(frozen=True)
@@ -416,32 +487,51 @@ def saturate(L):
     return sat, index
 
 
+class RowSolver:
+    """Integer solutions x of x * B = v for many v, from one HNF of B.
+
+    B is factored once as H = T * B; each :meth:`solve` reduces v
+    against the pivot rows of H and maps the coefficients back through
+    T.  B need not be in HNF.
+    """
+
+    def __init__(self, B):
+        H, T = hnf(B)
+        self.rows = B.rows
+        # (pivot column, pivot, nonzero entries) of each nonzero row of H
+        self._pivots = []
+        for row in H.row_tuples():
+            nz = [(j, e) for j, e in enumerate(row) if e]
+            if not nz:
+                break
+            self._pivots.append((nz[0][0], nz[0][1], nz))
+        self._T = T.row_tuples()[: len(self._pivots)]
+
+    def solve(self, vec):
+        """Coefficients x with x * B = vec, or None if there are none."""
+        v = list(vec)
+        coeff = []
+        for p, pivot, nz in self._pivots:
+            q, r = divmod(v[p], pivot)
+            if r:
+                return None
+            coeff.append(q)
+            if q:
+                for j, e in nz:
+                    v[j] -= q * e
+        if any(v):
+            return None
+        return vecmat(coeff, self._T, self.rows)
+
+
 def in_rowspace(B, vec):
     """Coordinates of ``vec`` over the rows of B with integer coefficients.
 
     Returns the coefficient tuple, or None if ``vec`` is not an integer
-    combination of the rows.  B need not be in HNF.
+    combination of the rows.  Solving many vectors against one B should
+    go through one :class:`RowSolver` instead.
     """
-    H, T = hnf(B)
-    v = list(vec)
-    coeff = [0] * B.rows
-    hrows = H.row_tuples()
-    for i in range(H.rows):
-        row = hrows[i]
-        p = next((j for j, e in enumerate(row) if e), None)
-        if p is None:
-            break
-        if v[p] % row[p] != 0:
-            return None
-        q = v[p] // row[p]
-        coeff[i] = q
-        if q:
-            for j in range(len(v)):
-                v[j] -= q * row[j]
-    if any(v):
-        return None
-    # coeff are coordinates over H rows; convert back through T
-    return vecmat(coeff, T.row_tuples(), B.rows)
+    return RowSolver(B).solve(vec)
 
 
 def solve_int(A, b):
@@ -550,12 +640,12 @@ def section_rows(A):
     """Integer rows x_j with x_j * A = e_j, one per column j of A.
 
     Together they are a section of the surjection v -> v * A of Z^rows
-    onto Z^cols; each is one :func:`solve_int`.
+    onto Z^cols; all are solved against one :class:`RowSolver`.
     """
+    solver = RowSolver(A)
     out = []
     for j in range(A.cols):
-        unit = tuple(1 if i == j else 0 for i in range(A.cols))
-        x = solve_int(A, unit)
+        x = solver.solve(tuple(1 if i == j else 0 for i in range(A.cols)))
         assert x is not None, "map has no integral section"
         out.append(x)
     return out

@@ -1,3 +1,4 @@
+import gc
 import json
 import pathlib
 
@@ -157,3 +158,33 @@ class TestOriginOnlyFan:
         p.write_text(json.dumps({"rank": 2, "rays": [], "maximal_cones": [], "weights": []}))
         assert run(["verify", "--fan", str(p)]) == 2
         assert "$.weights" in capsys.readouterr().err
+
+
+class TestFansFreedOnReturn:
+    def test_no_fan_left_for_the_cycle_collector(self, capsys):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run(["cohomology", "--fan", FAN("sigma3"), "--space", "comp", "--variant", "bm"]) == 0
+            gc.collect()
+            left = {type(o).__name__ for o in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not left & {"Fan", "Compactification", "StarData"}
+
+
+class TestTracedNamesBind:
+    def test_every_wrapped_name_is_defined(self):
+        import importlib
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for _, module, path, *_ in tracer.WRAPPED:
+            owner = importlib.import_module(f"tropfan.{module}")
+            *cls_path, attr = path.split(".")
+            for part in cls_path:
+                owner = getattr(owner, part)
+            assert attr in owner.__dict__, path

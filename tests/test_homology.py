@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -15,12 +19,14 @@ from tropfan.homology import (
     cup,
     fine_double_complex,
     fundamental_cycle,
+    VARIANTS,
     groups,
     table,
     unit_cochain,
 )
 
 FIXTURES = ["p2", "delta", "sigma3", "cone2", "cube", "u23"]
+FANS = pathlib.Path(__file__).resolve().parent.parent / "fans"
 
 
 def group_table(fan, variant, space="comp"):
@@ -102,6 +108,45 @@ class TestFixtureTables:
         for q in range(3):
             assert gq.group(q).free_rank == gz.group(q).free_rank
             assert gq.group(q).is_free
+
+
+class TestLazyClassMaps:
+    @pytest.mark.parametrize("name", FIXTURES + ["k4_pair"])
+    def test_quotient_is_the_divisor_group(self, name, request):
+        fan = request.getfixturevalue(name)
+        if name == "k4_pair":
+            fan = fan[0]
+        for space in (fan, compactification(fan)):
+            for variant in VARIANTS:
+                for p in range(fan.dim + 1):
+                    gc = build_complex(space, p, variant)
+                    cg = ComplexGroups(gc)
+                    for q in gc.spaces:
+                        _, quot = cg._class_map(q)
+                        assert quot.group == cg.group(q), (variant, p, q)
+                        if q - gc.step in gc.spaces:
+                            for v in gc.map_out(q - gc.step).row_tuples():
+                                assert not any(cg.class_of(q, v)), (variant, p, q)
+
+    def test_group_mismatch_raises_under_optimize(self):
+        code = (
+            "from tropfan.cli import load_fan_file\n"
+            "from tropfan.homology import ComplexGroups, build_complex, compactification\n"
+            "from tropfan.zlinalg import AbGroup\n"
+            f"fan = load_fan_file({str(FANS / 'sigma3.json')!r})[0]\n"
+            "gc = build_complex(compactification(fan), 1, 'cohomology')\n"
+            "cg = ComplexGroups(gc)\n"
+            "cg.groups[2] = AbGroup(0)\n"
+            "try:\n"
+            "    cg.class_of(2, (0,) * gc.dim(2))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(FANS.parent / "src")},
+        ).stdout
+        assert out.startswith("raised: class map quotient Z/3Z differs from H_2 = 0")
 
 
 class TestCubicalModel:

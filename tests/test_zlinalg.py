@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from tropfan.zlinalg import (
     AbGroup,
     IntMatrix,
     LatticeQuotient,
+    RowSolver,
     Sublattice,
     cokernel_group,
     feasible,
@@ -19,7 +21,9 @@ from tropfan.zlinalg import (
     rank_frac,
     rref,
     saturate,
+    in_rowspace,
     snf,
+    snf_divisors,
     solve_frac,
     strict_lp_feasible,
 )
@@ -35,6 +39,89 @@ def matrices(max_dim=4, max_entry=9):
             ).map(lambda rows: IntMatrix.from_rows(rows, n))
         )
     )
+
+
+def sparse_unit_matrices(max_dim=7):
+    """Small integer matrices, mostly zeros and +-1 like the differentials."""
+    entry = st.sampled_from([0] * 6 + [1, -1] * 3 + [2, -2, 3, -4, 6])
+    return st.integers(1, max_dim).flatmap(
+        lambda m: st.integers(1, max_dim).flatmap(
+            lambda n: st.lists(
+                st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m
+            ).map(lambda rows: IntMatrix.from_rows(rows, n))
+        )
+    )
+
+
+def sympy_divisors(M):
+    """Invariant factors from sympy's Smith normal form (independent oracle)."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+    from sympy.polys.domains import ZZ
+
+    D = smith_normal_form(Matrix(M.row_list()), domain=ZZ)
+    return tuple(sorted(abs(int(D[i, i])) for i in range(min(M.rows, M.cols)) if D[i, i] != 0))
+
+
+class TestSnfDivisors:
+    @given(st.one_of(sparse_unit_matrices(), matrices()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_snf_and_sympy(self, M):
+        divs = snf_divisors(M)
+        assert divs == snf(M).divisors
+        assert divs == sympy_divisors(M)
+
+    def test_unit_pivots_and_residual(self):
+        # one unit pivot leaves the block diag(2, 6) behind
+        M = IntMatrix.from_rows([(1, 1, 0), (2, 4, 0), (0, 0, 6)])
+        assert snf_divisors(M) == (1, 2, 6)
+
+    def test_empty_shapes(self):
+        assert snf_divisors(IntMatrix.zeros(0, 3)) == ()
+        assert snf_divisors(IntMatrix.zeros(3, 0)) == ()
+        assert snf_divisors(IntMatrix.zeros(2, 2)) == ()
+
+
+def _in_lattice(B, v):
+    """v in the row lattice of B, decided by SNF: adding v keeps rank and index."""
+    if B.rows == 0:
+        return not any(v)
+    ext = IntMatrix.from_rows(B.row_tuples() + [tuple(v)], B.cols)
+    d, d_ext = snf(B).divisors, snf(ext).divisors
+    return len(d) == len(d_ext) and math.prod(d) == math.prod(d_ext)
+
+
+class TestRowSolver:
+    @given(
+        st.one_of(sparse_unit_matrices(5), matrices()),
+        st.lists(st.lists(st.integers(-3, 3), min_size=7, max_size=7), min_size=1, max_size=6),
+        st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_in_rowspace(self, B, draws, combine):
+        solver = RowSolver(B)
+        for draw, in_span in zip(draws, combine):
+            if in_span:
+                v = zlinalg.vecmat(draw[: B.rows], B.row_tuples(), B.cols)
+            else:
+                v = tuple(draw[: B.cols])
+            x = solver.solve(v)
+            assert x == in_rowspace(B, v)
+            assert (x is not None) == _in_lattice(B, v)
+            if x is not None:
+                assert len(x) == B.rows
+                assert zlinalg.vecmat(x, B.row_tuples(), B.cols) == v
+
+    def test_outside_the_lattice(self):
+        solver = RowSolver(IntMatrix.from_rows([(2, 0), (0, 3)]))
+        assert solver.solve((2, 3)) == (1, 1)
+        assert solver.solve((1, 0)) is None
+        assert solver.solve((0, 4)) is None
+
+    def test_section_rows(self):
+        A = IntMatrix.from_rows([(1, 2), (0, 1), (3, 7)])
+        for j, x in enumerate(zlinalg.section_rows(A)):
+            assert zlinalg.vecmat(x, A.row_tuples(), A.cols) == tuple(int(i == j) for i in range(2))
 
 
 class TestSNF:
