@@ -13,6 +13,7 @@ Exit codes: 0 success or property holds, 1 checked property fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -91,14 +92,24 @@ FUNCTION_SCHEMA = {
 }
 
 
+def _compiled(schema):
+    """A validator for ``schema``, built once; the schemas are checked by the tests."""
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+_FAN_VALIDATOR = _compiled(FAN_SCHEMA)
+_MATROID_VALIDATOR = _compiled(MATROID_SCHEMA)
+_FUNCTION_VALIDATOR = _compiled(FUNCTION_SCHEMA)
+
+
 class InputError(Exception):
     pass
 
 
-def _validate_schema(data, schema, origin):
-    try:
-        jsonschema.validate(data, schema)
-    except jsonschema.ValidationError as exc:
+def _validate_schema(data, validator, origin):
+    # the error jsonschema.validate would raise, without re-checking the schema
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(data))
+    if exc is not None:
         raise InputError(f"{origin}: {exc.json_path}: {exc.message}") from exc
 
 
@@ -118,7 +129,7 @@ def load_fan_data(data, origin="<fan>", strict=True):
     With ``strict`` the combinatorial diagnostics must pass; without it
     the fan is returned for reporting even when they do not.
     """
-    _validate_schema(data, FAN_SCHEMA, origin)
+    _validate_schema(data, _FAN_VALIDATOR, origin)
     rank = data["rank"]
     rays = [tuple(r) for r in data["rays"]]
     for i, r in enumerate(rays):
@@ -192,7 +203,7 @@ def _load_fan_arg(args, strict=True):
 
 def load_matroid_file(path):
     data = _load_json(path)
-    _validate_schema(data, MATROID_SCHEMA, path)
+    _validate_schema(data, _MATROID_VALIDATOR, path)
     try:
         if data["type"] == "uniform":
             return matroid.Matroid.uniform(data["n"], data["r"])
@@ -205,7 +216,7 @@ def load_matroid_file(path):
 
 def load_function_file(path, nrays):
     data = _load_json(path)
-    _validate_schema(data, FUNCTION_SCHEMA, path)
+    _validate_schema(data, _FUNCTION_VALIDATOR, path)
     return _parse_function(data, nrays, path)
 
 
@@ -411,7 +422,9 @@ def cmd_verify(args):
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="tropfan",
         description="Exact tropical cohomology, Chow rings and positivity checks for rational simplicial fans.",

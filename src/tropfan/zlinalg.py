@@ -11,13 +11,14 @@ The main entry points are :func:`snf`, its divisors-only variant
 :class:`RowSolver` built on it, :func:`kernel_basis`,
 :func:`cokernel_group`, :func:`saturate`, the quotient-group helper
 :class:`LatticeQuotient`, the rational elimination :func:`rref`, the
-row-vector product :func:`vecmat`, and the exact feasibility solver
+row-vector product :func:`vecmat`, and the exact Bland-rule simplex
 :func:`feasible` / :func:`strict_lp_feasible`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -716,10 +717,13 @@ class LPCertificate:
     multipliers: dict = None
 
     def verify(self, constraints, nvars):
+        # the point, or the multipliers, times the lcm of their denominators:
+        # every sign below is unchanged by that positive scale
         if self.feasible:
-            x = self.point
+            scale = math.lcm(*(Fraction(v).denominator for v in self.point))
+            x = [int(v * scale) for v in self.point]
             for coeffs, const, rel in constraints:
-                val = sum(Fraction(c) * x[i] for i, c in enumerate(coeffs)) + Fraction(const)
+                val = sum(c * x[i] for i, c in enumerate(coeffs) if c) + const * scale
                 if rel == EQ and val != 0:
                     return False
                 if rel == GE and val < 0:
@@ -727,11 +731,13 @@ class LPCertificate:
                 if rel == GT and val <= 0:
                     return False
             return True
-        combo = [Fraction(0)] * nvars
-        const = Fraction(0)
+        scale = math.lcm(*(Fraction(m).denominator for m in self.multipliers.values()))
+        combo = [0] * nvars
+        const = 0
         strict = False
         has_ineq = False
         for idx, mult in self.multipliers.items():
+            mult = int(mult * scale)
             coeffs, c, rel = constraints[idx]
             if rel in (GE, GT):
                 if mult < 0:
@@ -740,8 +746,9 @@ class LPCertificate:
                 if rel == GT and mult > 0:
                     strict = True
             for i, a in enumerate(coeffs):
-                combo[i] += mult * Fraction(a)
-            const += mult * Fraction(c)
+                if a:
+                    combo[i] += mult * a
+            const += mult * c
         if any(combo):
             return False
         # derived statement: const (>|>=|=) 0 must be false
@@ -757,115 +764,156 @@ def feasible(constraints, nvars):
 
     ``constraints`` is a list of (coeffs, const, rel) triples encoding
     coeffs . x + const  rel  0 with rel one of EQ, GE, GT.  Returns an
-    :class:`LPCertificate`.  Uses Gaussian elimination on equalities
-    followed by Fourier-Motzkin elimination with per-constraint
-    strictness flags.
+    :class:`LPCertificate`, re-verified before it is returned.
+
+    An exact simplex under Bland's rule, in dictionary form: variable
+    ``nvars + 2 + i`` is the slack ``s_i = a_i . x + b_i`` of constraint
+    i.  The free ``x_j`` are pivoted into the basis first, through
+    equalities before inequalities; equality slacks that leave are fixed
+    at 0 and never re-enter.  Phase one uses Chvátal's single auxiliary
+    variable.  A strict row gets ``- t`` and a cap row ``1 - t >= 0`` is
+    added; phase two maximises ``t``, and the system is feasible exactly
+    when ``t* > 0``.  Otherwise the final objective row ``obj* + sum c_j
+    s_j`` is an identity in x, so the multipliers ``-c_j`` on the
+    nonbasic slacks combine the constraints into a contradiction.
     """
-    norm = [([Fraction(c) for c in coeffs], Fraction(const), rel) for coeffs, const, rel in constraints]
-    # working constraint: (coeffs list, const, strict?, provenance dict)
-    eqs = []
-    ineqs = []
-    for idx, (coeffs, const, rel) in enumerate(norm):
-        prov = {idx: Fraction(1)}
-        if rel == EQ:
-            eqs.append((list(coeffs), const, prov))
-        else:
-            ineqs.append((list(coeffs), const, rel == GT, prov))
+    t, aux, cap = nvars, nvars + 1, nvars + 2 + len(constraints)
+    rows = {}
+    eqs, ineqs = [], []
+    for i, (coeffs, const, rel) in enumerate(constraints):
+        d = math.lcm(*(Fraction(a).denominator for a in coeffs if a), Fraction(const).denominator)
+        row = {j: int(a * d) for j, a in enumerate(coeffs) if a}
+        if rel == GT:
+            row[t] = -d
+        rows[nvars + 2 + i] = [int(const * d), row, d]
+        (eqs if rel == EQ else ineqs).append(nvars + 2 + i)
+    strict = any(rel == GT for _, _, rel in constraints)
+    if strict:
+        rows[cap] = [1, {t: -1}, 1]
 
-    def comb_prov(p1, m1, p2, m2):
-        out = dict()
-        for k, v in p1.items():
-            out[k] = v * m1
-        for k, v in p2.items():
-            out[k] = out.get(k, Fraction(0)) + v * m2
-        return out
+    def certified(cert):
+        if not cert.verify(constraints, nvars):
+            raise AssertionError(f"LP certificate fails to verify: {cert}")
+        return cert
 
-    subs = []  # (var, coeffs, const) with x_var = coeffs . x + const
-    active_eqs = list(eqs)
-    while active_eqs:
-        coeffs, const, prov = active_eqs.pop()
-        j = next((i for i, c in enumerate(coeffs) if c != 0), None)
-        if j is None:
-            if const != 0:
-                return LPCertificate(False, multipliers=prov)
+    def farkas(row, d):
+        return certified(LPCertificate(False, multipliers={
+            j - nvars - 2: Fraction(-c, d) for j, c in row.items() if nvars + 2 <= j < cap
+        }))
+
+    fixed = set(eqs)
+    for group in (eqs, ineqs):
+        for s in group:
+            j = min((j for j in rows[s][1] if j < nvars), default=None)
+            if j is not None:
+                _pivot(rows, s, j)
+    for s in eqs:
+        if s in rows:
+            # no free variable left here: d s = b + sum of fixed equality slacks
+            b, row, d = rows.pop(s)
+            if b:
+                return farkas({s: -d, **row}, 1)
+
+    low = min((v for v, (b, _, _) in rows.items() if v >= nvars and b < 0),
+              key=lambda v: (Fraction(rows[v][0], rows[v][2]), v), default=None)
+    if low is not None:
+        for v, (_, row, d) in rows.items():
+            if v >= nvars:
+                row[aux] = d
+        objective = [0, {aux: -1}, 1]
+        _pivot(rows, low, aux, objective)
+        _maximise(rows, objective, fixed, nvars)
+        if objective[0] < 0:
+            return farkas(objective[1], objective[2])
+        if aux in rows:
+            enter = min((j for j in rows[aux][1] if j not in fixed), default=None)
+            if enter is None:
+                del rows[aux]
+            else:
+                _pivot(rows, aux, enter)
+        for _, row, _ in rows.values():
+            row.pop(aux, None)
+
+    if strict:
+        objective = [rows[t][0], dict(rows[t][1]), rows[t][2]] if t in rows else [0, {t: 1}, 1]
+        _maximise(rows, objective, fixed, nvars)
+        if objective[0] <= 0:
+            return farkas(objective[1], objective[2])
+    point = [Fraction(0)] * nvars
+    for v, (b, _, d) in rows.items():
+        if v < nvars:
+            point[v] = Fraction(b, d)
+    return certified(LPCertificate(True, point=tuple(point)))
+
+
+def _pivot(rows, leave, enter, objective=None):
+    """Exchange basic ``leave`` for nonbasic ``enter`` in a dictionary.
+
+    ``rows`` maps each basic variable v to ``[b, {j: a_j}, d]`` with
+    integers and ``d > 0``, meaning d v = b + sum a_j v_j over nonbasic
+    j (no zero ``a_j`` stored; a rewritten row is divided by its
+    content); the ``objective`` row, of the same form, is rewritten
+    with them.
+    """
+    b, row, d = rows.pop(leave)
+    q = row.pop(enter)
+    # q v_enter = d v_leave - b - sum a_j v_j
+    sign = -1 if q > 0 else 1
+    new = {j: sign * a for j, a in row.items()}
+    new[leave] = -sign * d
+    b, q = sign * b, abs(q)
+    others = list(rows.values())
+    if objective is not None:
+        others.append(objective)
+    for other in others:
+        c = other[1].pop(enter, None)
+        if c is None:
             continue
-        pivc = coeffs[j]
-        expr = [-c / pivc for c in coeffs]
-        expr[j] = Fraction(0)
-        expr_const = -const / pivc
-        subs.append((j, tuple(expr), expr_const))
+        g = math.gcd(c, q)
+        keep, add = q // g, c // g
+        coeffs = other[1]
+        if keep != 1:
+            for j in coeffs:
+                coeffs[j] *= keep
+        for j, a in new.items():
+            v = coeffs.get(j, 0) + add * a
+            if v:
+                coeffs[j] = v
+            else:
+                del coeffs[j]
+        other[0] = other[0] * keep + add * b
+        other[2] *= keep
+        g = math.gcd(other[0], other[2], *coeffs.values())
+        if g != 1:
+            other[0] //= g
+            other[2] //= g
+            for j in coeffs:
+                coeffs[j] //= g
+    rows[enter] = [b, new, q]
 
-        def substitute(cs, cc, pr):
-            f = cs[j]
-            if f == 0:
-                return list(cs), cc, pr
-            ncs = [a + f * e for a, e in zip(cs, expr)]
-            ncs[j] = Fraction(0)
-            ncc = cc + f * expr_const
-            npr = comb_prov(pr, Fraction(1), prov, -f / pivc)
-            return ncs, ncc, npr
 
-        active_eqs = [substitute(cs, cc, pr) for cs, cc, pr in active_eqs]
-        ineqs = [substitute(cs, cc, pr) + (st,) for cs, cc, st, pr in ineqs]
-        ineqs = [(cs, cc, st, pr) for (cs, cc, pr, st) in ineqs]
+def _maximise(rows, objective, fixed, nvars):
+    """Bland-rule simplex on ``objective`` from a feasible dictionary.
 
-    # Fourier-Motzkin on the remaining inequality system
-    remaining = sorted(
-        {i for cs, _, _, _ in ineqs for i, c in enumerate(cs) if c != 0}
-    )
-    levels = []  # (var, lowers, uppers) with original-level constraints
-    for var in remaining:
-        pos = [c for c in ineqs if c[0][var] > 0]
-        neg = [c for c in ineqs if c[0][var] < 0]
-        zero = [c for c in ineqs if c[0][var] == 0]
-        levels.append((var, list(pos), list(neg)))
-        new = list(zero)
-        for cs1, cc1, st1, pr1 in pos:
-            for cs2, cc2, st2, pr2 in neg:
-                m1 = -cs2[var]
-                m2 = cs1[var]
-                cs = [m1 * a + m2 * b for a, b in zip(cs1, cs2)]
-                cs[var] = Fraction(0)
-                cc = m1 * cc1 + m2 * cc2
-                pr = comb_prov(pr1, m1, pr2, m2)
-                new.append((cs, cc, st1 or st2, pr))
-        ineqs = new
-
-    for cs, cc, strict, prov in ineqs:
-        assert all(c == 0 for c in cs)
-        if (strict and cc <= 0) or (not strict and cc < 0):
-            return LPCertificate(False, multipliers=prov)
-
-    # back substitution for a feasible point
-    x = [Fraction(0)] * nvars
-    for var, pos, neg in reversed(levels):
-        lowers = []
-        uppers = []
-        for cs, cc, st, _ in pos:
-            rest = sum(c * x[i] for i, c in enumerate(cs) if i != var and c != 0) + cc
-            lowers.append((-rest / cs[var], st))
-        for cs, cc, st, _ in neg:
-            rest = sum(c * x[i] for i, c in enumerate(cs) if i != var and c != 0) + cc
-            uppers.append((-rest / cs[var], st))
-        lo = max(lowers, key=lambda t: t[0]) if lowers else None
-        hi = min(uppers, key=lambda t: t[0]) if uppers else None
-        if lo is None and hi is None:
-            val = Fraction(0)
-        elif lo is None:
-            val = hi[0] - 1
-        elif hi is None:
-            val = lo[0] + 1
-        elif lo[0] == hi[0]:
-            val = lo[0]
-        else:
-            val = (lo[0] + hi[0]) / 2
-        x[var] = val
-    for var, expr, expr_const in reversed(subs):
-        x[var] = sum(e * x[i] for i, e in enumerate(expr) if e != 0) + expr_const
-
-    cert = LPCertificate(True, point=tuple(x))
-    assert cert.verify(norm, nvars)
-    return cert
+    The rows of the free variables (below ``nvars``) take no part in the
+    ratio test and the ``fixed`` equality slacks never enter, so every
+    other variable is non-negative.  Stops at an optimum.
+    """
+    while True:
+        enter = min((j for j, c in objective[1].items() if c > 0 and j not in fixed), default=None)
+        if enter is None:
+            return
+        leave = None
+        for v, (b, row, _) in rows.items():
+            a = row.get(enter)
+            if v < nvars or a is None or a > 0:
+                continue
+            # the step b / -a this row allows, against the best b_min / -a_min so far
+            if leave is None or b * a_min > b_min * a or (b * a_min == b_min * a and v < leave):
+                leave, b_min, a_min = v, b, a
+        if leave is None:
+            raise AssertionError("simplex objective is unbounded")
+        _pivot(rows, leave, enter, objective)
 
 
 def strict_lp_feasible(eqs, strict_ineqs):

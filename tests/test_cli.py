@@ -1,8 +1,13 @@
 import gc
 import json
 import pathlib
+import random
 
-from tropfan.cli import run
+import jsonschema
+import pytest
+
+from tropfan import cli
+from tropfan.cli import build_parser, run
 from tropfan.zlinalg import AbGroup
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -85,6 +90,20 @@ class TestAmple:
     def test_single_mode(self, capsys):
         assert run(["ample", "--fan", FAN("p2"), "--function", FUNC("p2_ample"), "--mode", "lp"]) == 0
 
+    def test_k4_random_function_both_modes(self, tmp_path, capsys):
+        fan = tmp_path / "k4.json"
+        assert run(["bergman", "--matroid", MATROID("k4"), "-o", str(fan)]) == 0
+        nrays = len(json.loads(fan.read_text())["rays"])
+        rng = random.Random(4)
+        func = tmp_path / "f.json"
+        func.write_text(json.dumps({"ray_values": [f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}" for _ in range(nrays)]}))
+        capsys.readouterr()
+        code = run(["ample", "--fan", str(fan), "--function", str(func), "--mode", "both"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code in (0, 1)
+        assert [line.split(": ")[0] for line in lines] == ["lp", "kleiman"]
+        assert len({line.split(": ")[1] for line in lines}) == 1
+
 
 class TestBergman:
     def test_write_and_check(self, tmp_path, capsys):
@@ -162,16 +181,44 @@ class TestOriginOnlyFan:
 
 class TestFansFreedOnReturn:
     def test_no_fan_left_for_the_cycle_collector(self, capsys):
+        build_parser()  # built once per process; later calls reuse it
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             assert run(["cohomology", "--fan", FAN("sigma3"), "--space", "comp", "--variant", "bm"]) == 0
             gc.collect()
             left = {type(o).__name__ for o in gc.garbage}
+            modules = {type(o).__module__ for o in gc.garbage}
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
         assert not left & {"Fan", "Compactification", "StarData"}
+        assert "argparse" not in modules
+
+
+class TestSchemas:
+    @pytest.mark.parametrize(
+        "schema", [cli.FAN_SCHEMA, cli.MATROID_SCHEMA, cli.FUNCTION_SCHEMA], ids=["fan", "matroid", "function"]
+    )
+    def test_schemas_are_valid(self, schema):
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("name, data", [
+        ("_FAN_VALIDATOR", {"rank": 2, "rays": [[1, 0]]}),
+        ("_FAN_VALIDATOR", {"rank": -1, "rays": [[1, "a"]], "maximal_cones": [[0]], "extra": 1}),
+        ("_FAN_VALIDATOR", {"rank": 2, "rays": [], "maximal_cones": [], "function": {"ray_values": [1.5]}}),
+        ("_MATROID_VALIDATOR", {"type": "graphic", "vertices": 0, "edges": [[0, 1, 2]]}),
+        ("_MATROID_VALIDATOR", {"type": "uniform", "n": 3}),
+        ("_FUNCTION_VALIDATOR", {"ray_values": [None]}),
+        ("_FUNCTION_VALIDATOR", []),
+    ])
+    def test_messages_match_jsonschema_validate(self, name, data):
+        validator = getattr(cli, name)
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(data, validator.schema)
+        with pytest.raises(cli.InputError) as got:
+            cli._validate_schema(data, validator, "origin")
+        assert str(got.value) == f"origin: {want.value.json_path}: {want.value.message}"
 
 
 class TestTracedNamesBind:

@@ -14,6 +14,7 @@ from tropfan.criteria import (
 )
 from tropfan.fan import ConewiseLinear, TropicalWeights
 from tropfan.homology import compactification, unit_cochain
+from tropfan.matroid import Matroid, bergman_fan
 
 
 class TestVerificationReport:
@@ -221,3 +222,16 @@ class TestKleiman:
             f = ConewiseLinear([sum(mi * xi for mi, xi in zip(m, r)) for r in fan.rays])
             assert not is_ample(fan, f)
             assert not kleiman_check(fan, f)
+
+    @pytest.mark.parametrize("n, r", [(4, 3), (4, 4)])
+    def test_bergman_fans_of_uniform_matroids(self, n, r):
+        # f(F) = |F|(n - |F|) on the ray of the flat F is ample
+        m = Matroid.uniform(n, r)
+        fan, _ = bergman_fan(m)
+        flats = sorted(f for rank, fs in m.flats().items() if 0 < rank < r for f in fs)
+        quadratic = ConewiseLinear([len(F) * (n - len(F)) for F in flats])
+        assert is_ample(fan, quadratic) and kleiman_check(fan, quadratic)
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            f = ConewiseLinear([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in fan.rays])
+            assert is_ample(fan, f) == kleiman_check(fan, f), seed

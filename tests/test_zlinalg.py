@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -27,6 +31,8 @@ from tropfan.zlinalg import (
     solve_frac,
     strict_lp_feasible,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def matrices(max_dim=4, max_entry=9):
@@ -289,6 +295,37 @@ class TestRationalElimination:
             assert row[c] == 1
 
 
+@st.composite
+def lp_systems(draw, max_vars=6, max_rows=14):
+    """Up to ``max_rows`` constraints in up to ``max_vars`` variables.
+
+    Besides random rows it draws integer combinations k1 r1 + k2 r2 of
+    earlier rows under any relation: all-zero rows (k1 = k2 = 0),
+    repeated and scaled rows, and dependent, possibly inconsistent,
+    equalities.
+    """
+    n = draw(st.integers(0, max_vars))
+    den = draw(st.sampled_from([1, 1, 2, 3]))  # rational rows as the criteria build them
+    entry = st.integers(-4, 4).map(lambda k: Fraction(k, den) if den > 1 else k)
+    row = st.tuples(
+        st.lists(entry, min_size=n, max_size=n).map(tuple),
+        entry,
+        st.sampled_from([EQ, GE, GT]),
+    )
+    cons = draw(st.lists(row, max_size=max_rows))
+    combos = st.tuples(
+        st.integers(0, max_rows), st.integers(0, max_rows),
+        st.integers(-2, 2), st.integers(-2, 2),
+        st.sampled_from([EQ, GE, GT]), st.integers(-1, 1),
+    )
+    for i, j, k1, k2, rel, shift in draw(st.lists(combos, max_size=max_rows - len(cons))):
+        if not cons:
+            break
+        (a, b, _), (c, d, _) = cons[i % len(cons)], cons[j % len(cons)]
+        cons.append((tuple(k1 * x + k2 * y for x, y in zip(a, c)), k1 * b + k2 * d + shift, rel))
+    return n, cons
+
+
 class TestLP:
     def test_single_positive(self):
         ok, cert = strict_lp_feasible([], [[1]])
@@ -309,19 +346,96 @@ class TestLP:
         assert cert.feasible
         assert cert.verify(cons, 2)
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-                st.integers(-4, 4),
-                st.sampled_from([EQ, GE, GT]),
-            ),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_certificates_verify(self, cons):
-        cons = [(tuple(c), k, rel) for c, k, rel in cons]
+    @given(lp_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_certificates_verify(self, system):
+        # either verdict comes with a proof, so verification is the oracle
+        nvars, cons = system
+        cert = feasible(cons, nvars)
+        assert cert.verify(cons, nvars)
+        if not cert.feasible:
+            assert cert.multipliers and all(m != 0 for m in cert.multipliers.values())
+
+    def test_corrupted_certificates_rejected(self):
+        LP = zlinalg.LPCertificate
+        opposite = [((1,), 0, GT), ((-1,), 0, GT)]
+        assert LP(False, multipliers={0: 1, 1: 1}).verify(opposite, 1)
+        assert not LP(False, multipliers={0: 1, 1: 2}).verify(opposite, 1)  # x survives
+        assert not LP(False, multipliers={0: -1, 1: -1}).verify(opposite, 1)  # negative on an inequality
+        weak = [((1,), 0, GE), ((-1,), 0, GE)]
+        assert not LP(False, multipliers={0: 1, 1: 1}).verify(weak, 1)  # 0 >= 0 holds
+        assert not LP(False, multipliers={0: 0, 1: 1, 2: 1}).verify(opposite[:1] + weak, 1)  # no strict row counts
+        assert not LP(False, multipliers={0: 1, 1: -1}).verify([((1,), -1, EQ), ((1,), -1, EQ)], 1)
+        assert LP(False, multipliers={0: 1, 1: -1}).verify([((1,), -1, EQ), ((1,), -2, EQ)], 1)
+        assert LP(True, point=(Fraction(1),)).verify([((1,), -1, GE)], 1)
+        assert not LP(True, point=(Fraction(1, 2),)).verify([((1,), -1, GE)], 1)
+        assert not LP(True, point=(Fraction(0),)).verify([((1,), 0, GT)], 1)
+        assert not LP(True, point=(Fraction(1, 3),)).verify([((3,), 0, EQ)], 1)
+
+    def test_empty_systems(self):
+        assert feasible([], 3).point == (0, 0, 0)
+        cert = feasible([], 0)
+        assert cert.feasible and cert.point == ()
+
+    def test_no_variables(self):
+        for const, rel, ok in ((1, GT, True), (0, GT, False), (0, GE, True), (-1, GE, False),
+                               (0, EQ, True), (2, EQ, False)):
+            cons = [((), const, rel)]
+            cert = feasible(cons, 0)
+            assert cert.feasible is ok and cert.verify(cons, 0), (const, rel)
+
+    def test_zero_rows(self):
+        assert feasible([((0, 0), 0, GE), ((0, 0), 0, EQ), ((1, 0), 0, GT)], 2).feasible
+        cons = [((1, 0), 0, GT), ((0, 0), 0, GT)]
+        cert = feasible(cons, 2)
+        assert not cert.feasible and set(cert.multipliers) == {1}
+
+    def test_rank_deficient_equalities(self):
+        # repeated and dependent equalities no free variable can absorb
+        cons = [((1, 1, 0), -1, EQ), ((2, 2, 0), -2, EQ), ((1, 1, 0), -1, EQ), ((0, 0, 1), 0, GT)]
         cert = feasible(cons, 3)
-        assert cert.verify(cons, 3)
+        assert cert.feasible and cert.verify(cons, 3)
+        cons = [((1, 1, 0), -1, EQ), ((0, 0, 1), 0, GE), ((2, 2, 0), -3, EQ)]
+        cert = feasible(cons, 3)
+        assert not cert.feasible and cert.verify(cons, 3)
+        assert set(cert.multipliers) == {0, 2}
+
+    def test_phase_one_on_rows_with_denominators(self):
+        # the auxiliary variable must enter every row at unit rate, whatever its denominator
+        h = Fraction(1, 2)
+        cons = [
+            ((0, h, 1), h, GE),
+            ((-1, -1, -2), Fraction(3, 4), GE),
+            ((Fraction(2, 3), Fraction(-3, 4), Fraction(1, 4)), 0, EQ),
+            ((h, -1, h), Fraction(-1, 3), GE),
+            ((0, Fraction(-3, 2), 1), 1, GT),
+        ]
+        cert = feasible(cons, 3)
+        assert cert.feasible and cert.verify(cons, 3)
+
+    def test_strict_needs_every_row(self):
+        # x > 0, y > 0, x + y < 1 is feasible; with x + y <= 0 it is not
+        base = [((1, 0), 0, GT), ((0, 1), 0, GT)]
+        cert = feasible(base + [((-1, -1), 1, GT)], 2)
+        assert cert.feasible and all(0 < v < 1 for v in cert.point)
+        cons = base + [((-1, -1), 0, GE)]
+        cert = feasible(cons, 2)
+        assert not cert.feasible and cert.verify(cons, 2)
+
+    def test_failed_verification_raises_under_optimize(self):
+        code = (
+            "from tropfan.zlinalg import GE, GT, LPCertificate, feasible\n"
+            "LPCertificate.verify = lambda self, constraints, nvars: False\n"
+            "for cons in ([((1,), 0, GT)], [((1,), 0, GT), ((-1,), 0, GE)]):\n"
+            "    try:\n"
+            "        feasible(cons, 1)\n"
+            "    except AssertionError as exc:\n"
+            "        print('raised:', exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        ).stdout.splitlines()
+        assert len(out) == 2
+        assert out[0].startswith("raised: LP certificate fails to verify: LPCertificate(feasible=True")
+        assert out[1].startswith("raised: LP certificate fails to verify: LPCertificate(feasible=False")
