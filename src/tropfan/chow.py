@@ -326,9 +326,17 @@ def ray_cocycle(fan, ray, coeff="Z"):
     Starts from the cochain supported on the faces joining a cone to
     its join with the ray, with value one on the unit normal, then
     subtracts the pushforward of its coboundary to the stratum at
-    infinity of the ray.  The difference is a cocycle.
+    infinity of the ray.  The difference is a cocycle.  Its values are
+    built once per compactification and ray; every call returns a new
+    cochain over a copy of them.
     """
     comp = homol.compactification(fan)
+    if ray not in comp.ray_cocycles:
+        comp.ray_cocycles[ray] = _ray_cocycle_values(fan, comp, ray)
+    return homol.Cochain(comp, 1, 1, dict(comp.ray_cocycles[ray]))
+
+
+def _ray_cocycle_values(fan, comp, ray):
     ray_cone = fan.cone_index((ray,))
     a = homol.Cochain(comp, 1, 1)
     for sp in range(len(fan.cones)):
@@ -345,9 +353,7 @@ def ray_cocycle(fan, ray, coeff="Z"):
         a.set_value(fid, phi)
     ahat = homol.coboundary(a)
     b = homol.Cochain(comp, 1, 1)
-    for did in range(len(comp.faces)):
-        if comp.dim(did) != 2 or did not in ahat.data:
-            continue
+    for did, values in ahat.data.items():
         t, eta = comp.faces[did]
         if ray in fan.cones[t] or ray not in fan.cones[eta]:
             continue
@@ -355,13 +361,12 @@ def ray_cocycle(fan, ray, coeff="Z"):
         gid = comp.face_index[(t_up, eta)]
         sign = comp.face_sign(gid, did)
         R = sheaf.restriction(comp, 1, gid, did)
-        values = ahat.data[did]
         pushed = [sum(l * v for l, v in zip(lift, values)) for lift in zlinalg.section_rows(R)]
         cur = b.value(gid)
         b.set_value(gid, tuple(x + sign * y for x, y in zip(cur, pushed)))
     result = a - b
     assert homol.coboundary(result).is_zero(), "corrected ray cochain is not a cocycle"
-    return result
+    return result.data
 
 
 def chow_generator_cocycle(fan, cone_idx, coeff="Z"):

@@ -38,19 +38,32 @@ class Compactification:
         ))
         self.faces = tuple(faces)
         self.face_index = {f: i for i, f in enumerate(faces)}
+        self.dims = tuple(len(fan.cones[s]) - len(fan.cones[t]) for t, s in faces)
+        self._by_dim = {}
+        for fid, q in enumerate(self.dims):
+            self._by_dim.setdefault(q, []).append(fid)
         self._covers = None
+        self._cofaces = None
         self._sign_cache = {}
         self._tangent = {}
-        # coefficient-lattice bases and restriction matrices, filled by tropfan.sheaf
+        # filled by tropfan.sheaf: coefficient-lattice bases by (face, p); their
+        # integer and rational solvers by basis; restriction and dual
+        # transport blocks by (p, gamma, delta), one object per distinct block
         self.sheaf_basis = {}
+        self.sheaf_solver = {}
+        self.sheaf_extension = {}
         self.sheaf_restriction = {}
+        self.sheaf_dual = {}
+        self.sheaf_blocks = {}
+        # value dicts of the degree-one Chow cocycles by ray, filled by tropfan.chow
+        self.ray_cocycles = {}
 
     def dim(self, fid):
-        t, s = self.faces[fid]
-        return len(self.fan.cones[s]) - len(self.fan.cones[t])
+        return self.dims[fid]
 
     def faces_of_dim(self, q):
-        return [i for i in range(len(self.faces)) if self.dim(i) == q]
+        """Face ids of dimension q, in index order."""
+        return self._by_dim.get(q, [])
 
     def is_subface(self, gid, did):
         """Face order: (tg, sg) below (td, sd) iff td < tg < sg < sd in the fan."""
@@ -65,6 +78,12 @@ class Compactification:
         if self._covers is None:
             self._build_covers()
         return self._covers[did]
+
+    def cofaces_of(self, gid):
+        """List of (delta, sign) over the faces delta covering gamma."""
+        if self._covers is None:
+            self._build_covers()
+        return self._cofaces[gid]
 
     def all_cover_pairs(self):
         if self._covers is None:
@@ -91,7 +110,12 @@ class Compactification:
                     sup = fan.cone_index(tuple(sorted(ct + (r,))))
                     gid = self.face_index[(sup, s)]
                     covers[did].append((gid, self.face_sign(gid, did)))
+        cofaces = [[] for _ in self.faces]
+        for did, lst in enumerate(covers):
+            for gid, sign in lst:
+                cofaces[gid].append((did, sign))
         self._covers = covers
+        self._cofaces = cofaces
 
     def face_sign(self, gid, did):
         """Incidence sign of a covering pair gamma below delta."""
@@ -115,8 +139,8 @@ class Compactification:
         fan = self.fan
         star = fan.star(t)
         m = star.quotient_rank
-        small = _image_lattice(fan, t, s_small)
-        big = _image_lattice(fan, t, s_big)
+        small = self.tangent_lattice(self.face_index[(t, s_small)])
+        big = self.tangent_lattice(self.face_index[(t, s_big)])
         extra = next(i for i in fan.cones[s_big] if i not in fan.cones[s_small])
         side = vecmat(fan.rays[extra], star.proj)
         normal = _quotient_generator(small.basis, big.basis, side)
@@ -143,15 +167,10 @@ class Compactification:
         """Basis of the face tangent lattice in star(sedentarity) coordinates."""
         if fid not in self._tangent:
             t, s = self.faces[fid]
-            self._tangent[fid] = _image_lattice(self.fan, t, s)
+            star = self.fan.star(t)
+            rows = [vecmat(r, star.proj) for r in self.fan.cone_lattice(s).basis.row_tuples()]
+            self._tangent[fid] = Sublattice.from_rows(rows, star.quotient_rank)
         return self._tangent[fid]
-
-
-def _image_lattice(fan, t, s):
-    """HNF basis of the image of N_sigma in N^tau, as a Sublattice."""
-    star = fan.star(t)
-    rows = [vecmat(r, star.proj) for r in fan.cone_lattice(s).basis.row_tuples()]
-    return Sublattice.from_rows(rows, star.quotient_rank)
 
 
 def comp_faces(fan):

@@ -93,7 +93,13 @@ class Diagnostics:
 
 
 class Fan:
-    """A rational simplicial fan in Z^rank."""
+    """A rational simplicial fan in Z^rank.
+
+    Every fan built in this package is face-closed: :meth:`from_max_cones`
+    adds every face, star fans inherit it, and the origin-only Bergman
+    fan has the zero cone alone.  :meth:`join` relies on it, and
+    :func:`validate` reports a missing face as ``closure``.
+    """
 
     def __init__(self, rank, rays, cones, maximal, name=""):
         self.rank = rank
@@ -102,11 +108,14 @@ class Fan:
         self.maximal = frozenset(maximal)
         self.name = name
         self._cone_index = {c: i for i, c in enumerate(self.cones)}
+        self._cofaces = None  # up-cover lists, the transpose of covers_of
+        self._containing = {}
         self._lattice = {}
         self._star = {}
         self._nu = {}
         self._nu_face = {}
         self._unit_normal = {}
+        self._transition = {}
         self._compactification = None  # filled by homology.compactification
         for r in self.rays:
             if len(r) != rank:
@@ -162,24 +171,28 @@ class Fan:
 
     def covered_by(self, cone_idx):
         """Indices of cones covering cone_idx (one ray added)."""
-        c = set(self.cones[cone_idx])
-        out = []
-        for j, d in enumerate(self.cones):
-            if len(d) == len(c) + 1 and c.issubset(d):
-                out.append(j)
-        return out
+        if self._cofaces is None:
+            cofaces = [[] for _ in self.cones]
+            for j in range(len(self.cones)):
+                for i in self.covers_of(j):
+                    cofaces[i].append(j)
+            self._cofaces = cofaces
+        return self._cofaces[cone_idx]
 
     def cones_containing(self, cone_idx):
-        c = set(self.cones[cone_idx])
-        return [j for j, d in enumerate(self.cones) if c.issubset(d)]
+        """Indices of the cones having cone_idx as a face, in index order."""
+        if cone_idx not in self._containing:
+            c = set(self.cones[cone_idx])
+            self._containing[cone_idx] = [j for j, d in enumerate(self.cones) if c.issubset(d)]
+        return self._containing[cone_idx]
 
     def join(self, i, j):
-        """Index of the smallest cone containing cones i and j, or None."""
-        u = set(self.cones[i]) | set(self.cones[j])
-        candidates = [k for k, d in enumerate(self.cones) if u.issubset(d)]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda k: len(self.cones[k]))
+        """Index of the smallest cone containing cones i and j, or None.
+
+        In a face-closed fan that cone is the union of their rays, if
+        the union is a cone at all.
+        """
+        return self._cone_index.get(tuple(sorted(set(self.cones[i]) | set(self.cones[j]))))
 
     # lattices and orientation ----------------------------------------
 
@@ -286,20 +299,26 @@ class Fan:
             if star.fan is not self:
                 star.fan.drop_caches()
 
-    def transition_rows(self, t_small, t_big):
-        """Matrix of the projection star(t_small) -> star(t_big) on row vectors."""
-        proj = self.star(t_big).proj
-        return tuple(vecmat(row, proj) for row in self.star(t_small).section)
+    def transition_wedge(self, t_small, t_big, k):
+        """/\\^k of the projection star(t_small) -> star(t_big) on row vectors.
+
+        Rows are indexed by the k-monomials of star(t_small), columns by
+        those of star(t_big); built once per (t_small, t_big, k).
+        """
+        key = (t_small, t_big, k)
+        if key not in self._transition:
+            small, big = self.star(t_small), self.star(t_big)
+            rows = tuple(vecmat(row, big.proj) for row in small.section)
+            self._transition[key] = exterior.induced_matrix(rows, k, small.quotient_rank, big.quotient_rank)
+        return self._transition[key]
 
     def lift_multivector(self, t_small, t_big, k, target):
         """A rational k-multivector in star(t_small) projecting to ``target``.
 
-        Solves against /\\^k of :meth:`transition_rows`, with free
-        coordinates pinned to zero.
+        Solves against :meth:`transition_wedge`, with free coordinates
+        pinned to zero.
         """
-        m_small = self.star(t_small).quotient_rank
-        m_big = self.star(t_big).quotient_rank
-        A = exterior.induced_matrix(self.transition_rows(t_small, t_big), k, m_small, m_big)
+        A = self.transition_wedge(t_small, t_big, k)
         rows = [[A[a][b] for a in range(len(A))] for b in range(len(A[0]) if A else 0)]
         sol = zlinalg.solve_frac(rows, target)
         assert sol is not None, "multivector does not lift"
@@ -349,10 +368,9 @@ def _quotient_generator(B_small, B_big, side_vec):
     big_rows = B_big.rows
     if B_small.rows + 1 != big_rows:
         raise ValueError("rank difference must be one")
+    solver = zlinalg.RowSolver(B_big)
     if B_small.rows:
-        R = IntMatrix.from_rows(
-            [zlinalg.in_rowspace(B_big, r) for r in B_small.row_tuples()], big_rows
-        )
+        R = IntMatrix.from_rows([solver.solve(r) for r in B_small.row_tuples()], big_rows)
         phi = zlinalg.kernel_basis(R)
         assert phi.rows == 1
         phi = phi.row(0)
@@ -360,7 +378,7 @@ def _quotient_generator(B_small, B_big, side_vec):
         phi = (1,) * 1 if big_rows == 1 else None
         if phi is None:
             raise ValueError("rank difference must be one")
-    side = zlinalg.in_rowspace(B_big, side_vec)
+    side = solver.solve(side_vec)
     if side is None:
         raise ValueError("side vector not in the big lattice")
     pairing = sum(p * s for p, s in zip(phi, side))
@@ -456,9 +474,13 @@ def validate(fan, level="combinatorial"):
                 diags.add("maximal-flag", f"cone {fan.cones[i]} flagged maximal but contained in {d}")
     if level == "geometric" and diags.ok:
         diags.checked_geometric = True
+        # faces of one simplicial cone have disjoint relative interiors,
+        # and in a face-closed fan those are the pairs with a join
         nonzero = [i for i, c in enumerate(fan.cones) if c]
         for a in range(len(nonzero)):
             for b in range(a + 1, len(nonzero)):
+                if fan.join(nonzero[a], nonzero[b]) is not None:
+                    continue
                 ca, cb = fan.cones[nonzero[a]], fan.cones[nonzero[b]]
                 if _interiors_meet(fan, ca, cb):
                     diags.add("overlap", f"relative interiors of {ca} and {cb} intersect")

@@ -290,19 +290,20 @@ class Cochain:
 def coboundary(a):
     """The cellular coboundary of a cochain."""
     comp = a.comp
+    acc = {}
+    for gid, v in a.data.items():
+        for did, sign in comp.cofaces_of(gid):
+            block = sheaf.dual_transport(comp, a.p, gid, did)
+            cur = acc.get(did)
+            if cur is None:
+                cur = acc[did] = [0] * block.cols
+            for x, row in zip(v, block.row_tuples()):
+                if x:
+                    for j, y in enumerate(row):
+                        if y:
+                            cur[j] += sign * x * y
     out = Cochain(comp, a.p, a.q + 1)
-    for gid, did, sign in comp.all_cover_pairs():
-        if comp.dim(gid) != a.q or gid not in a.data:
-            continue
-        block = sheaf.dual_transport(comp, a.p, gid, did)
-        v = a.data[gid]
-        cur = list(out.value(did))
-        for i in range(block.rows):
-            if v[i]:
-                row = block.row(i)
-                for j in range(block.cols):
-                    if row[j]:
-                        cur[j] += sign * v[i] * row[j]
+    for did, cur in acc.items():
         out.set_value(did, cur)
     return out
 
@@ -320,9 +321,7 @@ def cup(a, b):
     comp = a.comp
     fan = comp.fan
     out = Cochain(comp, a.p + b.p, a.q + b.q)
-    for fid in range(len(comp.faces)):
-        if comp.dim(fid) != a.q + b.q:
-            continue
+    for fid in comp.faces_of_dim(a.q + b.q):
         t, eta = comp.faces[fid]
         rank_out = sheaf.rank(comp, fid, a.p + b.p)
         if rank_out == 0:
@@ -335,8 +334,8 @@ def cup(a, b):
             sigma = fan.cone_index(tuple(sorted(fan.cones[t] + picked)))
             mid_a = comp.face_index[(t, sigma)]
             mid_b = comp.face_index[(sigma, eta)]
-            av = a.value(mid_a)
-            bv = b.value(mid_b)
+            av = a.data.get(mid_a, ())
+            bv = b.data.get(mid_b, ())
             if not any(av) or not any(bv):
                 continue
             # orientation coefficient
@@ -365,9 +364,8 @@ def _transport_dual(comp, p, gid, did, values):
 def unit_cochain(comp):
     """The constant SF^0 cochain with value one on every vertex face."""
     out = Cochain(comp, 0, 0)
-    for fid in range(len(comp.faces)):
-        if comp.dim(fid) == 0:
-            out.set_value(fid, (1,))
+    for fid in comp.faces_of_dim(0):
+        out.set_value(fid, (1,))
     return out
 
 
@@ -442,11 +440,10 @@ def _cubical_block(fan, comp, p, t, s):
     mixed = sheaf.basis(comp, face_ts, k_dst)
     width = exterior.dim(m_t, k_dst)
     lifts = [vecmat(c, mixed, width) for c in zlinalg.section_rows(R)]
-    Bt = IntMatrix.from_rows(sheaf.basis(comp, face_t, k_src))
     cols = []
     for j in range(r_dst):
         w = exterior.wedge_coords(e_cls, 1, lifts[j], k_dst, m_t)
-        coords = zlinalg.in_rowspace(Bt, w)
+        coords = sheaf.coords_in(comp, face_t, k_src, w)
         assert coords is not None, "wedge leaves the coefficient lattice"
         cols.append(coords)
     return [[cols[j][i] for j in range(r_dst)] for i in range(r_src)]

@@ -17,7 +17,6 @@ bases.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import exterior, zlinalg
 from .zlinalg import IntMatrix
@@ -62,12 +61,26 @@ def rank(comp, fid, p):
     return len(basis(comp, fid, p))
 
 
-def coords_in(comp, fid, p, vec):
-    """Integer coordinates of a multivector over the SF_p basis, or None."""
+def basis_solver(comp, fid, p):
+    """The :class:`~tropfan.zlinalg.RowSolver` over the SF_p basis, or None if it is empty.
+
+    One solver per distinct basis: faces with equal bases share it.
+    """
     b = basis(comp, fid, p)
     if not b:
+        return None
+    cache = comp.sheaf_solver
+    if b not in cache:
+        cache[b] = zlinalg.RowSolver(IntMatrix._trusted_rows(b, len(b[0])))
+    return cache[b]
+
+
+def coords_in(comp, fid, p, vec):
+    """Integer coordinates of a multivector over the SF_p basis, or None."""
+    s = basis_solver(comp, fid, p)
+    if s is None:
         return None if any(vec) else ()
-    return zlinalg.in_rowspace(IntMatrix.from_rows(b), vec)
+    return s.solve(vec)
 
 
 def restriction(comp, p, gid, did):
@@ -87,50 +100,55 @@ def restriction(comp, p, gid, did):
     tg, _ = comp.faces[gid]
     td, _ = comp.faces[did]
     b_delta = basis(comp, did, p)
-    b_gamma = basis(comp, gid, p)
     if td == tg:
-        mapped = list(b_delta)
+        mapped = b_delta
     else:
-        trans = fan.transition_rows(td, tg)
-        m_src = fan.star(td).quotient_rank
-        m_dst = fan.star(tg).quotient_rank
-        mapped = [
-            exterior.apply_induced(trans, p, m_src, m_dst, row) for row in b_delta
-        ]
+        A = fan.transition_wedge(td, tg, p)
+        width = exterior.dim(fan.star(tg).quotient_rank, p)
+        mapped = [zlinalg.vecmat(row, A, width) for row in b_delta]
+    target = basis_solver(comp, gid, p)
     rows = []
-    solver = zlinalg.RowSolver(IntMatrix._trusted_rows(b_gamma, len(b_gamma[0]))) if b_gamma else None
     for v in mapped:
-        if solver is None:
+        if target is None:
             assert not any(v), "restriction leaves the target lattice"
             rows.append(())
             continue
-        c = solver.solve(v)
+        c = target.solve(v)
         assert c is not None, "restriction image not integral over the target basis"
         rows.append(c)
-    M = IntMatrix._trusted_rows(rows, len(b_gamma))
-    cache[key] = M
+    M = IntMatrix._trusted_rows(rows, rank(comp, gid, p))
+    cache[key] = M = comp.sheaf_blocks.setdefault(M, M)
     return M
 
 
 def dual_transport(comp, p, gid, did):
     """Matrix of the dual map SF^p(gamma) -> SF^p(delta) acting on value rows."""
-    return restriction(comp, p, gid, did).transpose()
+    cache = comp.sheaf_dual
+    key = (p, gid, did)
+    if key not in cache:
+        M = restriction(comp, p, gid, did).transpose()
+        cache[key] = comp.sheaf_blocks.setdefault(M, M)
+    return cache[key]
 
 
 def extend_dual(comp, fid, p, values):
     """A rational extension of a dual element to all wedge monomials.
 
-    Deterministic: Gaussian elimination with free coordinates pinned to
-    zero.  Two extensions differ by a form vanishing on SF_p, which is
-    invisible to every use below.
+    Deterministic: the coordinates g with B g = values that Gaussian
+    elimination on the basis B gives with free coordinates pinned to
+    zero, from one :class:`~tropfan.zlinalg.FracSolver` per distinct
+    basis.  Two extensions differ by a form vanishing on SF_p, which
+    is invisible to every use below.
     """
     b = basis(comp, fid, p)
-    m = star_rank(comp, fid)
-    if not b:
-        return (Fraction(0),) * exterior.dim(m, p)
-    sol = zlinalg.solve_frac([list(r) for r in b], list(values))
-    assert sol is not None
-    return sol
+    width = exterior.dim(star_rank(comp, fid), p)
+    key = (b, width)
+    if key not in comp.sheaf_extension:
+        solver = zlinalg.FracSolver(b, width)
+        if solver.rank != len(b):
+            raise AssertionError(f"SF_{p} basis rows at face {fid} are linearly dependent")
+        comp.sheaf_extension[key] = solver
+    return comp.sheaf_extension[key].solve(values)
 
 
 def contract(comp, fid, p, alpha_values, nu_coords, k):

@@ -637,6 +637,35 @@ def solve_frac(rows, rhs):
     return tuple(g)
 
 
+class FracSolver:
+    """Rational solutions g of rows . g = rhs for many rhs, from one elimination.
+
+    ``rows`` is eliminated once as ``rref`` of [rows | I] on its first
+    ``ncols`` columns; the identity block records the row operations T.
+    The pivots are chosen as :func:`solve_frac` chooses them, so
+    :meth:`solve` returns the same solution: free coordinates zero,
+    g[pivot_k] = T_k . rhs, and None when a row of T past the rank does
+    not annihilate rhs.
+    """
+
+    def __init__(self, rows, ncols):
+        m = len(rows)
+        ech = rref([list(r) + [int(i == k) for k in range(m)] for i, r in enumerate(rows)], ncols)
+        ops = [[(j, x) for j, x in enumerate(row[ncols:]) if x] for row in ech.rows]
+        self.ncols = ncols
+        self.rank = ech.rank
+        self._pivots = list(zip(ech.pivots, ops))
+        self._null = ops[ech.rank :]
+
+    def solve(self, rhs):
+        if any(sum(x * rhs[j] for j, x in t) for t in self._null):
+            return None
+        g = [Fraction(0)] * self.ncols
+        for c, t in self._pivots:
+            g[c] = sum((x * rhs[j] for j, x in t), Fraction(0))
+        return tuple(g)
+
+
 def section_rows(A):
     """Integer rows x_j with x_j * A = e_j, one per column j of A.
 

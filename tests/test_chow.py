@@ -350,3 +350,21 @@ class TestPsiMaps:
         pres2 = chow_group(p2, 2)
         got = cocycle_to_chow(p2, cup(a, b))
         assert pres2.classes_equal(got, pres2.generator(p2.cone_index((0, 1))))
+
+    @pytest.mark.parametrize("coeff", ["Z", "Q"])
+    def test_returned_cocycles_are_not_shared(self, cube, coeff):
+        # the ray cocycles are memoised per compactification; callers get copies
+        from tropfan.chow import ray_cocycle
+
+        for s in (cube.cone_index((0,)), cube.cone_index((0, 1))):
+            first = chow_generator_cocycle(cube, s, coeff)
+            want = dict(first.data)
+            fid = next(iter(first.data))
+            first.data[fid] = tuple(x + 1 for x in first.data[fid])
+            first.data[-1] = (7,)
+            assert chow_generator_cocycle(cube, s, coeff).data == want
+        ray = cube.cones[cube.cone_index((2,))][0]
+        a = ray_cocycle(cube, ray)
+        want = dict(a.data)
+        a.data.clear()
+        assert ray_cocycle(cube, ray).data == want

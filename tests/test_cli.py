@@ -180,20 +180,40 @@ class TestOriginOnlyFan:
 
 
 class TestFansFreedOnReturn:
-    def test_no_fan_left_for_the_cycle_collector(self, capsys):
+    CACHED_TYPES = {"Fan", "Compactification", "StarData", "Cochain"}
+
+    @staticmethod
+    def _garbage_of(argv):
         build_parser()  # built once per process; later calls reuse it
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            assert run(["cohomology", "--fan", FAN("sigma3"), "--space", "comp", "--variant", "bm"]) == 0
+            code = run(argv)
             gc.collect()
             left = {type(o).__name__ for o in gc.garbage}
             modules = {type(o).__module__ for o in gc.garbage}
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
-        assert not left & {"Fan", "Compactification", "StarData"}
+        return code, left, modules
+
+    def test_no_fan_left_for_the_cycle_collector(self, capsys):
+        code, left, modules = self._garbage_of(
+            ["cohomology", "--fan", FAN("sigma3"), "--space", "comp", "--variant", "bm"]
+        )
+        assert code == 0
+        assert not left & self.CACHED_TYPES
         assert "argparse" not in modules
+
+    def test_verify_leaves_no_cycles(self, tmp_path, capsys):
+        # verify fills every cache: stars, the compactification, the sheaf
+        # solvers and the memoised ray cocycles
+        k4 = tmp_path / "k4fan.json"
+        assert run(["bergman", "--matroid", MATROID("k4"), "-o", str(k4)]) == 0
+        for path in (FAN("cube"), str(k4)):
+            code, left, _ = self._garbage_of(["verify", "--fan", path])
+            assert code == 0
+            assert not left & self.CACHED_TYPES, path
 
 
 class TestSchemas:

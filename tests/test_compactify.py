@@ -30,6 +30,31 @@ class TestFaceCounts:
             assert len(comp.covers_of(fid)) == 2 * comp.dim(fid)
 
 
+class TestIncidenceIndex:
+    @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4"])
+    def test_cofaces_transpose_covers(self, name, request):
+        fan = request.getfixturevalue("k4_pair")[0] if name == "k4" else request.getfixturevalue(name)
+        comp = compactification(fan)
+        n = len(comp.faces)
+        down = sorted((gid, did, sign) for did in range(n) for gid, sign in comp.covers_of(did))
+        up = sorted((gid, did, sign) for gid in range(n) for did, sign in comp.cofaces_of(gid))
+        assert up == down
+        assert len(set(down)) == len(down)
+
+    @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4"])
+    def test_faces_of_dim_partition(self, name, request):
+        fan = request.getfixturevalue("k4_pair")[0] if name == "k4" else request.getfixturevalue(name)
+        comp = compactification(fan)
+        seen = []
+        for q in range(fan.dim + 1):
+            ids = comp.faces_of_dim(q)
+            assert ids == sorted(ids)
+            assert all(len(fan.cones[s]) - len(fan.cones[t]) == q for t, s in (comp.faces[f] for f in ids))
+            seen.extend(ids)
+        assert sorted(seen) == list(range(len(comp.faces)))
+        assert comp.faces_of_dim(fan.dim + 1) == []
+
+
 class TestFaceSign:
     def test_vertex_to_edge(self, cone2):
         comp = compactification(cone2)

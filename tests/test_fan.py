@@ -4,15 +4,20 @@ from hypothesis import strategies as st
 
 from tropfan import zlinalg
 from tropfan.fan import (
+    Diagnostics,
     Fan,
     TropicalWeights,
+    _interiors_meet,
     is_balanced,
     is_saturated,
     is_saturated_at,
     is_unimodular,
     validate,
 )
+from tropfan.matroid import Matroid, bergman_fan
 from tropfan.zlinalg import Sublattice
+
+FIXTURES = ["p2", "delta", "sigma3", "cone2", "cube", "u23"]
 
 
 class TestValidate:
@@ -32,6 +37,66 @@ class TestValidate:
     def test_shared_face_no_overlap(self, p2):
         # adjacent cones of a genuine fan share only boundary faces
         assert validate(p2, "geometric").ok
+
+    def test_overlapping_maximal_cones_reported(self):
+        # two 3-dim cones whose interiors meet around (1, 1, 1), sharing no ray
+        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+        fan = Fan.from_max_cones(3, rays, [(0, 1, 2), (3, 4, 5)])
+        diags = validate(fan, "geometric")
+        assert diags.checked_geometric
+        messages = [f.message for f in diags.findings if f.code == "overlap"]
+        assert "relative interiors of (0, 1, 2) and (3, 4, 5) intersect" in messages
+
+    def test_overlapping_cones_sharing_a_ray_reported(self):
+        # the cone of rays 0 and 2 lies inside the cone of rays 0 and 1
+        fan = Fan.from_max_cones(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
+        messages = [f.message for f in validate(fan, "geometric").findings if f.code == "overlap"]
+        assert "relative interiors of (0, 1) and (0, 2) intersect" in messages
+        assert "relative interiors of (2,) and (0, 1) intersect" in messages
+
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35"])
+    def test_findings_match_every_pair(self, name, request):
+        # skipping faces of one cone leaves the findings of the all-pairs LP scan
+        if name == "k4":
+            fan = request.getfixturevalue("k4_pair")[0]
+        elif name == "u35":
+            fan = bergman_fan(Matroid.uniform(5, 3))[0]
+        else:
+            fan = request.getfixturevalue(name)
+        assert [(f.code, f.message) for f in validate(fan, "geometric").findings] == _all_pairs_findings(fan)
+
+
+def _all_pairs_findings(fan):
+    diags = validate(fan)
+    if not diags.ok:
+        return [(f.code, f.message) for f in diags.findings]
+    out = Diagnostics()
+    nonzero = [c for c in fan.cones if c]
+    for a in range(len(nonzero)):
+        for b in range(a + 1, len(nonzero)):
+            if _interiors_meet(fan, nonzero[a], nonzero[b]):
+                out.add("overlap", f"relative interiors of {nonzero[a]} and {nonzero[b]} intersect")
+    return [(f.code, f.message) for f in out.findings]
+
+
+def _fans_and_stars(request):
+    fans = [request.getfixturevalue(name) for name in FIXTURES] + [request.getfixturevalue("k4_pair")[0]]
+    return fans + [fan.star(i).fan for fan in fans for i in range(len(fan.cones))]
+
+
+class TestIncidenceIndex:
+    def test_matches_scans(self, request):
+        for fan in _fans_and_stars(request):
+            cones = [set(c) for c in fan.cones]
+            n = len(cones)
+            for i, c in enumerate(cones):
+                assert fan.covered_by(i) == [j for j, d in enumerate(cones) if len(d) == len(c) + 1 and c <= d]
+                assert fan.cones_containing(i) == [j for j, d in enumerate(cones) if c <= d]
+            for i in range(n):
+                for j in range(n):
+                    above = [k for k, d in enumerate(cones) if cones[i] | cones[j] <= d]
+                    smallest = min(above, key=lambda k: len(cones[k])) if above else None
+                    assert fan.join(i, j) == smallest
 
 
 class TestUnimodular:

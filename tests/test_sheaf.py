@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -125,3 +129,63 @@ class TestContract:
             kv = sheaf.contract(comp, fid, 2, alpha, u, 1)
             rhs = sheaf.contract(comp, fid, 1, kv, v, 1)
             assert tuple(lhs) == tuple(rhs)
+
+
+class TestFactoredBases:
+    @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4"])
+    def test_extend_dual_matches_solve_frac(self, name, request):
+        fan = request.getfixturevalue("k4_pair")[0] if name == "k4" else request.getfixturevalue(name)
+        comp = compactification(fan)
+        rng = random.Random(3)
+        for fid in range(len(comp.faces)):
+            for p in range(fan.dim + 1):
+                b = sheaf.basis(comp, fid, p)
+                width = exterior.dim(sheaf.star_rank(comp, fid), p)
+                for _ in range(2):
+                    values = tuple(rng.randint(-4, 4) for _ in b)
+                    g = sheaf.extend_dual(comp, fid, p, values)
+                    assert len(g) == width
+                    if b:
+                        assert g == zlinalg.solve_frac([list(r) for r in b], list(values))
+                    assert tuple(sum(x * y for x, y in zip(row, g)) for row in b) == values
+
+    @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cube"])
+    def test_coords_of_basis_rows_are_unit_vectors(self, name, request):
+        fan = request.getfixturevalue(name)
+        comp = compactification(fan)
+        for fid in range(len(comp.faces)):
+            for p in range(fan.dim + 1):
+                b = sheaf.basis(comp, fid, p)
+                assert sheaf.basis_solver(comp, fid, p) is sheaf.basis_solver(comp, fid, p)
+                for i, row in enumerate(b):
+                    assert sheaf.coords_in(comp, fid, p, row) == tuple(int(i == j) for j in range(len(b)))
+
+    def test_dual_transport_is_cached_transpose(self, cube):
+        comp = compactification(cube)
+        for did in range(len(comp.faces)):
+            for gid, _ in comp.covers_of(did):
+                for p in range(cube.dim + 1):
+                    M = sheaf.dual_transport(comp, p, gid, did)
+                    assert M == sheaf.restriction(comp, p, gid, did).transpose()
+                    assert sheaf.dual_transport(comp, p, gid, did) is M
+
+    def test_dependent_basis_raises_under_O(self):
+        # the full-row-rank check is a raise, not an assert
+        code = (
+            "from tropfan import sheaf\n"
+            "from tropfan.fan import Fan\n"
+            "from tropfan.homology import compactification\n"
+            "fan = Fan.from_max_cones(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])\n"
+            "comp = compactification(fan)\n"
+            "comp.sheaf_basis[(0, 1)] = ((1, 0), (2, 0))\n"
+            "try:\n"
+            "    sheaf.extend_dual(comp, 0, 1, (1, 2))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert out.startswith("raised: SF_1 basis rows at face 0 are linearly dependent")

@@ -285,6 +285,17 @@ class TestRationalElimination:
             for r, b in zip(rows, rhs):
                 assert sum(a * x for a, x in zip(r, sol)) == b
 
+    @given(matrices(), st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_factored_solver_matches_solve_frac(self, M, draws):
+        rows = M.row_tuples()
+        solver = zlinalg.FracSolver(rows, M.cols)
+        assert solver.rank == rank_frac(rows)
+        for draw in draws:
+            # one consistent right-hand side M . x and one arbitrary
+            for rhs in ([sum(a * x for a, x in zip(r, draw)) for r in rows], draw[: M.rows]):
+                assert solver.solve(rhs) == solve_frac(rows, rhs)
+
     @given(matrices())
     @settings(max_examples=100, deadline=None)
     def test_reduce_kills_the_row_space(self, M):
