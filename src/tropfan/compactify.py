@@ -16,7 +16,6 @@ tau).  The incidence sign of a covering pair orients the cell complex.
 from __future__ import annotations
 
 from . import exterior
-from .fan import _quotient_generator
 from .zlinalg import Sublattice, vecmat
 
 
@@ -136,32 +135,29 @@ class Compactification:
         return sign
 
     def _sign_same_sedentarity(self, t, s_small, s_big):
+        # modulo the tangent lattice of (t, s_small), which the wedge with
+        # its multivector kills, the projected extra ray of s_big is a
+        # positive multiple of the normal generator
         fan = self.fan
         star = fan.star(t)
-        m = star.quotient_rank
-        small = self.tangent_lattice(self.face_index[(t, s_small)])
-        big = self.tangent_lattice(self.face_index[(t, s_big)])
         extra = next(i for i in fan.cones[s_big] if i not in fan.cones[s_small])
-        side = vecmat(fan.rays[extra], star.proj)
-        normal = _quotient_generator(small.basis, big.basis, side)
+        normal = vecmat(fan.rays[extra], star.proj)
         k = len(fan.cones[s_small]) - len(fan.cones[t])
-        nu_small = fan.nu_face(t, s_small)
-        w = exterior.wedge_coords(normal, 1, nu_small, k, m)
-        c = fan.varpi_face(t, s_big, w)
-        assert c != 0
-        return 1 if c > 0 else -1
+        w = exterior.wedge_coords(normal, 1, fan.nu_face(t, s_small), k, star.quotient_rank)
+        return _sign(fan, fan.varpi_face(t, s_big, w), (t, s_small), (t, s_big))
 
     def _sign_sedentarity_drop(self, t_small, t_big, s):
-        # gamma = (t_big, s) is covered by delta = (t_small, s), t_small below t_big
+        # gamma = (t_big, s) is covered by delta = (t_small, s), t_small below t_big.
+        # The face multivector of (t_small, t_small + (s - t_big)) projects
+        # onto that of gamma; any two lifts differ by a multivector
+        # divisible by e_cls, which the wedge with e_cls kills.
         fan = self.fan
-        m_small = fan.star(t_small).quotient_rank
         _, e_cls = fan.unit_normal(t_small, t_big)
         k = len(fan.cones[s]) - len(fan.cones[t_big])
-        nu_prime = fan.lift_multivector(t_small, t_big, k, fan.nu_face(t_big, s))
-        w = exterior.wedge_coords(e_cls, 1, nu_prime, k, m_small)
-        c = fan.varpi_face(t_small, s, w)
-        assert c != 0
-        return 1 if -c > 0 else -1
+        rest = fan.cone_index(fan.cones[t_small] + tuple(i for i in fan.cones[s] if i not in fan.cones[t_big]))
+        lift = fan.nu_face(t_small, rest)
+        w = exterior.wedge_coords(e_cls, 1, lift, k, fan.star(t_small).quotient_rank)
+        return -_sign(fan, fan.varpi_face(t_small, s, w), (t_big, s), (t_small, s))
 
     def tangent_lattice(self, fid):
         """Basis of the face tangent lattice in star(sedentarity) coordinates."""
@@ -171,6 +167,14 @@ class Compactification:
             rows = [vecmat(r, star.proj) for r in self.fan.cone_lattice(s).basis.row_tuples()]
             self._tangent[fid] = Sublattice.from_rows(rows, star.quotient_rank)
         return self._tangent[fid]
+
+
+def _sign(fan, c, gamma, delta):
+    """Sign of an orientation coefficient of gamma in delta, both (tau, sigma) cone-index pairs."""
+    if c == 0:
+        names = [tuple(fan.cones[i] for i in face) for face in (gamma, delta)]
+        raise AssertionError(f"degenerate incidence of face {names[0]} in face {names[1]}")
+    return 1 if c > 0 else -1
 
 
 def comp_faces(fan):

@@ -19,7 +19,7 @@ from . import homology as homol
 from . import sheaf, zlinalg
 from .exterior import det
 from .fan import TropicalWeights, is_balanced, is_saturated, is_unimodular
-from .zlinalg import EQ, GE, GT, IntMatrix
+from .zlinalg import EQ, GE, GT, IntMatrix, vecmat
 
 
 @dataclass
@@ -66,10 +66,9 @@ def chow_pd_check(fan, weights=None, coeff="Z"):
         report.applicable = False
         report.reasons.append("weights are not balanced; duality against the degree map is vacuous")
         return report
-    degs = [
-        chow_mod.degree_map(fan, weights, pres[d].generator(s))
-        for s in fan.cones_of_dim(d)
-    ]
+    # the degree map, with balancing checked once above
+    fundamental = chow_mod.fundamental_weight(fan, weights)
+    degs = [chow_mod.chow_mw_pairing(pres[d].generator(s), fundamental) for s in fan.cones_of_dim(d)]
     g = 0
     for x in degs:
         g = gcd(g, abs(x))
@@ -92,7 +91,7 @@ def chow_pd_check(fan, weights=None, coeff="Z"):
             for vb in rb:
                 cb = chow_mod.ChowClass(fan, d - k, vb)
                 prod = chow_mod.chow_multiply(fan, ca, cb, coeff)
-                row.append(chow_mod.degree_map(fan, weights, prod))
+                row.append(chow_mod.chow_mw_pairing(prod, fundamental))
             gram.append(row)
         dt = det(gram) if gram else 1
         report.gram_determinants[k] = dt
@@ -205,28 +204,30 @@ def is_ample(fan, f):
 
 
 def _stratum_pairing_values(fan, f, cone_idx):
-    """Values of the induced function on the star rays of a cone."""
+    """Values of the induced function on the star rays of a cone.
+
+    With lam linear and equal to f on the cone, f - lam is linear on each
+    cover eta and vanishes on the cone; the extra ray of eta is g times
+    the unit normal modulo the cone, g the gcd of its projection, so the
+    value at the unit normal is (f(extra) - lam . extra) / g.
+    """
     cone = fan.cones[cone_idx]
     rows = [fan.rays[r] for r in cone]
     rhs = [f(r) for r in cone]
     if rows:
         lam = zlinalg.solve_frac([list(r) for r in rows], rhs)
-        assert lam is not None
+        if lam is None:
+            raise AssertionError(f"no linear function agrees with f on cone {cone}")
     else:
         lam = (Fraction(0),) * fan.rank
+    proj = fan.star(cone_idx).proj
+    covers = sorted(fan.covered_by(cone_idx), key=lambda c: fan.cones[c])
     values = []
-    covers = sorted(
-        (c for c in fan.cones_containing(cone_idx) if len(fan.cones[c]) == len(cone) + 1),
-        key=lambda c: fan.cones[c],
-    )
     for eta in covers:
-        lift, _ = fan.unit_normal(cone_idx, eta)
-        eta_rays = fan.cones[eta]
-        system = [[fan.rays[r][j] for r in eta_rays] for j in range(fan.rank)]
-        coeffs = zlinalg.solve_frac(system, list(lift))
-        assert coeffs is not None
-        f_eta = sum(c * f(r) for c, r in zip(coeffs, eta_rays))
-        values.append(f_eta - sum(l * x for l, x in zip(lam, lift)))
+        extra = next(r for r in fan.cones[eta] if r not in cone)
+        ray = fan.rays[extra]
+        g = gcd(*vecmat(ray, proj))
+        values.append((f(extra) - sum(l * x for l, x in zip(lam, ray))) / g)
     return covers, values
 
 
@@ -401,7 +402,7 @@ def _psi_status_unimodular(fan, groups, p, saturated):
         row = [0] * (f + t)
         row[f + i] = dtor
         rows.append(row)
-    surj = True if f + t == 0 else zlinalg.LatticeQuotient(f + t, rows).group.is_trivial
+    surj = True if f + t == 0 else zlinalg.cokernel_group(IntMatrix.from_rows(rows, f + t)).is_trivial
     pres = chow_mod.chow_group(fan, p, "Z")
     kernel = _kernel_of_class_map(images, H, n)
     if saturated:

@@ -28,6 +28,15 @@ def _primitive(vec):
     return tuple(v // g for v in vec), g
 
 
+def _proportion(x, nu, what):
+    """The c with x = c * nu; raises, naming ``what`` nu is, if there is none."""
+    k = next(i for i, v in enumerate(nu) if v)
+    c = Fraction(x[k], nu[k])
+    if any(Fraction(xi) != c * ni for xi, ni in zip(x, nu)):
+        raise AssertionError(f"vector not proportional to the {what}")
+    return c
+
+
 @dataclass(frozen=True)
 class ConewiseLinear:
     """A conewise linear function given by its rational values on rays."""
@@ -108,6 +117,9 @@ class Fan:
         self.maximal = frozenset(maximal)
         self.name = name
         self._cone_index = {c: i for i, c in enumerate(self.cones)}
+        self._by_dim = {}
+        for i, c in enumerate(self.cones):
+            self._by_dim.setdefault(len(c), []).append(i)
         self._cofaces = None  # up-cover lists, the transpose of covers_of
         self._containing = {}
         self._lattice = {}
@@ -152,10 +164,11 @@ class Fan:
 
     @property
     def dim(self):
-        return max((len(c) for c in self.cones), default=0)
+        return max(self._by_dim, default=0)
 
     def cones_of_dim(self, k):
-        return [i for i, c in enumerate(self.cones) if len(c) == k]
+        """Indices of the k-dimensional cones, in index order, as a new list."""
+        return list(self._by_dim.get(k, ()))
 
     @property
     def zero_cone(self):
@@ -223,11 +236,7 @@ class Fan:
 
     def varpi(self, cone_idx, x):
         """Coefficient c with x = c * nu(cone); x must be proportional."""
-        nu = self.nu(cone_idx)
-        k = next(i for i, v in enumerate(nu) if v)
-        c = Fraction(x[k], nu[k])
-        assert all(Fraction(xi) == c * ni for xi, ni in zip(x, nu)), "vector not proportional to the canonical multivector"
-        return c
+        return _proportion(x, self.nu(cone_idx), f"canonical multivector of cone {self.cones[cone_idx]}")
 
     def nu_face(self, tau_idx, sigma_idx):
         """Multivector of the compactified face (tau, sigma) in star(tau) coordinates.
@@ -245,23 +254,25 @@ class Fan:
             star = self.star(tau_idx)
             p = len(comp)
             img = exterior.apply_induced(star.proj, p, self.rank, star.quotient_rank, nu)
-            assert any(img), "degenerate face multivector"
+            if not any(img):
+                raise AssertionError(f"degenerate face multivector of ({self.cones[tau_idx]}, {sigma})")
             self._nu_face[key] = img
         return self._nu_face[key]
 
     def varpi_face(self, tau_idx, sigma_idx, x):
-        nu = self.nu_face(tau_idx, sigma_idx)
-        k = next(i for i, v in enumerate(nu) if v)
-        c = Fraction(x[k], nu[k])
-        assert all(Fraction(xi) == c * ni for xi, ni in zip(x, nu)), "vector not proportional to the face multivector"
-        return c
+        """Coefficient c with x = c * nu_face(tau, sigma); x must be proportional."""
+        what = f"face multivector of ({self.cones[tau_idx]}, {self.cones[sigma_idx]})"
+        return _proportion(x, self.nu_face(tau_idx, sigma_idx), what)
 
     def unit_normal(self, tau_idx, sigma_idx):
         """Unit normal data for a codimension-one face tau of sigma.
 
         Returns (lift, cls): a lattice vector of N_sigma generating
         N_sigma / N_tau on the sigma side, and its class in the chosen
-        basis of N^tau.
+        basis of N^tau.  N_sigma is saturated and contains N_tau, so its
+        image in N^tau is saturated of rank one: ``cls`` is the primitive
+        projected extra ray, i.e. the star's ray, and its lift through
+        the section lies in N_sigma since the kernel N_tau does.
         """
         key = (tau_idx, sigma_idx)
         if key in self._unit_normal:
@@ -271,12 +282,9 @@ class Fan:
         if not (set(tau) <= set(sigma) and len(sigma) == len(tau) + 1):
             raise ValueError("not a codimension-one incidence")
         extra = next(i for i in sigma if i not in tau)
-        B_sigma = self.cone_lattice(sigma_idx).basis
-        B_tau = self.cone_lattice(tau_idx).basis
-        lift = _quotient_generator(B_tau, B_sigma, self.rays[extra])
         star = self.star(tau_idx)
-        cls = vecmat(lift, star.proj)
-        self._unit_normal[key] = (lift, cls)
+        cls, _ = _primitive(vecmat(self.rays[extra], star.proj))
+        self._unit_normal[key] = (vecmat(cls, star.section), cls)
         return self._unit_normal[key]
 
     # star fans --------------------------------------------------------
@@ -312,18 +320,6 @@ class Fan:
             self._transition[key] = exterior.induced_matrix(rows, k, small.quotient_rank, big.quotient_rank)
         return self._transition[key]
 
-    def lift_multivector(self, t_small, t_big, k, target):
-        """A rational k-multivector in star(t_small) projecting to ``target``.
-
-        Solves against :meth:`transition_wedge`, with free coordinates
-        pinned to zero.
-        """
-        A = self.transition_wedge(t_small, t_big, k)
-        rows = [[A[a][b] for a in range(len(A))] for b in range(len(A[0]) if A else 0)]
-        sol = zlinalg.solve_frac(rows, target)
-        assert sol is not None, "multivector does not lift"
-        return sol
-
 
 @dataclass
 class StarData:
@@ -332,9 +328,8 @@ class StarData:
     ``proj`` is the rank x quotient_rank matrix of the projection
     N -> N^sigma acting on row vectors; ``section`` is a right inverse.
     ``cone_map`` sends a cone of the base fan containing sigma to the
-    corresponding cone index of the star fan, ``cone_preimage`` is its
-    inverse, and ``ray_multiplicity`` records the integer factor by
-    which each projected ray generator was divided to become primitive.
+    corresponding cone index of the star fan, and ``cone_preimage`` is its
+    inverse.
     """
 
     base_cone: int
@@ -344,7 +339,6 @@ class StarData:
     fan: Fan
     cone_map: dict
     cone_preimage: dict
-    ray_multiplicity: dict
 
     def induced_weights(self, weights):
         star = self.fan
@@ -359,37 +353,6 @@ def _subsets(c, k):
     return itertools.combinations(c, k)
 
 
-def _quotient_generator(B_small, B_big, side_vec):
-    """Generator of rowspace(B_big)/rowspace(B_small) on the side of side_vec.
-
-    Both spaces must be saturated with rank difference one; side_vec
-    must lie in the big lattice but outside the small one.
-    """
-    big_rows = B_big.rows
-    if B_small.rows + 1 != big_rows:
-        raise ValueError("rank difference must be one")
-    solver = zlinalg.RowSolver(B_big)
-    if B_small.rows:
-        R = IntMatrix.from_rows([solver.solve(r) for r in B_small.row_tuples()], big_rows)
-        phi = zlinalg.kernel_basis(R)
-        assert phi.rows == 1
-        phi = phi.row(0)
-    else:
-        phi = (1,) * 1 if big_rows == 1 else None
-        if phi is None:
-            raise ValueError("rank difference must be one")
-    side = solver.solve(side_vec)
-    if side is None:
-        raise ValueError("side vector not in the big lattice")
-    pairing = sum(p * s for p, s in zip(phi, side))
-    if pairing == 0:
-        raise ValueError("side vector lies in the small lattice")
-    v = zlinalg.primitive_cosolution(phi)
-    if pairing < 0:
-        v = tuple(-x for x in v)
-    return vecmat(v, B_big.row_tuples())
-
-
 def _build_star(fan, cone_idx):
     n = fan.rank
     cone = fan.cones[cone_idx]
@@ -397,7 +360,7 @@ def _build_star(fan, cone_idx):
     if k == 0:
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         cone_map = {i: i for i in range(len(fan.cones))}
-        return StarData(cone_idx, n, ident, ident, fan, cone_map, dict(cone_map), {})
+        return StarData(cone_idx, n, ident, ident, fan, cone_map, dict(cone_map))
     B = fan.cone_lattice(cone_idx).basis
     res = zlinalg.snf(B)
     assert res.divisors == (1,) * k, "cone lattice must be saturated"
@@ -414,7 +377,6 @@ def _build_star(fan, cone_idx):
     )
     star_rays = []
     ray_of_cover = {}
-    multiplicity = {}
     for s, c in enumerate(covers):
         extra = next(i for i in fan.cones[c] if i not in cone_set)
         img = vecmat(fan.rays[extra], proj)
@@ -422,7 +384,6 @@ def _build_star(fan, cone_idx):
         assert g > 0, "projected ray collapses"
         star_rays.append(prim)
         ray_of_cover[c] = s
-        multiplicity[s] = g
     extra_to_star = {}
     for c in covers:
         extra = next(i for i in fan.cones[c] if i not in cone_set)
@@ -440,7 +401,7 @@ def _build_star(fan, cone_idx):
     star_fan = Fan(m, star_rays, cones_sorted, maximal, name=f"{fan.name}^{cone}")
     cone_map = {containing[t]: i for i, t in enumerate(order)}
     cone_preimage = {i: containing[t] for i, t in enumerate(order)}
-    return StarData(cone_idx, m, proj, section, star_fan, cone_map, cone_preimage, multiplicity)
+    return StarData(cone_idx, m, proj, section, star_fan, cone_map, cone_preimage)
 
 
 # predicates ------------------------------------------------------------

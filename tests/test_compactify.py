@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
+from tropfan import exterior, zlinalg
 from tropfan.compactify import comp_faces
 from tropfan.homology import build_complex, compactification
+from tropfan.matroid import Matroid, bergman_fan
 
 
 class TestFaceCounts:
@@ -87,6 +91,58 @@ class TestFaceSign:
             for variant in ("cohomology", "homology", "borel_moore", "compact_support"):
                 build_complex(comp, p, variant)
                 build_complex(fan, p, variant)
+
+    def test_degenerate_incidence_raises(self, cone2, monkeypatch):
+        comp = compactification(cone2)
+        monkeypatch.setattr(cone2, "varpi_face", lambda *args: 0)
+        z, r1, top = cone2.zero_cone, cone2.cone_index((0,)), cone2.cone_index((0, 1))
+        with pytest.raises(AssertionError, match=r"degenerate incidence of face \(\(\), \(0,\)\) in face \(\(\), \(0, 1\)\)"):
+            comp._sign_same_sedentarity(z, r1, top)
+        with pytest.raises(AssertionError, match=r"degenerate incidence of face \(\(0,\), \(0, 1\)\) in face \(\(\), \(0, 1\)\)"):
+            comp._sign_sedentarity_drop(z, r1, top)
+
+
+def _solve_lift(fan, t, sigma, k, target):
+    """A rational multivector of star(t) mapping to ``target`` in star(sigma)."""
+    A = fan.transition_wedge(t, sigma, k)
+    rows = [[A[a][b] for a in range(len(A))] for b in range(len(A[0]) if A else 0)]
+    lift = zlinalg.solve_frac(rows, target)
+    assert lift is not None
+    return lift
+
+
+class TestFaceMultivectorLifts:
+    @pytest.mark.parametrize("name", ["u44", "sigma3"])
+    def test_lift_by_face_multivector_matches_solved_lift(self, name, request):
+        # for t < sigma < eta, nu_face(t, t + (eta - sigma)) is the lift of
+        # nu_face(sigma, eta) used by the signs and the cup product: its wedge
+        # with the kernel of star(t) -> star(sigma) equals a solved lift's
+        if name == "u44":
+            fan = bergman_fan(Matroid.uniform(4, 4))[0]
+        else:
+            fan = request.getfixturevalue(name)
+        triples = 0
+        for eta, c_eta in enumerate(fan.cones):
+            for t_size in range(len(c_eta) + 1):
+                for c_t in itertools.combinations(c_eta, t_size):
+                    free = [r for r in c_eta if r not in c_t]
+                    for a_q in range(len(free) + 1):
+                        for picked in itertools.combinations(free, a_q):
+                            t, sigma = fan.cone_index(c_t), fan.cone_index(c_t + picked)
+                            rest = fan.cone_index(c_t + tuple(r for r in free if r not in picked))
+                            b_q = len(free) - a_q
+                            m = fan.star(t).quotient_rank
+                            solved = _solve_lift(fan, t, sigma, b_q, fan.nu_face(sigma, eta))
+                            lift = fan.nu_face(t, rest)
+                            kernels = [(fan.nu_face(t, sigma), a_q)]
+                            if a_q == 1:
+                                kernels.append((fan.unit_normal(t, sigma)[1], 1))
+                            for vec, deg in kernels:
+                                assert exterior.wedge_coords(vec, deg, lift, b_q, m) == exterior.wedge_coords(
+                                    vec, deg, solved, b_q, m
+                                )
+                            triples += 1
+        assert triples > 0
 
 
 class TestTangentLattice:

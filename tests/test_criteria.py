@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tropfan import chow, homology
+from tropfan import chow, homology, zlinalg
 from tropfan.criteria import (
+    _stratum_pairing_values,
     chow_pd_check,
     homology_manifold_check,
     is_ample,
@@ -235,3 +236,38 @@ class TestKleiman:
             rng = random.Random(seed)
             f = ConewiseLinear([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in fan.rays])
             assert is_ample(fan, f) == kleiman_check(fan, f), seed
+
+
+def _solved_pairing_values(fan, f, cone_idx):
+    """The induced function at each unit normal lift, by a solve per cover."""
+    cone = fan.cones[cone_idx]
+    if cone:
+        lam = zlinalg.solve_frac([list(fan.rays[r]) for r in cone], [f(r) for r in cone])
+    else:
+        lam = (Fraction(0),) * fan.rank
+    values = []
+    for eta in sorted(fan.covered_by(cone_idx), key=lambda c: fan.cones[c]):
+        lift, _ = fan.unit_normal(cone_idx, eta)
+        eta_rays = fan.cones[eta]
+        coeffs = zlinalg.solve_frac([[fan.rays[r][j] for r in eta_rays] for j in range(fan.rank)], list(lift))
+        f_eta = sum(c * f(r) for c, r in zip(coeffs, eta_rays))
+        values.append(f_eta - sum(l * x for l, x in zip(lam, lift)))
+    return values
+
+
+class TestStratumPairingValues:
+    @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4", "u43"])
+    def test_matches_solved_values(self, name, request):
+        if name == "k4":
+            fan = request.getfixturevalue("k4_pair")[0]
+        elif name == "u43":
+            fan = bergman_fan(Matroid.uniform(4, 3))[0]
+        else:
+            fan = request.getfixturevalue(name)
+        rng = random.Random(6)
+        for _ in range(3):
+            f = ConewiseLinear([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in fan.rays])
+            for cone_idx in range(len(fan.cones)):
+                covers, values = _stratum_pairing_values(fan, f, cone_idx)
+                assert covers == sorted(fan.covered_by(cone_idx), key=lambda c: fan.cones[c])
+                assert repr(values) == repr(_solved_pairing_values(fan, f, cone_idx))

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +20,19 @@ from tropfan.fan import (
     validate,
 )
 from tropfan.matroid import Matroid, bergman_fan
-from tropfan.zlinalg import Sublattice
+from tropfan.zlinalg import Sublattice, vecmat
 
 FIXTURES = ["p2", "delta", "sigma3", "cone2", "cube", "u23"]
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _named_fan(name, request):
+    """A fixture fan, the Bergman fan of K4, or that of U(5,3) for ``u35``."""
+    if name == "k4":
+        return request.getfixturevalue("k4_pair")[0]
+    if name == "u35":
+        return bergman_fan(Matroid.uniform(5, 3))[0]
+    return request.getfixturevalue(name)
 
 
 class TestValidate:
@@ -57,12 +72,7 @@ class TestValidate:
     @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35"])
     def test_findings_match_every_pair(self, name, request):
         # skipping faces of one cone leaves the findings of the all-pairs LP scan
-        if name == "k4":
-            fan = request.getfixturevalue("k4_pair")[0]
-        elif name == "u35":
-            fan = bergman_fan(Matroid.uniform(5, 3))[0]
-        else:
-            fan = request.getfixturevalue(name)
+        fan = _named_fan(name, request)
         assert [(f.code, f.message) for f in validate(fan, "geometric").findings] == _all_pairs_findings(fan)
 
 
@@ -230,6 +240,21 @@ class TestUnitNormal:
         with pytest.raises(ValueError):
             p2.unit_normal(p2.zero_cone, p2.cone_index((0, 1)))
 
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35"])
+    def test_class_is_star_ray_and_lift_generates(self, name, request):
+        # the class is the primitive ray of the star; the lift projects to it
+        # and completes a basis of N_tau to one of N_sigma
+        fan = _named_fan(name, request)
+        for sigma in range(len(fan.cones)):
+            for tau in fan.covers_of(sigma):
+                lift, cls = fan.unit_normal(tau, sigma)
+                star = fan.star(tau)
+                (ray,) = star.fan.cones[star.cone_map[sigma]]
+                assert cls == star.fan.rays[ray]
+                assert vecmat(lift, star.proj) == cls
+                rows = list(fan.cone_lattice(tau).basis.row_tuples()) + [lift]
+                assert Sublattice.from_rows(rows, fan.rank).basis == fan.cone_lattice(sigma).basis
+
 
 class TestOrientation:
     def test_nu_of_rays(self, p2):
@@ -256,6 +281,27 @@ class TestOrientation:
         for idx in range(len(cube.cones)):
             rays = [cube.rays[i] for i in cube.cones[idx]]
             assert cube.nu(idx) == wedge_rows(rays, cube.rank)
+
+    def test_non_proportional_vectors_raise_under_optimisation(self):
+        # the proportionality checks behind every orientation sign survive -O
+        code = (
+            "from tropfan.fan import Fan\n"
+            "fan = Fan.from_max_cones(2, [(1, 0), (0, 1)], [(0, 1)])\n"
+            "ray = fan.cone_index((0,))\n"
+            "for call in (lambda: fan.varpi(ray, (1, 1)), lambda: fan.varpi_face(fan.zero_cone, ray, (1, 1))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except AssertionError as exc:\n"
+            "        print('raised:', exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        ).stdout.splitlines()
+        assert out == [
+            "raised: vector not proportional to the canonical multivector of cone (0,)",
+            "raised: vector not proportional to the face multivector of ((), (0,))",
+        ]
 
     def test_non_unimodular_nu_divides_ray_wedge(self, sigma3):
         from tropfan.exterior import wedge_rows

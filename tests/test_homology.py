@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tropfan import sheaf, zlinalg
+from tropfan import homology, sheaf, zlinalg
 from tropfan.fan import TropicalWeights
 from tropfan.homology import (
     Cochain,
@@ -196,6 +196,20 @@ class TestFineDoubleComplex:
         fan = request.getfixturevalue(name)
         for p in range(fan.dim + 1):
             fine_double_complex(fan, p)  # all assertions live inside
+
+    def test_flipped_horizontal_entry_raises(self, cube, monkeypatch):
+        # one wrong sign in a row of the double complex breaks d^2 = 0
+        unflipped = homology.DoubleComplex
+
+        def flipped(comp, p, entries, horizontal, vertical):
+            block = horizontal[(1, 0)]
+            i, j = next((i, j) for i, row in enumerate(block) for j, x in enumerate(row) if x)
+            block[i][j] = -block[i][j]
+            return unflipped(comp, p, entries, horizontal, vertical)
+
+        monkeypatch.setattr(homology, "DoubleComplex", flipped)
+        with pytest.raises(AssertionError, match="the double complex of SF\\^1 does not square to zero"):
+            fine_double_complex(cube, 1)
 
     def test_hypercube_column_vanishing(self, cube):
         # per-cone columns of the double complex have cohomology only at the
