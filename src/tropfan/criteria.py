@@ -164,7 +164,8 @@ def pd_weight(fan, weights, cochain):
                 continue
             nu = fan.nu_face(s, eta)
             coords = sheaf.coords_in(comp, fid, p, nu)
-            assert coords is not None
+            if coords is None:
+                raise AssertionError(f"canonical multivector of face ({fan.cones[s]}, {fan.cones[eta]}) leaves SF_{p}")
             w = weights[fan.cones[eta]]
             total += w * sum(a * c for a, c in zip(av, coords))
         values.append(total)
@@ -309,15 +310,20 @@ def verification_report(fan):
             cohom[(p, q)] = g
             cohom_q[(p, q)] = g.free_rank
 
+    # one integral presentation per degree where it exists; the rational
+    # rank is its free rank, or else that of the cokernel of the relations
+    pres = {}
     chow_groups = {}
     chow_q = {}
     for p in range(d + 1):
-        pres_q = chow_mod.chow_group(fan, p, "Q")
-        chow_q[p] = pres_q.group.free_rank
         if unimod or p <= 1:
-            chow_groups[p] = chow_mod.chow_group(fan, p, "Z").group
+            pres[p] = chow_mod.chow_group(fan, p, "Z")
+            chow_groups[p] = pres[p].group
+            chow_q[p] = pres[p].group.free_rank
         else:
             chow_groups[p] = None
+            relations = IntMatrix.from_rows(chow_mod.relation_matrix(fan, p), len(fan.cones_of_dim(p)))
+            chow_q[p] = zlinalg.cokernel_group(relations).free_rank
 
     vanishing_obs = []
     guaranteed_ok = True
@@ -337,8 +343,8 @@ def verification_report(fan):
     ring_checks = []
     if unimod:
         for p in range(d + 1):
-            psi_status[p] = _psi_status_unimodular(fan, groups_by_p[p], p, satur)
-        ring_checks = _ring_spot_checks(fan)
+            psi_status[p] = _psi_status_unimodular(fan, groups_by_p[p], pres[p], satur)
+        ring_checks = _ring_spot_checks(fan, pres)
     else:
         for p in range(d + 1):
             psi_status[p] = "Q-iso" if chow_q[p] == cohom_q[(p, p)] else "Q-mismatch"
@@ -380,14 +386,19 @@ def chow_to_cohomology_map(fan, p, groups):
     return images
 
 
-def _psi_status_unimodular(fan, groups, p, saturated):
+def _psi_status_unimodular(fan, groups, pres, saturated):
     """Verified status of the map from A^p to H^(p,p) for unimodular fans.
+
+    ``pres`` is the integral :class:`~tropfan.chow.ChowPresentation` of
+    A^p and ``groups`` the :class:`~tropfan.homology.ComplexGroups` of
+    the degree-p cohomology complex of the compactification.
 
     Surjectivity is checked by generating the canonical group with the
     generator images; the kernel lattice is compared with the relation
     lattice (saturated case) or with its saturation, which is exactly
     the torsion preimage (general case).
     """
+    p = pres.k
     H = groups.group(p)
     gens = fan.cones_of_dim(p)
     n = len(gens)
@@ -403,7 +414,6 @@ def _psi_status_unimodular(fan, groups, p, saturated):
         row[f + i] = dtor
         rows.append(row)
     surj = True if f + t == 0 else zlinalg.cokernel_group(IntMatrix.from_rows(rows, f + t)).is_trivial
-    pres = chow_mod.chow_group(fan, p, "Z")
     kernel = _kernel_of_class_map(images, H, n)
     if saturated:
         rel = zlinalg.hnf_basis(pres.relations, n) if pres.relations else []
@@ -436,7 +446,11 @@ def _kernel_of_class_map(images, H, n):
     return zlinalg.hnf_basis(proj, n)
 
 
-def _ring_spot_checks(fan):
+def _ring_spot_checks(fan, pres):
+    """Cup products of degree-one generator cocycles against Chow products.
+
+    ``pres`` holds the integral presentations of A^1 and A^2.
+    """
     if fan.dim < 2:
         return []
     checks = []
@@ -447,8 +461,7 @@ def _ring_spot_checks(fan):
             cocycle_cache[s] = chow_mod.chow_generator_cocycle(fan, s)
         return cocycle_cache[s]
 
-    pres1 = chow_mod.chow_group(fan, 1, "Z")
-    pres2 = chow_mod.chow_group(fan, 2, "Z")
+    pres1, pres2 = pres[1], pres[2]
     rays = fan.cones_of_dim(1)
     pairs = [(a, b) for a in rays for b in rays if a <= b]
     for s1, s2 in pairs:

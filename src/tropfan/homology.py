@@ -157,8 +157,25 @@ class ComplexGroups:
     degree and the incoming map of its target degree.  With n cells in
     degree q, H_q = Z^(n - rk d_out - rk d_in) plus the torsion of d_in:
     the kernel of d_out is saturated, so the torsion of Z^n / im d_in
-    lies in it.  The kernel basis, its solver and the quotient behind
-    :meth:`class_of` are built on the first call for a degree.
+    lies in it.
+
+    The class map of degree q is built on the first :meth:`class_of`
+    for it, from a reduction of the chain complex (Kaczynski, Mrozek and
+    Slusarek, 1998).  d_in and d_out are eliminated together by their
+    +-1 entries, in the order of :func:`~tropfan.zlinalg.snf_divisors`.
+    A unit at cell a of degree q and cell b of degree q + step in d_out
+    pairs a with b: once column b is cleared, a cocycle has coordinate
+    zero on a in the new basis, while its other coordinates are
+    unchanged, so a is dropped, with its row of d_out and its column of
+    d_in.  A unit at cell a' below and cell b of degree q in d_in pairs
+    them the other way: once column b is cleared, x is congruent to
+    x - x_b * r with r row a' scaled to 1 at b, which vanishes at b, so
+    b is dropped with its row of d_out.  Each pair is recorded as a step
+    (b, r), with r None for the first kind.  What is left is a small
+    residual complex, often with no differential at all; its kernel
+    basis, a solver over it and the quotient by the residual image give
+    the canonical coordinates, and that quotient is checked against the
+    group read off the divisors.
     """
 
     def __init__(self, gc):
@@ -178,37 +195,104 @@ class ComplexGroups:
         """Canonical coordinates of the class of a cycle/cocycle vector."""
         if self.gc.coeff != "Z":
             raise ValueError("class map only available over Z")
-        solver, quot = self._class_map(q)
+        out_rows, steps, cells, solver, quot = self._class_map(q)
+        image = {}
+        for x, row in zip(vec, out_rows):
+            if x:
+                for j, e in row:
+                    image[j] = image.get(j, 0) + x * e
+        if any(image.values()):
+            raise AssertionError(f"vector is not a cycle in degree {q}")
+        x = {i: v for i, v in enumerate(vec) if v}
+        for b, r in steps:
+            xb = x.pop(b, 0)
+            if xb and r is not None:
+                for c, e in r.items():
+                    v = x.get(c, 0) - xb * e
+                    if v:
+                        x[c] = v
+                    else:
+                        del x[c]
         if solver is None:
-            assert not any(vec), "nonzero vector in a trivial kernel"
+            if x:
+                raise AssertionError(f"nonzero vector in a trivial kernel in degree {q}")
             return ()
-        c = solver.solve(tuple(vec))
-        assert c is not None, "vector is not a cycle"
+        c = solver.solve(tuple(x.get(i, 0) for i in cells))
+        if c is None:
+            raise AssertionError(f"reduced vector is not a cycle of the residual complex in degree {q}")
         return quot.class_of(c)
 
     def _class_map(self, q):
-        """Solver over a kernel basis of degree q and the quotient by the image.
+        """The reduction of degree q, built on first use.
 
-        Built on first use and checked against the group read off the
-        divisors.
+        Returns the sparse rows of d_out, the recorded steps, the
+        surviving cells, a solver over the residual kernel basis (None
+        when that kernel is trivial) and the quotient by the residual
+        image, checked against the group read off the divisors.
         """
         if q not in self._class_maps:
             gc = self.gc
-            out = gc.map_out(q)
-            K = zlinalg.kernel_basis(out.transpose()) if out.cols else IntMatrix.identity(gc.dim(q))
+            n = gc.dim(q)
+            d_out = gc.map_out(q)
+            out_rows = [[(j, e) for j, e in enumerate(d_out.row(i)) if e] for i in range(n)]
+            d_in = gc.map_out(q - gc.step).row_tuples() if q - gc.step in gc.spaces else []
+            # one sparse matrix: rows of d_in over the cells 0..n-1 of degree q,
+            # then the row of d_out of cell c, as row m + c, over columns n + j
+            m = len(d_in)
+            rows = [{j: e for j, e in enumerate(v) if e} for v in d_in]
+            rows += [{n + j: e for j, e in r} for r in out_rows]
+            where, alive = zlinalg._sparse_index(rows)
+            steps = []
+
+            def on_pivot(i, j):
+                if i >= m:
+                    # cell a = i - m against column j of d_out: drop column a of d_in
+                    a = i - m
+                    for k in where.pop(a, ()):
+                        rk = rows[k]
+                        del rk[a]
+                        if not rk:
+                            alive.discard(k)
+                    steps.append((a, None))
+                else:
+                    # row i of d_in against cell j: drop the row of d_out of cell j
+                    r = rows[i]
+                    s = r[j]
+                    steps.append((j, {c: s * e for c, e in r.items() if c != j}))
+                    k = m + j
+                    if k in alive:
+                        for c in rows[k]:
+                            where[c].discard(k)
+                        alive.discard(k)
+
+            zlinalg._unit_pivots(rows, where, alive, on_pivot)
+            dropped = {b for b, _ in steps}
+            cells = [c for c in range(n) if c not in dropped]
+            pos = {c: i for i, c in enumerate(cells)}
+            # the residual d_out, transposed: one row per column it still has
+            transposed = {}
+            for c in cells:
+                for j, e in rows[m + c].items():
+                    transposed.setdefault(j, [0] * len(cells))[pos[c]] = e
+            if transposed:
+                K = zlinalg.kernel_basis(IntMatrix._trusted_rows(list(transposed.values()), len(cells)))
+            else:
+                K = IntMatrix.identity(len(cells))
             solver = zlinalg.RowSolver(K) if K.rows else None
             rel_rows = []
-            if q - gc.step in gc.spaces:
-                for v in gc.map_out(q - gc.step).row_tuples():
-                    if any(v):
-                        c = solver.solve(v) if solver else None
-                        if c is None:
-                            raise AssertionError(f"image does not lie in the kernel in degree {q}")
-                        rel_rows.append(c)
+            for k in sorted(alive):
+                if k < m:
+                    v = [0] * len(cells)
+                    for c, e in rows[k].items():
+                        v[pos[c]] = e
+                    coeff = solver.solve(v) if solver else None
+                    if coeff is None:
+                        raise AssertionError(f"image does not lie in the kernel in degree {q}")
+                    rel_rows.append(coeff)
             quot = LatticeQuotient(K.rows, rel_rows)
             if quot.group != self.group(q):
                 raise AssertionError(f"class map quotient {quot.group} differs from H_{q} = {self.group(q)}")
-            self._class_maps[q] = (solver, quot)
+            self._class_maps[q] = (out_rows, steps, cells, solver, quot)
         return self._class_maps[q]
 
 

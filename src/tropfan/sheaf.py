@@ -110,11 +110,15 @@ def restriction(comp, p, gid, did):
     rows = []
     for v in mapped:
         if target is None:
-            assert not any(v), "restriction leaves the target lattice"
+            if any(v):
+                raise AssertionError(f"restriction of SF_{p} from face {did} to face {gid} leaves the target lattice")
             rows.append(())
             continue
         c = target.solve(v)
-        assert c is not None, "restriction image not integral over the target basis"
+        if c is None:
+            raise AssertionError(
+                f"restriction of SF_{p} from face {did} to face {gid} is not integral over the target basis"
+            )
         rows.append(c)
     M = IntMatrix._trusted_rows(rows, rank(comp, gid, p))
     cache[key] = M = comp.sheaf_blocks.setdefault(M, M)

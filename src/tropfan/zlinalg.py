@@ -225,19 +225,31 @@ def snf(M):
     non-negative entries.  Pivoting picks the entry of minimal absolute
     value to limit coefficient growth.
     """
+    return _snf(M, True)
+
+
+def _snf(M, left):
+    """The elimination of :func:`snf`; with ``left`` false, U is not kept.
+
+    The pivots and operations only ever read the working matrix, so the
+    result without U (``U`` is None then) has the same D, V and Vinv.
+    Callers that read only those skip the m x m left transform.
+    """
     m, n = M.rows, M.cols
     a = M.row_list()
-    U = _identity_rows(m)
+    U = _identity_rows(m) if left else None
     V = _identity_rows(n)
     Vinv = _identity_rows(n)
 
     def row_op(i, j, k):
         _add_row(a, i, j, k)
-        _add_row(U, i, j, k)
+        if left:
+            _add_row(U, i, j, k)
 
     def row_swap(i, j):
         _swap_rows(a, i, j)
-        _swap_rows(U, i, j)
+        if left:
+            _swap_rows(U, i, j)
 
     def col_op(i, j, k):
         # col i += k * col j ; V tracks the same op, Vinv the inverse op on rows
@@ -304,34 +316,41 @@ def snf(M):
         if a[i][i] < 0:
             for c in range(n):
                 a[i][c] = -a[i][c]
-            for c in range(m):
-                U[i][c] = -U[i][c]
+            if left:
+                for c in range(m):
+                    U[i][c] = -U[i][c]
 
     return SNFResult(
-        IntMatrix._trusted_rows(U, m),
+        IntMatrix._trusted_rows(U, m) if left else None,
         IntMatrix._trusted_rows(a, n),
         IntMatrix._trusted_rows(V, n),
         IntMatrix._trusted_rows(Vinv, n),
     )
 
 
-def snf_divisors(M):
-    """Invariant factors of M, as :attr:`SNFResult.divisors`, without transforms.
-
-    Unit pivots go first, on sparse rows: a +-1 entry clears its column
-    by row operations, after which column operations would clear its
-    row without touching any other, so the pivot splits off a divisor 1
-    and its row and column drop out.  Rows are visited shortest first
-    and each takes the unit entry whose column is sparsest, which keeps
-    fill-in low.  The residual block, with no unit entry left, goes to
-    the dense :func:`snf`.
-    """
-    rows = [r for r in ({j: e for j, e in enumerate(M.row(i)) if e} for i in range(M.rows)) if r]
-    where = {}  # column -> indices of the rows with a nonzero entry in it
+def _sparse_index(rows):
+    """Column index (column -> set of row indices) and nonempty rows of dict rows."""
+    where = {}
     for i, r in enumerate(rows):
         for j in r:
             where.setdefault(j, set()).add(i)
-    alive = set(range(len(rows)))
+    return where, {i for i, r in enumerate(rows) if r}
+
+
+def _unit_pivots(rows, where, alive, on_pivot=None):
+    """Split off every +-1 pivot of a sparse matrix, in place; returns their number.
+
+    ``rows`` are dicts column -> nonzero entry, ``where`` maps each
+    column to the indices of the rows with an entry in it, and ``alive``
+    holds the rows still in play.  A +-1 entry clears its column by row
+    operations, after which column operations would clear its row
+    without touching any other, so the pivot splits off a divisor 1 and
+    its row and column drop out.  Rows are visited shortest first and
+    each takes the unit entry whose column is sparsest, which keeps
+    fill-in low.  ``on_pivot(i, j)`` is called once row i, with its unit
+    in column j, has cleared that column and left ``alive``; it may
+    drop further rows or columns from the three structures.
+    """
     units = 0
     progress = True
     while progress:
@@ -362,12 +381,27 @@ def snf_divisors(M):
             alive.discard(i)
             units += 1
             progress = True
+            if on_pivot is not None:
+                on_pivot(i, j)
+    return units
+
+
+def snf_divisors(M):
+    """Invariant factors of M, as :attr:`SNFResult.divisors`, without transforms.
+
+    Unit pivots go first, on sparse rows (:func:`_unit_pivots`).  The
+    residual block, with no unit entry left, goes to the dense Smith
+    elimination without its left transform.
+    """
+    rows = [r for r in ({j: e for j, e in enumerate(M.row(i)) if e} for i in range(M.rows)) if r]
+    where, alive = _sparse_index(rows)
+    units = _unit_pivots(rows, where, alive)
     if not alive:
         return (1,) * units
     residual = [rows[i] for i in sorted(alive)]
     cols = sorted(set().union(*residual))
     dense = [tuple(r.get(c, 0) for c in cols) for r in residual]
-    return (1,) * units + snf(IntMatrix._trusted_rows(dense, len(cols))).divisors
+    return (1,) * units + _snf(IntMatrix._trusted_rows(dense, len(cols)), False).divisors
 
 
 def hnf(M):
@@ -438,7 +472,7 @@ def kernel_basis(M):
     Rows of the result are vectors k in Z^cols with M * k = 0 (viewing k
     as a column).  The basis spans a saturated sublattice.
     """
-    res = snf(M)
+    res = _snf(M, False)
     # the kernel columns of V, read as rows of its transpose
     return IntMatrix._trusted_rows(res.V.transpose().row_tuples()[res.rank :], M.cols)
 
@@ -478,7 +512,7 @@ def saturate(L):
     B = L.basis
     if B.rows == 0:
         return L, 1
-    res = snf(B)
+    res = _snf(B, False)
     index = 1
     for d in res.divisors:
         index *= d
@@ -676,7 +710,8 @@ def section_rows(A):
     out = []
     for j in range(A.cols):
         x = solver.solve(tuple(1 if i == j else 0 for i in range(A.cols)))
-        assert x is not None, "map has no integral section"
+        if x is None:
+            raise AssertionError(f"map has no integral section: column {j} is not hit")
         out.append(x)
     return out
 
@@ -699,7 +734,7 @@ class LatticeQuotient:
             self._Vinv = IntMatrix.identity(n)
             self._divisors = [0] * n
         else:
-            res = snf(R)
+            res = _snf(R, False)
             self._V = res.V.row_tuples()
             self._Vinv = res.Vinv
             divs = list(res.divisors)

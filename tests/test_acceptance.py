@@ -22,6 +22,7 @@ from tropfan.cli import run
 from tropfan.criteria import chow_pd_check, homology_manifold_check, is_ample, kleiman_check, verification_report
 from tropfan.fan import ConewiseLinear
 from tropfan.homology import ComplexGroups, build_complex, compactification, cubical_complex, cup, fine_double_complex
+from tropfan.matroid import Matroid, bergman_fan
 from tropfan.zlinalg import AbGroup, IntMatrix
 
 TABLE_COMPACTIFICATION = {
@@ -209,3 +210,18 @@ def test_acceptance_9_structural_invariants(p2, delta, sigma3, cone2, cube, u23)
                 assert hom.group(q).free_rank == coh.group(q).free_rank
                 assert hom.group(q).torsion == coh.group(q + 1).torsion
     print("\nACCEPTANCE 9: PASS - dd = 0, double-complex reassembly, universal coefficients on all fixtures")
+
+
+def test_acceptance_10_verify_at_scale():
+    # U(5,4): a 3-dim Bergman fan with 25 rays and 60 maximal cones
+    fan, _ = bergman_fan(Matroid.uniform(5, 4), name="u54")
+    start = time.time()
+    report = verification_report(fan)
+    elapsed = time.time() - start
+    assert [str(report.cohomology[(p, p)]) for p in range(4)] == ["Z", "Z^21", "Z^21", "Z"]
+    assert [str(report.chow_groups[p]) for p in range(4)] == ["Z", "Z^21", "Z^21", "Z"]
+    assert report.psi_status == {p: "iso" for p in range(4)}
+    assert len(report.ring_checks) == 325 and all(ok for _, ok in report.ring_checks)
+    assert report.ok
+    assert elapsed < 60.0
+    print(f"\nACCEPTANCE 10: PASS - U(5,4) verify: H^(p,p) = A^p, 325/325 ring checks, {elapsed:.1f}s")

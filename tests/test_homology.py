@@ -5,9 +5,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropfan import homology, sheaf, zlinalg
 from tropfan.fan import TropicalWeights
+from tropfan.matroid import Matroid, bergman_fan
 from tropfan.homology import (
     Cochain,
     ComplexGroups,
@@ -122,7 +125,7 @@ class TestLazyClassMaps:
                     gc = build_complex(space, p, variant)
                     cg = ComplexGroups(gc)
                     for q in gc.spaces:
-                        _, quot = cg._class_map(q)
+                        *_, quot = cg._class_map(q)
                         assert quot.group == cg.group(q), (variant, p, q)
                         if q - gc.step in gc.spaces:
                             for v in gc.map_out(q - gc.step).row_tuples():
@@ -147,6 +150,116 @@ class TestLazyClassMaps:
             env={**os.environ, "PYTHONPATH": str(FANS.parent / "src")},
         ).stdout
         assert out.startswith("raised: class map quotient Z/3Z differs from H_2 = 0")
+
+
+def _left_kernel(M):
+    """Saturated basis of {x : x * M = 0}: the rows of T with H = T * M zero.
+
+    T is unimodular, so these rows span a saturated lattice; nothing here
+    shares code with the reduction behind ``class_of``.
+    """
+    H, T = zlinalg.hnf(M)
+    return [T.row(i) for i in range(M.rows) if not any(H.row(i))]
+
+
+def _add_classes(group, a, b):
+    """Sum of canonical coordinates: free parts exactly, torsion parts modulo d."""
+    f = group.free_rank
+    return tuple(x + y for x, y in zip(a[:f], b[:f])) + tuple(
+        (x + y) % d for x, y, d in zip(a[f:], b[f:], group.torsion)
+    )
+
+
+@pytest.fixture(scope="session")
+def reduction_cases(request):
+    """(label, groups, q, kernel basis, d_in solver) for every Z class map.
+
+    Fixtures, K4, U(5,3) and U(4,4); fan and compactification, every
+    variant, p and q.  The kernel basis comes from :func:`_left_kernel`,
+    d_in membership from one RowSolver per degree.
+    """
+    fans = [request.getfixturevalue(name) for name in FIXTURES]
+    fans.append(request.getfixturevalue("k4_pair")[0])
+    fans += [bergman_fan(Matroid.uniform(n, r), name=f"u{n}{r}")[0] for n, r in ((5, 3), (4, 4))]
+    cases = []
+    for fan in fans:
+        for space in (fan, compactification(fan)):
+            for variant in VARIANTS:
+                for p in range(fan.dim + 1):
+                    gc = build_complex(space, p, variant)
+                    cg = ComplexGroups(gc)
+                    for q in gc.spaces:
+                        d_in = gc.map_out(q - gc.step) if q - gc.step in gc.spaces else None
+                        solver = zlinalg.RowSolver(d_in) if d_in is not None and d_in.rows else None
+                        label = (fan.name, space is fan, variant, p, q)
+                        cases.append((label, cg, q, _left_kernel(gc.map_out(q)), d_in, solver))
+    return cases
+
+
+class TestReducedClassMaps:
+    def test_boundaries_have_class_zero(self, reduction_cases):
+        for label, cg, q, _, d_in, _ in reduction_cases:
+            if d_in is not None:
+                for v in d_in.row_tuples():
+                    assert not any(cg.class_of(q, v)), label
+
+    def test_additive_modulo_torsion(self, reduction_cases):
+        rng = random.Random(5)
+        for label, cg, q, K, _, _ in reduction_cases:
+            g = cg.group(q)
+            for _ in range(4 if K else 0):
+                u, v = (zlinalg.vecmat([rng.randint(-3, 3) for _ in K], K) for _ in range(2))
+                total = cg.class_of(q, [a + b for a, b in zip(u, v)])
+                assert total == _add_classes(g, cg.class_of(q, u), cg.class_of(q, v)), label
+
+    def test_kernel_basis_classes_generate(self, reduction_cases):
+        for label, cg, q, K, _, _ in reduction_cases:
+            g = cg.group(q)
+            width = g.free_rank + len(g.torsion)
+            if width == 0:
+                continue
+            rows = [cg.class_of(q, k) for k in K]
+            rows += [tuple(d if j == g.free_rank + i else 0 for j in range(width)) for i, d in enumerate(g.torsion)]
+            assert zlinalg.cokernel_group(zlinalg.IntMatrix.from_rows(rows, width)).is_trivial, label
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_classes_exactly_on_boundaries(self, reduction_cases, data):
+        label, cg, q, K, d_in, solver = data.draw(st.sampled_from([c for c in reduction_cases if c[3]]))
+        coeffs = st.integers(-4, 4)
+        u = zlinalg.vecmat(data.draw(st.lists(coeffs, min_size=len(K), max_size=len(K))), K)
+        # v = u + a boundary + (in half the draws) a further kernel combination
+        v = u
+        if d_in is not None:
+            b = data.draw(st.lists(coeffs, min_size=d_in.rows, max_size=d_in.rows))
+            b = zlinalg.vecmat(b, d_in.row_tuples(), len(u))
+            v = [x + y for x, y in zip(v, b)]
+        if data.draw(st.booleans()):
+            e = zlinalg.vecmat(data.draw(st.lists(coeffs, min_size=len(K), max_size=len(K))), K)
+            v = [x + y for x, y in zip(v, e)]
+        diff = tuple(x - y for x, y in zip(u, v))
+        boundary = solver.solve(diff) is not None if solver is not None else not any(diff)
+        assert (cg.class_of(q, u) == cg.class_of(q, v)) == boundary, label
+
+    def test_non_cocycle_raises_under_optimize(self):
+        code = (
+            "from tropfan.cli import load_fan_file\n"
+            "from tropfan.homology import ComplexGroups, build_complex, compactification\n"
+            f"fan = load_fan_file({str(FANS / 'cube.json')!r})[0]\n"
+            "gc = build_complex(compactification(fan), 1, 'cohomology')\n"
+            "cg = ComplexGroups(gc)\n"
+            "vec = [0] * gc.dim(1)\n"
+            "vec[0] = 1\n"
+            "try:\n"
+            "    cg.class_of(1, vec)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(FANS.parent / "src")},
+        ).stdout
+        assert out.startswith("raised: vector is not a cycle in degree 1")
 
 
 class TestCubicalModel:

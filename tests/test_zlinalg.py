@@ -265,6 +265,29 @@ class TestLatticeQuotient:
         assert not q.is_zero(reps[0])
 
 
+class TestSmithWithoutLeftTransform:
+    @given(st.one_of(sparse_unit_matrices(), matrices()))
+    @settings(max_examples=300, deadline=None)
+    def test_same_d_v_and_vinv(self, M):
+        full, right = snf(M), zlinalg._snf(M, False)
+        assert right.U is None
+        assert (right.D, right.V, right.Vinv) == (full.D, full.V, full.Vinv)
+
+    @given(st.one_of(sparse_unit_matrices(), matrices()), st.lists(st.integers(-9, 9), min_size=7, max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_quotient_matches_a_reference_on_snf(self, R, draw):
+        # the canonical coordinates and free generators read straight off snf(R)
+        res = snf(R)
+        divs = list(res.divisors) + [0] * (R.cols - res.rank)
+        free = [i for i, d in enumerate(divs) if d == 0]
+        q = LatticeQuotient(R.cols, R.row_tuples())
+        vec = tuple(draw[: R.cols])
+        y = zlinalg.vecmat(vec, res.V.row_tuples(), R.cols)
+        expected = tuple(y[i] for i in free) + tuple(y[i] % d for i, d in enumerate(divs) if d >= 2)
+        assert q.class_of(vec) == expected
+        assert q.free_representatives() == [res.Vinv.row(i) for i in free]
+
+
 class TestRationalElimination:
     @given(matrices(), st.lists(st.integers(-9, 9), min_size=4, max_size=4), st.booleans())
     @settings(max_examples=200, deadline=None)
