@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import exterior, zlinalg
-from .zlinalg import IntMatrix, Sublattice, vecmat
+from .zlinalg import Sublattice, vecmat
 
 
 def _primitive(vec):
@@ -471,8 +471,8 @@ def is_unimodular(fan):
         if not c:
             per_cone[i] = True
             continue
-        M = IntMatrix.from_rows([fan.rays[j] for j in c], fan.rank)
-        per_cone[i] = zlinalg.snf_divisors(M) == (1,) * len(c)
+        rows = [{k: x for k, x in enumerate(fan.rays[j]) if x} for j in c]
+        per_cone[i] = zlinalg.snf_divisors(rows) == (1,) * len(c)
     return per_cone, all(per_cone.values())
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import exterior, sheaf, zlinalg
 from .compactify import Compactification, comp_faces
 from .fan import Fan
-from .zlinalg import AbGroup, IntMatrix, LatticeQuotient, vecmat
+from .zlinalg import AbGroup, IntMatrix, LatticeQuotient, SparseMatrix, sparse_vecmat, vecmat
 
 VARIANTS = ("cohomology", "homology", "borel_moore", "compact_support")
 _DUAL_VARIANTS = {"cohomology": True, "compact_support": True, "homology": False, "borel_moore": False}
@@ -43,9 +43,10 @@ class GradedComplex:
     """A chain or cochain complex with labelled free modules.
 
     ``spaces[q]`` lists (face id, basis index) labels; ``maps[q]`` is
-    the matrix of the differential from degree q to degree q + step on
-    row vectors.  ``step`` is +1 for cochain complexes and -1 for chain
-    complexes.
+    the differential from degree q to degree q + step on row vectors, a
+    :class:`~tropfan.zlinalg.SparseMatrix` whose dict rows are assembled,
+    checked for d^2 = 0 and reduced as they are.  ``step`` is +1 for
+    cochain complexes and -1 for chain complexes.
     """
 
     comp: Compactification
@@ -56,24 +57,34 @@ class GradedComplex:
     spaces: dict
     maps: dict
 
-    def degrees(self):
-        return sorted(self.spaces)
-
     def dim(self, q):
         return len(self.spaces.get(q, ()))
 
     def map_out(self, q):
         if q in self.maps:
             return self.maps[q]
-        return IntMatrix.zeros(self.dim(q), self.dim(q + self.step))
+        return SparseMatrix(self.dim(q), self.dim(q + self.step), tuple({} for _ in range(self.dim(q))))
 
     def check_dd_zero(self):
-        for q in self.degrees():
-            a = self.map_out(q)
-            b = self.map_out(q + self.step)
-            if a.rows and b.cols and not (a * b).is_zero():
+        """Whether every composite of two differentials vanishes, row by row."""
+        for q, a in self.maps.items():
+            b = self.maps.get(q + self.step)
+            if b is not None and any(sparse_vecmat(row.items(), b.data) for row in a.data):
                 return False
         return True
+
+
+def _assemble(nrows, ncols, blocks):
+    """One sparse matrix from signed dense blocks, each (row positions, column positions, sign, rows)."""
+    data = [{} for _ in range(nrows)]
+    for rpos, cpos, sign, block in blocks:
+        for r, row in zip(rpos, block):
+            out = data[r]
+            for c, x in zip(cpos, row):
+                if x:
+                    out[c] = out.get(c, 0) + sign * x
+    # columns in increasing order: the unit-pivot reductions break ties by it
+    return SparseMatrix(nrows, ncols, tuple({c: e for c, e in sorted(r.items()) if e} for r in data))
 
 
 def _space_faces(comp, use_fan_faces, variant):
@@ -116,13 +127,7 @@ def build_complex(space, p, variant="cohomology", coeff="Z"):
         offsets[fid] = (q, len(lab))
         lab.extend((fid, i) for i in range(sheaf.rank(comp, fid, p)))
 
-    maps = {}
-    for q in spaces:
-        qn = q + step
-        rows = len(spaces.get(q, ()))
-        cols = len(spaces.get(qn, ()))
-        maps[q] = [[0] * cols for _ in range(rows)]
-
+    blocks = {q: [] for q in spaces}
     for gid, did, sign in comp.all_cover_pairs():
         if gid not in face_set or did not in face_set:
             continue
@@ -134,18 +139,13 @@ def build_complex(space, p, variant="cohomology", coeff="Z"):
             block = sheaf.restriction(comp, p, gid, did)
         qs, off_s = offsets[src]
         qd, off_d = offsets[dst]
-        M = maps.get(qs)
-        if M is None:
-            continue
-        for i in range(block.rows):
-            row = block.row(i)
-            for j in range(block.cols):
-                if row[j]:
-                    M[off_s + i][off_d + j] += sign * row[j]
+        rpos, cpos = range(off_s, off_s + block.rows), range(off_d, off_d + block.cols)
+        blocks[qs].append((rpos, cpos, sign, block.row_tuples()))
 
-    mats = {q: IntMatrix._trusted_rows(m, len(spaces.get(q + step, ()))) for q, m in maps.items()}
-    gc = GradedComplex(comp, p, variant, coeff, step, {q: tuple(v) for q, v in spaces.items()}, mats)
-    assert gc.check_dd_zero(), "differential does not square to zero"
+    maps = {q: _assemble(len(labs), len(spaces.get(q + step, ())), blocks[q]) for q, labs in spaces.items()}
+    gc = GradedComplex(comp, p, variant, coeff, step, {q: tuple(v) for q, v in spaces.items()}, maps)
+    if not gc.check_dd_zero():
+        raise AssertionError(f"the {variant} differential for p = {p} does not square to zero")
     return gc
 
 
@@ -181,7 +181,7 @@ class ComplexGroups:
     def __init__(self, gc):
         self.gc = gc
         self._class_maps = {}
-        divisors = {q: zlinalg.snf_divisors(gc.map_out(q)) for q in gc.spaces}
+        divisors = {q: zlinalg.snf_divisors([dict(r) for r in gc.maps[q].data]) for q in gc.spaces}
         self.groups = {}
         for q in sorted(gc.spaces):
             d_in = divisors.get(q - gc.step, ())
@@ -195,13 +195,8 @@ class ComplexGroups:
         """Canonical coordinates of the class of a cycle/cocycle vector."""
         if self.gc.coeff != "Z":
             raise ValueError("class map only available over Z")
-        out_rows, steps, cells, solver, quot = self._class_map(q)
-        image = {}
-        for x, row in zip(vec, out_rows):
-            if x:
-                for j, e in row:
-                    image[j] = image.get(j, 0) + x * e
-        if any(image.values()):
+        steps, cells, solver, quot = self._class_map(q)
+        if sparse_vecmat(enumerate(vec), self.gc.map_out(q).data):
             raise AssertionError(f"vector is not a cycle in degree {q}")
         x = {i: v for i, v in enumerate(vec) if v}
         for b, r in steps:
@@ -225,22 +220,20 @@ class ComplexGroups:
     def _class_map(self, q):
         """The reduction of degree q, built on first use.
 
-        Returns the sparse rows of d_out, the recorded steps, the
-        surviving cells, a solver over the residual kernel basis (None
-        when that kernel is trivial) and the quotient by the residual
-        image, checked against the group read off the divisors.
+        Returns the recorded steps, the surviving cells, a solver over
+        the residual kernel basis (None when that kernel is trivial) and
+        the quotient by the residual image, checked against the group
+        read off the divisors.
         """
         if q not in self._class_maps:
             gc = self.gc
             n = gc.dim(q)
-            d_out = gc.map_out(q)
-            out_rows = [[(j, e) for j, e in enumerate(d_out.row(i)) if e] for i in range(n)]
-            d_in = gc.map_out(q - gc.step).row_tuples() if q - gc.step in gc.spaces else []
+            d_in = gc.maps[q - gc.step].data if q - gc.step in gc.spaces else ()
             # one sparse matrix: rows of d_in over the cells 0..n-1 of degree q,
             # then the row of d_out of cell c, as row m + c, over columns n + j
             m = len(d_in)
-            rows = [{j: e for j, e in enumerate(v) if e} for v in d_in]
-            rows += [{n + j: e for j, e in r} for r in out_rows]
+            rows = [dict(r) for r in d_in]
+            rows += [{n + j: e for j, e in r.items()} for r in gc.map_out(q).data]
             where, alive = zlinalg._sparse_index(rows)
             steps = []
 
@@ -292,7 +285,7 @@ class ComplexGroups:
             quot = LatticeQuotient(K.rows, rel_rows)
             if quot.group != self.group(q):
                 raise AssertionError(f"class map quotient {quot.group} differs from H_{q} = {self.group(q)}")
-            self._class_maps[q] = (out_rows, steps, cells, solver, quot)
+            self._class_maps[q] = (steps, cells, solver, quot)
         return self._class_maps[q]
 
 
@@ -367,7 +360,7 @@ class Cochain:
         return tuple(out)
 
     def map_integral(self):
-        data = {fid: _integral(v) for fid, v in self.data.items()}
+        data = {fid: _integral(v, fid, self.p) for fid, v in self.data.items()}
         return Cochain(self.comp, self.p, self.q, data)
 
 
@@ -479,23 +472,20 @@ def cubical_complex(fan, p, coeff="Z"):
             lab.extend((fid, i) for i in range(sheaf.rank(comp, fid, p - q)))
         spaces[q] = tuple(lab)
 
-    mats = {}
+    maps = {}
     for q in range(fan.dim + 1):
-        rows = len(spaces[q])
-        cols = len(spaces.get(q + 1, ()))
-        M = [[0] * cols for _ in range(rows)]
+        blocks = []
         for s in fan.cones_of_dim(q + 1):
             for t in fan.covers_of(s):
                 block = _cubical_block(fan, comp, p, t, s)
                 _, off_t = offsets[t]
                 _, off_s = offsets[s]
-                for i, row in enumerate(block):
-                    for j, x in enumerate(row):
-                        if x:
-                            M[off_t + i][off_s + j] += x
-        mats[q] = IntMatrix._trusted_rows(M, cols)
-    gc = GradedComplex(comp, p, "cubical", coeff, 1, spaces, mats)
-    assert gc.check_dd_zero(), "cubical differential does not square to zero"
+                width = len(block[0]) if block else 0
+                blocks.append((range(off_t, off_t + len(block)), range(off_s, off_s + width), 1, block))
+        maps[q] = _assemble(len(spaces[q]), len(spaces.get(q + 1, ())), blocks)
+    gc = GradedComplex(comp, p, "cubical", coeff, 1, spaces, maps)
+    if not gc.check_dd_zero():
+        raise AssertionError(f"the cubical differential for p = {p} does not square to zero")
     return gc
 
 
@@ -528,7 +518,10 @@ def _cubical_block(fan, comp, p, t, s):
     for j in range(r_dst):
         w = exterior.wedge_coords(e_cls, 1, lifts[j], k_dst, m_t)
         coords = sheaf.coords_in(comp, face_t, k_src, w)
-        assert coords is not None, "wedge leaves the coefficient lattice"
+        if coords is None:
+            raise AssertionError(
+                f"contraction into infinity of cone {fan.cones[t]} leaves SF^{k_src} there (p = {p})"
+            )
         cols.append(coords)
     return [[cols[j][i] for j in range(r_dst)] for i in range(r_src)]
 
@@ -561,27 +554,15 @@ class DoubleComplex:
         ordered = {}
         for q, labs in spaces.items():
             ordered[q] = tuple(sorted(labs, key=lambda t: t[0]))
-        mats = {}
-        for q, labs in ordered.items():
-            nxt = ordered.get(q + 1, ())
-            pos = {lab: i for i, lab in enumerate(nxt)}
-            M = [[0] * len(nxt) for _ in labs]
-            for kind, dmaps in (("h", self.horizontal), ("v", self.vertical)):
-                for (a, b), block in dmaps.items():
-                    if a + b != q:
-                        continue
-                    src_labs = self.entries[(a, b)]
-                    dst_labs = self.entries.get((a + 1, b) if kind == "h" else (a, b + 1), ())
-                    if not dst_labs:
-                        continue
-                    for i, sl in enumerate(src_labs):
-                        si = labs.index(sl)
-                        for j, dl in enumerate(dst_labs):
-                            x = block[i][j]
-                            if x:
-                                M[si][pos[dl]] += x
-            mats[q] = IntMatrix._trusted_rows(M, len(nxt))
-        return GradedComplex(comp, self.p, "cohomology", coeff, 1, ordered, mats)
+        pos = {lab: i for labs in ordered.values() for i, lab in enumerate(labs)}
+        blocks = {q: [] for q in ordered}
+        for dmaps, (da, db) in ((self.horizontal, (1, 0)), (self.vertical, (0, 1))):
+            for (a, b), block in dmaps.items():
+                rpos = [pos[lab] for lab in self.entries[(a, b)]]
+                cpos = [pos[lab] for lab in self.entries.get((a + da, b + db), ())]
+                blocks[a + b].append((rpos, cpos, 1, block))
+        maps = {q: _assemble(len(labs), len(ordered.get(q + 1, ())), blocks[q]) for q, labs in ordered.items()}
+        return GradedComplex(comp, self.p, "cohomology", coeff, 1, ordered, maps)
 
 
 def fine_double_complex(fan, p):
@@ -625,10 +606,11 @@ def fine_double_complex(fan, p):
     if not total.check_dd_zero():
         raise AssertionError(f"the double complex of SF^{p} does not square to zero")
     cellular = build_complex(comp, p, "cohomology")
-    assert total.spaces == cellular.spaces, "basis mismatch between total and cellular complexes"
-    assert all(total.map_out(q) == cellular.map_out(q) for q in cellular.spaces), (
-        "total complex differs from the cellular complex"
-    )
+    if total.spaces != cellular.spaces:
+        raise AssertionError(f"basis mismatch between the total and cellular complexes of SF^{p}")
+    for q in cellular.spaces:
+        if total.maps[q] != cellular.maps[q]:
+            raise AssertionError(f"the total complex of SF^{p} differs from the cellular one in degree {q}")
     return dc
 
 
@@ -665,18 +647,19 @@ def fundamental_cycle(fan, weights):
         fid = comp.face_index[(fan.zero_cone, s)]
         nu = fan.nu(s)
         coords = sheaf.coords_in(comp, fid, d, nu)
-        assert coords is not None and len(coords) == 1
+        if coords is None or len(coords) != 1:
+            raise AssertionError(f"the canonical multivector of cone {fan.cones[s]} does not span SF_{d} there")
         data[fid] = (weights[fan.cones[s]] * coords[0],)
     chain = Chain(comp, d, d, data)
-    assert _boundary_vanishes(fan, comp, chain), "fundamental chain is not a cycle"
+    if not _boundary_vanishes(fan, comp, chain):
+        raise AssertionError(f"the fundamental chain is not a cycle in degree {d}")
     return chain
 
 
 def _boundary_vanishes(fan, comp, chain):
     gc = build_complex(fan, chain.p, "borel_moore")
     labels = gc.spaces.get(chain.q, ())
-    M = gc.map_out(chain.q)
-    return not any(vecmat(chain.vector(labels), M.row_tuples(), M.cols))
+    return not sparse_vecmat(enumerate(chain.vector(labels)), gc.map_out(chain.q).data)
 
 
 def cap(fan, weights, alpha_values, k):
@@ -697,17 +680,22 @@ def cap(fan, weights, alpha_values, k):
         nu = fan.nu(s)
         w = weights[fan.cones[s]]
         contracted = exterior.contract_vector(alpha_hat, k, tuple(w * x for x in nu), d, n)
-        coords = sheaf.coords_in(comp, fid, d - k, _integral(contracted))
-        assert coords is not None, "cap coefficient leaves the coefficient lattice"
+        coords = sheaf.coords_in(comp, fid, d - k, _integral(contracted, fid, d - k))
+        if coords is None:
+            raise AssertionError(f"the cap coefficient at cone {fan.cones[s]} leaves SF_{d - k} there")
         data[fid] = coords
     return Chain(comp, d - k, d, data)
 
 
-def _integral(vec):
-    """The entries of a vector with integral Fraction values, as ints."""
+def _integral(vec, fid, p):
+    """The entries of a vector with integral Fraction values, as ints.
+
+    ``fid`` and ``p`` name the face and degree the vector lives at.
+    """
     out = []
     for x in vec:
         f = Fraction(x)
-        assert f.denominator == 1, "expected an integral vector"
+        if f.denominator != 1:
+            raise AssertionError(f"non-integral value {f} on face {fid} in degree {p}")
         out.append(int(f))
     return tuple(out)

@@ -11,8 +11,8 @@ The main entry points are :func:`snf`, its divisors-only variant
 :class:`RowSolver` built on it, :func:`kernel_basis`,
 :func:`cokernel_group`, :func:`saturate`, the quotient-group helper
 :class:`LatticeQuotient`, the rational elimination :func:`rref`, the
-row-vector product :func:`vecmat`, and the exact Bland-rule simplex
-:func:`feasible` / :func:`strict_lp_feasible`.
+row-vector products :func:`vecmat` and :func:`sparse_vecmat`, and the
+exact Bland-rule simplex :func:`feasible` / :func:`strict_lp_feasible`.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls._trusted(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls._trusted(rows, cols, (0,) * (rows * cols))
-
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -126,8 +122,33 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({self.row_tuples()!r})"
 
-    def is_zero(self):
-        return all(e == 0 for e in self.entries)
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """An integer matrix as dict rows, the form of every differential.
+
+    ``data[i]`` maps the columns of row i, in increasing order, to their
+    entries; a zero is never stored.
+    """
+
+    rows: int
+    cols: int
+    data: tuple
+
+    @property
+    def entries(self):
+        """The stored entries, row by row: every nonzero entry once."""
+        return tuple(e for r in self.data for e in r.values())
+
+
+def sparse_vecmat(vec, rows):
+    """Row vector of (index, value) pairs times dict rows, as dict column -> nonzero entry."""
+    out = {}
+    for i, x in vec:
+        if x:
+            for j, e in rows[i].items():
+                out[j] = out.get(j, 0) + x * e
+    return {j: v for j, v in out.items() if v}
 
 
 @dataclass(frozen=True)
@@ -386,14 +407,15 @@ def _unit_pivots(rows, where, alive, on_pivot=None):
     return units
 
 
-def snf_divisors(M):
-    """Invariant factors of M, as :attr:`SNFResult.divisors`, without transforms.
+def snf_divisors(rows):
+    """Invariant factors of a matrix given as dict rows, as :attr:`SNFResult.divisors`.
 
-    Unit pivots go first, on sparse rows (:func:`_unit_pivots`).  The
-    residual block, with no unit entry left, goes to the dense Smith
-    elimination without its left transform.
+    The rows (column -> nonzero entry) are consumed.  Unit pivots go
+    first, on the sparse rows (:func:`_unit_pivots`).  The residual
+    block, with no unit entry left, goes to the dense Smith elimination
+    without its left transform.
     """
-    rows = [r for r in ({j: e for j, e in enumerate(M.row(i)) if e} for i in range(M.rows)) if r]
+    rows = [r for r in rows if r]
     where, alive = _sparse_index(rows)
     units = _unit_pivots(rows, where, alive)
     if not alive:
@@ -479,7 +501,7 @@ def kernel_basis(M):
 
 def cokernel_group(M):
     """The abelian group Z^cols / rowspace(M)."""
-    divisors = snf_divisors(M)
+    divisors = snf_divisors([{j: e for j, e in enumerate(r) if e} for r in M.row_tuples()])
     return AbGroup(M.cols - len(divisors), tuple(d for d in divisors if d >= 2))
 
 

@@ -6,7 +6,7 @@ import random
 import jsonschema
 import pytest
 
-from tropfan import cli
+from tropfan import cli, matroid
 from tropfan.cli import build_parser, run
 from tropfan.zlinalg import AbGroup
 
@@ -239,6 +239,69 @@ class TestSchemas:
         with pytest.raises(cli.InputError) as got:
             cli._validate_schema(data, validator, "origin")
         assert str(got.value) == f"origin: {want.value.json_path}: {want.value.message}"
+
+
+def _fan_data(name):
+    """Fan file contents of a fixture, or of the Bergman fan of K4 or U(5,3)."""
+    if name == "k4":
+        m = matroid.Matroid.graphic(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    elif name == "u53":
+        m = matroid.Matroid.uniform(5, 3)
+    else:
+        return json.loads((ROOT / "fans" / f"{name}.json").read_text())
+    fan, weights = matroid.bergman_fan(m, name=name)
+    maximal = [list(fan.cones[i]) for i in sorted(fan.maximal)]
+    return {
+        "name": name,
+        "rank": fan.rank,
+        "rays": [list(r) for r in fan.rays],
+        "maximal_cones": maximal,
+        "weights": [weights[tuple(c)] for c in maximal],
+    }
+
+
+def _permuted(data, seed):
+    """The same fan with rays and maximal cones listed in a seeded order; weights move with their cones."""
+    rng = random.Random(seed)
+    new_index = list(range(len(data["rays"])))
+    rng.shuffle(new_index)
+    rays = [None] * len(new_index)
+    for i, ray in enumerate(data["rays"]):
+        rays[new_index[i]] = ray
+    order = list(range(len(data["maximal_cones"])))
+    rng.shuffle(order)
+    out = dict(data, rays=rays, maximal_cones=[[new_index[j] for j in data["maximal_cones"][k]] for k in order])
+    if "weights" in data:
+        out["weights"] = [data["weights"][k] for k in order]
+    return out
+
+
+class TestPermutationInvariance:
+    """Listing rays and maximal cones in another order changes no reported group or verdict."""
+
+    @staticmethod
+    def _outputs(path, capsys):
+        out = {}
+        for space in ("fan", "comp"):
+            for variant in ("std", "bm", "c"):
+                for coeff in ("Z", "Q"):
+                    code = run(["cohomology", "--fan", path, "--space", space, "--variant", variant, "--coeff", coeff])
+                    out[(space, variant, coeff)] = (code, capsys.readouterr().out)
+        code = run(["verify", "--fan", path])
+        out["verify"] = (code, capsys.readouterr().out.splitlines()[1:])
+        code = run(["manifold-check", "--fan", path])
+        out["manifold-check"] = (code, capsys.readouterr().out.splitlines()[:1])
+        return out
+
+    @pytest.mark.parametrize("name, seed", [("cube", 3), ("sigma3", 11), ("k4", 5), ("u53", 7)])
+    def test_same_output_in_any_order(self, name, seed, tmp_path, capsys):
+        data = _fan_data(name)
+        outputs = []
+        for tag, d in (("identity", data), ("permuted", _permuted(data, seed))):
+            path = tmp_path / f"{tag}.json"
+            path.write_text(json.dumps(d))
+            outputs.append(self._outputs(str(path), capsys))
+        assert outputs[0] == outputs[1]
 
 
 class TestTracedNamesBind:

@@ -32,6 +32,11 @@ FIXTURES = ["p2", "delta", "sigma3", "cone2", "cube", "u23"]
 FANS = pathlib.Path(__file__).resolve().parent.parent / "fans"
 
 
+def dense(m):
+    """The IntMatrix of a sparse differential, for tests that read it densely."""
+    return zlinalg.IntMatrix(m.rows, m.cols, [r.get(j, 0) for r in m.data for j in range(m.cols)])
+
+
 def group_table(fan, variant, space="comp"):
     target = compactification(fan) if space == "comp" else fan
     return table(target, "Z", variant)
@@ -61,7 +66,7 @@ class TestBuildComplex:
             ho = build_complex(comp, p, "homology")
             for q in co.spaces:
                 assert co.spaces[q] == ho.spaces[q]
-                assert co.map_out(q) == ho.map_out(q + 1).transpose()
+                assert dense(co.map_out(q)) == dense(ho.map_out(q + 1)).transpose()
 
     def test_compact_space_variants_coincide(self, cube):
         comp = compactification(cube)
@@ -70,6 +75,81 @@ class TestBuildComplex:
             b = build_complex(comp, p, "compact_support")
             assert a.spaces == b.spaces
             assert all(a.map_out(q) == b.map_out(q) for q in a.spaces)
+
+
+def _composable(max_dim=4):
+    """Pairs of integer matrices (A, B) with A.cols == B.rows, empty shapes included."""
+    entry = st.sampled_from([0] * 4 + [1, -1, 2])
+    shape = st.tuples(*(st.integers(0, max_dim) for _ in range(3)))
+
+    def pair(dims):
+        m, n, k = dims
+        rows = lambda r, c: st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)
+        return st.tuples(rows(m, n), rows(n, k)).map(
+            lambda ab: (zlinalg.IntMatrix.from_rows(ab[0], n), zlinalg.IntMatrix.from_rows(ab[1], k))
+        )
+
+    return shape.flatmap(pair)
+
+
+def _sparse(M):
+    return zlinalg.SparseMatrix(M.rows, M.cols, tuple({j: e for j, e in enumerate(r) if e} for r in M.row_tuples()))
+
+
+class TestSparseDifferentials:
+    @pytest.mark.parametrize("name", FIXTURES + ["k4_pair"])
+    def test_maps_store_only_nonzero_entries(self, name, request):
+        fan = request.getfixturevalue(name)
+        if name == "k4_pair":
+            fan = fan[0]
+        complexes = [build_complex(space, p, variant)
+                     for space in (fan, compactification(fan)) for variant in VARIANTS for p in range(fan.dim + 1)]
+        complexes += [fine_double_complex(fan, p).total_complex() for p in range(fan.dim + 1)]
+        if name != "sigma3":
+            complexes += [cubical_complex(fan, p) for p in range(fan.dim + 1)]
+        for gc in complexes:
+            for q, m in gc.maps.items():
+                assert isinstance(m, zlinalg.SparseMatrix)
+                assert (m.rows, m.cols) == (gc.dim(q), gc.dim(q + gc.step))
+                assert 0 not in m.entries
+                assert len(m.entries) == sum(1 for e in dense(m).entries if e)
+
+    @given(_composable())
+    @settings(max_examples=300, deadline=None)
+    def test_dd_zero_matches_dense_product(self, ab):
+        A, B = ab
+        labels = lambda n: tuple((0, i) for i in range(n))
+        gc = homology.GradedComplex(None, 0, "cohomology", "Z", 1,
+                                    {0: labels(A.rows), 1: labels(A.cols), 2: labels(B.cols)},
+                                    {0: _sparse(A), 1: _sparse(B)})
+        assert gc.check_dd_zero() == (not any((A * B).entries))
+
+    def test_flipped_block_exits_3_under_optimize(self):
+        # one sign flipped in one transport block: d^2 = 0 fails even under -O, and the CLI says where
+        code = (
+            "import sys\n"
+            "from tropfan import cli, sheaf\n"
+            "from tropfan.zlinalg import IntMatrix\n"
+            "original = sheaf.dual_transport\n"
+            "flipped = []\n"
+            "def wrapped(comp, p, gid, did):\n"
+            "    M = original(comp, p, gid, did)\n"
+            "    if p == 1 and any(M.entries) and flipped in ([], [(gid, did)]):\n"
+            "        flipped[:] = [(gid, did)]\n"
+            "        e = list(M.entries)\n"
+            "        k = next(i for i, x in enumerate(e) if x)\n"
+            "        e[k] = -e[k]\n"
+            "        M = IntMatrix(M.rows, M.cols, e)\n"
+            "    return M\n"
+            "sheaf.dual_transport = wrapped\n"
+            f"sys.exit(cli.run(['cohomology', '--fan', {str(FANS / 'cube.json')!r}, '--space', 'comp']))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(FANS.parent / "src")},
+        )
+        assert res.returncode == 3
+        assert "the cohomology differential for p = 1 does not square to zero" in res.stderr
 
 
 class TestFixtureTables:
@@ -128,7 +208,7 @@ class TestLazyClassMaps:
                         *_, quot = cg._class_map(q)
                         assert quot.group == cg.group(q), (variant, p, q)
                         if q - gc.step in gc.spaces:
-                            for v in gc.map_out(q - gc.step).row_tuples():
+                            for v in dense(gc.map_out(q - gc.step)).row_tuples():
                                 assert not any(cg.class_of(q, v)), (variant, p, q)
 
     def test_group_mismatch_raises_under_optimize(self):
@@ -189,10 +269,10 @@ def reduction_cases(request):
                     gc = build_complex(space, p, variant)
                     cg = ComplexGroups(gc)
                     for q in gc.spaces:
-                        d_in = gc.map_out(q - gc.step) if q - gc.step in gc.spaces else None
+                        d_in = dense(gc.map_out(q - gc.step)) if q - gc.step in gc.spaces else None
                         solver = zlinalg.RowSolver(d_in) if d_in is not None and d_in.rows else None
                         label = (fan.name, space is fan, variant, p, q)
-                        cases.append((label, cg, q, _left_kernel(gc.map_out(q)), d_in, solver))
+                        cases.append((label, cg, q, _left_kernel(dense(gc.map_out(q))), d_in, solver))
     return cases
 
 

@@ -69,23 +69,40 @@ def sympy_divisors(M):
     return tuple(sorted(abs(int(D[i, i])) for i in range(min(M.rows, M.cols)) if D[i, i] != 0))
 
 
+def dict_rows(M):
+    """The dict rows (column -> nonzero entry) of a dense matrix."""
+    return [{j: e for j, e in enumerate(r) if e} for r in M.row_tuples()]
+
+
 class TestSnfDivisors:
     @given(st.one_of(sparse_unit_matrices(), matrices()))
     @settings(max_examples=300, deadline=None)
     def test_matches_snf_and_sympy(self, M):
-        divs = snf_divisors(M)
+        divs = snf_divisors(dict_rows(M))
         assert divs == snf(M).divisors
         assert divs == sympy_divisors(M)
 
     def test_unit_pivots_and_residual(self):
         # one unit pivot leaves the block diag(2, 6) behind
         M = IntMatrix.from_rows([(1, 1, 0), (2, 4, 0), (0, 0, 6)])
-        assert snf_divisors(M) == (1, 2, 6)
+        assert snf_divisors(dict_rows(M)) == (1, 2, 6)
 
     def test_empty_shapes(self):
-        assert snf_divisors(IntMatrix.zeros(0, 3)) == ()
-        assert snf_divisors(IntMatrix.zeros(3, 0)) == ()
-        assert snf_divisors(IntMatrix.zeros(2, 2)) == ()
+        assert snf_divisors([]) == ()
+        assert snf_divisors([{}, {}, {}]) == ()
+        assert snf_divisors(dict_rows(IntMatrix(2, 2, [0] * 4))) == ()
+
+
+class TestSparseProduct:
+    @given(sparse_unit_matrices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_vector_times_rows_matches_vecmat(self, M, data):
+        vec = data.draw(st.lists(st.integers(-3, 3), min_size=M.rows, max_size=M.rows))
+        want = zlinalg.vecmat(vec, M.row_tuples(), M.cols)
+        assert zlinalg.sparse_vecmat(enumerate(vec), dict_rows(M)) == {j: x for j, x in enumerate(want) if x}
+
+    def test_cancellation_is_not_stored(self):
+        assert zlinalg.sparse_vecmat([(0, 1), (1, 1)], [{0: 1, 1: 2}, {0: -1}]) == {1: 2}
 
 
 def _in_lattice(B, v):
@@ -141,8 +158,8 @@ class TestSNF:
         assert res.D == IntMatrix.from_rows([(1, 0), (0, 6)])
 
     def test_zero(self):
-        res = snf(IntMatrix.zeros(2, 3))
-        assert res.D.is_zero()
+        res = snf(IntMatrix(2, 3, [0] * 6))
+        assert not any(res.D.entries)
 
     @given(matrices())
     @settings(max_examples=150, deadline=None)
@@ -208,7 +225,7 @@ class TestKernel:
         assert kernel_basis(IntMatrix.identity(3)).rows == 0
 
     def test_zero_map(self):
-        K = kernel_basis(IntMatrix.zeros(1, 3))
+        K = kernel_basis(IntMatrix(1, 3, [0] * 3))
         assert K.rows == 3
 
     def test_p2_balancing_kernel(self, p2):
