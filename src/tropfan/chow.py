@@ -241,11 +241,7 @@ def degree_map(fan, weights, cls):
 def minkowski_weights(fan, p, coeff="Z"):
     """Basis of the group of p-dimensional Minkowski weights."""
     gens = fan.cones_of_dim(p)
-    rows = relation_matrix(fan, p)
-    if not rows:
-        basis = IntMatrix.identity(len(gens))
-    else:
-        basis = zlinalg.kernel_basis(IntMatrix.from_rows(rows, len(gens)))
+    basis = zlinalg.kernel_basis(IntMatrix.from_rows(relation_matrix(fan, p), len(gens)))
     return [MinkowskiWeight(fan, p, basis.row(i)) for i in range(basis.rows)]
 
 

@@ -152,7 +152,8 @@ def load_fan_data(data, origin="<fan>", strict=True):
         new_rays = []
         for i, r in enumerate(rays):
             c = zlinalg.in_rowspace(M, r)
-            assert c is not None
+            if c is None:
+                raise AssertionError(f"ray {i} is not in the lattice its rays span")
             new_rays.append(c)
         rays = new_rays
         rank = len(basis)

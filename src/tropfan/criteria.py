@@ -416,12 +416,10 @@ def _psi_status_unimodular(fan, groups, pres, saturated):
     surj = True if f + t == 0 else zlinalg.cokernel_group(IntMatrix.from_rows(rows, f + t)).is_trivial
     kernel = _kernel_of_class_map(images, H, n)
     if saturated:
-        rel = zlinalg.hnf_basis(pres.relations, n) if pres.relations else []
+        rel = zlinalg.hnf_basis(pres.relations, n)
         return "iso" if (surj and kernel == rel) else "psi-failure"
-    sat_rel = []
-    if pres.relations:
-        sat_lat, _ = zlinalg.saturate(zlinalg.Sublattice.from_rows(pres.relations, n))
-        sat_rel = list(sat_lat.basis.row_tuples())
+    sat_lat, _ = zlinalg.saturate(zlinalg.Sublattice.from_rows(pres.relations, n))
+    sat_rel = list(sat_lat.basis.row_tuples())
     return "surjective-torsion-kernel" if (surj and kernel == sat_rel) else "psi-failure"
 
 

@@ -362,8 +362,9 @@ def _build_star(fan, cone_idx):
         cone_map = {i: i for i in range(len(fan.cones))}
         return StarData(cone_idx, n, ident, ident, fan, cone_map, dict(cone_map))
     B = fan.cone_lattice(cone_idx).basis
-    res = zlinalg.snf(B)
-    assert res.divisors == (1,) * k, "cone lattice must be saturated"
+    res = zlinalg._snf(B)
+    if res.divisors != (1,) * k:
+        raise AssertionError(f"cone lattice of cone {cone} is not saturated: divisors {res.divisors}")
     m = n - k
     proj = tuple(tuple(res.V[i, j] for j in range(k, n)) for i in range(n))
     section = tuple(tuple(res.Vinv[i, j] for j in range(n)) for i in range(k, n))

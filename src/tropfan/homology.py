@@ -267,10 +267,7 @@ class ComplexGroups:
             for c in cells:
                 for j, e in rows[m + c].items():
                     transposed.setdefault(j, [0] * len(cells))[pos[c]] = e
-            if transposed:
-                K = zlinalg.kernel_basis(IntMatrix._trusted_rows(list(transposed.values()), len(cells)))
-            else:
-                K = IntMatrix.identity(len(cells))
+            K = zlinalg.kernel_basis(IntMatrix._trusted_rows(list(transposed.values()), len(cells)))
             solver = zlinalg.RowSolver(K) if K.rows else None
             rel_rows = []
             for k in sorted(alive):

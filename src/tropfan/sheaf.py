@@ -43,8 +43,10 @@ def basis(comp, fid, p):
         rows = ()
     else:
         gens = []
-        sset = set(fan.cones[s])
+        # the maximal cones suffice: every other tangent lattice lies in that of one above it
         for eta in fan.cones_containing(s):
+            if eta not in fan.maximal:
+                continue
             tangent = comp.tangent_lattice(comp.face_index[(t, eta)]).basis.row_tuples()
             if len(tangent) < p:
                 continue

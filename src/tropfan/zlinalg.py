@@ -7,12 +7,19 @@ hundred rows), so the classical cubic algorithms with careful pivoting
 are adequate and keep everything exact.
 
 The main entry points are :func:`snf`, its divisors-only variant
-:func:`snf_divisors`, :func:`hnf` and the factor-once solver
-:class:`RowSolver` built on it, :func:`kernel_basis`,
-:func:`cokernel_group`, :func:`saturate`, the quotient-group helper
-:class:`LatticeQuotient`, the rational elimination :func:`rref`, the
-row-vector products :func:`vecmat` and :func:`sparse_vecmat`, and the
-exact Bland-rule simplex :func:`feasible` / :func:`strict_lp_feasible`.
+:func:`snf_divisors`, :func:`hnf`, the factor-once solver
+:class:`RowSolver`, :func:`kernel_basis`, :func:`cokernel_group`,
+:func:`saturate`, the quotient-group helper :class:`LatticeQuotient`,
+the rational elimination :func:`rref`, the row-vector products
+:func:`vecmat` and :func:`sparse_vecmat`, and the exact Bland-rule
+simplex :func:`feasible` / :func:`strict_lp_feasible`.
+
+The three eliminations :func:`hnf`, :func:`_snf` and :func:`rref` share
+one convention: they pivot on the first ``ncols`` columns and carry the
+rest along by the same row operations.  A transform is never tracked on
+its own; whoever needs one reduces [A | I] and reads it off the carried
+block (:func:`snf`'s U, :class:`RowSolver`'s and :class:`FracSolver`'s
+T), so no elimination builds a transform that nobody reads.
 """
 
 from __future__ import annotations
@@ -192,11 +199,21 @@ class AbGroup:
 
 
 def _identity_rows(n):
-    """The n x n identity as mutable rows, for the transforms of snf and hnf."""
+    """The n x n identity as mutable rows, for the column transforms V and Vinv of snf."""
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 1
     return rows
+
+
+def _with_identity(rows):
+    """The rows of [A | I] for the rows of A.
+
+    Reduced on A's columns, the carried identity block records the row
+    operations: it ends as the left transform.
+    """
+    m = len(rows)
+    return [tuple(r) + (0,) * i + (1,) + (0,) * (m - 1 - i) for i, r in enumerate(rows)]
 
 
 def _swap_rows(a, i, j):
@@ -223,6 +240,12 @@ def _add_col(a, i, j, k):
 
 @dataclass(frozen=True)
 class SNFResult:
+    """A Smith form: U * M * V = D and V * Vinv = I.
+
+    From :func:`_snf`, U is whatever block was carried: the left
+    transform only when M came with an identity block.
+    """
+
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
@@ -244,33 +267,25 @@ def snf(M):
 
     D is diagonal with a divisibility chain d_1 | d_2 | ... and
     non-negative entries.  Pivoting picks the entry of minimal absolute
-    value to limit coefficient growth.
+    value to limit coefficient growth.  U is read off [M | I].
     """
-    return _snf(M, True)
+    return _snf(IntMatrix._trusted_rows(_with_identity(M.row_tuples()), M.cols + M.rows), M.cols)
 
 
-def _snf(M, left):
-    """The elimination of :func:`snf`; with ``left`` false, U is not kept.
+def _snf(M, ncols=None):
+    """The Smith elimination of the first ``ncols`` columns of M, carrying the rest.
 
-    The pivots and operations only ever read the working matrix, so the
-    result without U (``U`` is None then) has the same D, V and Vinv.
-    Callers that read only those skip the m x m left transform.
+    Pivots, column operations, V and Vinv involve only the first
+    ``ncols`` columns (all of them by default); row operations act on
+    whole rows.  D is the first ``ncols`` columns after elimination and
+    U the carried ones, so a caller that needs no left transform carries
+    nothing and pays for none.
     """
-    m, n = M.rows, M.cols
+    m = M.rows
+    n = M.cols if ncols is None else ncols
     a = M.row_list()
-    U = _identity_rows(m) if left else None
     V = _identity_rows(n)
     Vinv = _identity_rows(n)
-
-    def row_op(i, j, k):
-        _add_row(a, i, j, k)
-        if left:
-            _add_row(U, i, j, k)
-
-    def row_swap(i, j):
-        _swap_rows(a, i, j)
-        if left:
-            _swap_rows(U, i, j)
 
     def col_op(i, j, k):
         # col i += k * col j ; V tracks the same op, Vinv the inverse op on rows
@@ -298,7 +313,7 @@ def _snf(M, left):
             break
         pi, pj = pivot
         if pi != t:
-            row_swap(pi, t)
+            _swap_rows(a, pi, t)
         if pj != t:
             col_swap(pj, t)
         # clear column t and row t; repeat until clean since reductions may
@@ -307,7 +322,7 @@ def _snf(M, left):
         for i in range(m):
             if i != t and a[i][t] != 0:
                 q = a[i][t] // a[t][t]
-                row_op(i, t, -q)
+                _add_row(a, i, t, -q)
                 if a[i][t] != 0:
                     dirty = True
         for j in range(n):
@@ -329,21 +344,17 @@ def _snf(M, left):
             if offender is not None:
                 break
         if offender is not None:
-            row_op(t, offender, 1)
+            _add_row(a, t, offender, 1)
             continue
         t += 1
 
     for i in range(min(m, n)):
         if a[i][i] < 0:
-            for c in range(n):
-                a[i][c] = -a[i][c]
-            if left:
-                for c in range(m):
-                    U[i][c] = -U[i][c]
+            a[i] = [-x for x in a[i]]
 
     return SNFResult(
-        IntMatrix._trusted_rows(U, m) if left else None,
-        IntMatrix._trusted_rows(a, n),
+        IntMatrix._trusted_rows([r[n:] for r in a], M.cols - n),
+        IntMatrix._trusted_rows([r[:n] for r in a], n),
         IntMatrix._trusted_rows(V, n),
         IntMatrix._trusted_rows(Vinv, n),
     )
@@ -412,8 +423,8 @@ def snf_divisors(rows):
 
     The rows (column -> nonzero entry) are consumed.  Unit pivots go
     first, on the sparse rows (:func:`_unit_pivots`).  The residual
-    block, with no unit entry left, goes to the dense Smith elimination
-    without its left transform.
+    block, with no unit entry left, goes to the dense Smith elimination,
+    which carries no left transform.
     """
     rows = [r for r in rows if r]
     where, alive = _sparse_index(rows)
@@ -423,28 +434,22 @@ def snf_divisors(rows):
     residual = [rows[i] for i in sorted(alive)]
     cols = sorted(set().union(*residual))
     dense = [tuple(r.get(c, 0) for c in cols) for r in residual]
-    return (1,) * units + _snf(IntMatrix._trusted_rows(dense, len(cols)), False).divisors
+    return (1,) * units + _snf(IntMatrix._trusted_rows(dense, len(cols))).divisors
 
 
-def hnf(M):
-    """Row-style Hermite normal form: H = T * M with T unimodular.
+def hnf(M, ncols=None):
+    """Row-style Hermite normal form of the first ``ncols`` columns of M.
 
     H is in echelon form with positive pivots and entries above each
     pivot reduced to lie in [0, pivot).  Zero rows sink to the bottom.
-    Returns (H, T).
+    Pivots are taken on the first ``ncols`` columns only (all of them by
+    default); the rest are carried by the same row operations, so
+    ``hnf`` of [B | I] on B's columns is [H | T] with H = T * B and T
+    unimodular.  Returns the whole reduced matrix.
     """
-    m, n = M.rows, M.cols
+    m = M.rows
+    n = M.cols if ncols is None else ncols
     a = M.row_list()
-    T = _identity_rows(m)
-
-    def row_op(i, j, k):
-        _add_row(a, i, j, k)
-        _add_row(T, i, j, k)
-
-    def row_swap(i, j):
-        _swap_rows(a, i, j)
-        _swap_rows(T, i, j)
-
     r = 0
     for c in range(n):
         # gcd cascade in column c among rows >= r
@@ -454,38 +459,32 @@ def hnf(M):
                 break
             piv = min(nz, key=lambda i: abs(a[i][c]))
             if piv != r:
-                row_swap(piv, r)
+                _swap_rows(a, piv, r)
             done = True
             for i in range(r + 1, m):
                 if a[i][c] != 0:
                     q = a[i][c] // a[r][c]
-                    row_op(i, r, -q)
+                    _add_row(a, i, r, -q)
                     if a[i][c] != 0:
                         done = False
             if done:
                 break
         if r < m and a[r][c] != 0:
             if a[r][c] < 0:
-                for j in range(n):
-                    a[r][j] = -a[r][j]
-                for j in range(m):
-                    T[r][j] = -T[r][j]
+                a[r] = [-x for x in a[r]]
             for i in range(r):
                 q = a[i][c] // a[r][c]
                 if q:
-                    row_op(i, r, -q)
+                    _add_row(a, i, r, -q)
             r += 1
             if r == m:
                 break
-    return IntMatrix._trusted_rows(a, n), IntMatrix._trusted_rows(T, m)
+    return IntMatrix._trusted_rows(a, M.cols)
 
 
 def hnf_basis(rows, cols):
     """HNF basis (nonzero rows only) of the lattice generated by ``rows``."""
-    if not rows:
-        return []
-    H, _ = hnf(IntMatrix.from_rows(rows, cols))
-    return [r for r in H.row_tuples() if any(r)]
+    return [r for r in hnf(IntMatrix.from_rows(rows, cols)).row_tuples() if any(r)]
 
 
 def kernel_basis(M):
@@ -494,7 +493,7 @@ def kernel_basis(M):
     Rows of the result are vectors k in Z^cols with M * k = 0 (viewing k
     as a column).  The basis spans a saturated sublattice.
     """
-    res = _snf(M, False)
+    res = _snf(M)
     # the kernel columns of V, read as rows of its transpose
     return IntMatrix._trusted_rows(res.V.transpose().row_tuples()[res.rank :], M.cols)
 
@@ -514,10 +513,7 @@ class Sublattice:
 
     @classmethod
     def from_rows(cls, rows, ambient_rank):
-        b = hnf_basis(list(rows), ambient_rank)
-        if b:
-            return cls(ambient_rank, IntMatrix.from_rows(b, ambient_rank))
-        return cls(ambient_rank, IntMatrix(0, ambient_rank, []))
+        return cls(ambient_rank, IntMatrix._trusted_rows(hnf_basis(rows, ambient_rank), ambient_rank))
 
     @property
     def rank(self):
@@ -531,10 +527,7 @@ def saturate(L):
     the ambient lattice; the index is the product of the invariant
     factors of any basis matrix of L.
     """
-    B = L.basis
-    if B.rows == 0:
-        return L, 1
-    res = _snf(B, False)
+    res = _snf(L.basis)
     index = 1
     for d in res.divisors:
         index *= d
@@ -547,22 +540,24 @@ def saturate(L):
 class RowSolver:
     """Integer solutions x of x * B = v for many v, from one HNF of B.
 
-    B is factored once as H = T * B; each :meth:`solve` reduces v
-    against the pivot rows of H and maps the coefficients back through
-    T.  B need not be in HNF.
+    B is factored once as :func:`hnf` of [B | I] on B's columns, which
+    gives [H | T] with H = T * B; each :meth:`solve` reduces v against
+    the pivot rows of H and maps the coefficients back through T.  B
+    need not be in HNF.
     """
 
     def __init__(self, B):
-        H, T = hnf(B)
+        n = B.cols
         self.rows = B.rows
-        # (pivot column, pivot, nonzero entries) of each nonzero row of H
+        # (pivot column, pivot, nonzero entries) of each nonzero row of H, and that row of T
         self._pivots = []
-        for row in H.row_tuples():
-            nz = [(j, e) for j, e in enumerate(row) if e]
+        self._T = []
+        for row in hnf(IntMatrix._trusted_rows(_with_identity(B.row_tuples()), n + B.rows), n).row_tuples():
+            nz = [(j, row[j]) for j in range(n) if row[j]]
             if not nz:
                 break
             self._pivots.append((nz[0][0], nz[0][1], nz))
-        self._T = T.row_tuples()[: len(self._pivots)]
+            self._T.append(row[n:])
 
     def solve(self, vec):
         """Coefficients x with x * B = vec, or None if there are none."""
@@ -705,8 +700,7 @@ class FracSolver:
     """
 
     def __init__(self, rows, ncols):
-        m = len(rows)
-        ech = rref([list(r) + [int(i == k) for k in range(m)] for i, r in enumerate(rows)], ncols)
+        ech = rref(_with_identity(rows), ncols)
         ops = [[(j, x) for j, x in enumerate(row[ncols:]) if x] for row in ech.rows]
         self.ncols = ncols
         self.rank = ech.rank
@@ -749,18 +743,13 @@ class LatticeQuotient:
 
     def __init__(self, n, relation_rows):
         self.n = n
-        R = IntMatrix.from_rows(relation_rows, n) if relation_rows else IntMatrix(0, n, [])
+        R = IntMatrix.from_rows(relation_rows, n)
         self.relations = R
-        if R.rows == 0:
-            self._V = IntMatrix.identity(n).row_tuples()
-            self._Vinv = IntMatrix.identity(n)
-            self._divisors = [0] * n
-        else:
-            res = _snf(R, False)
-            self._V = res.V.row_tuples()
-            self._Vinv = res.Vinv
-            divs = list(res.divisors)
-            self._divisors = divs + [0] * (n - len(divs))
+        res = _snf(R)
+        self._V = res.V.row_tuples()
+        self._Vinv = res.Vinv
+        divs = list(res.divisors)
+        self._divisors = divs + [0] * (n - len(divs))
         self._free_idx = [i for i, d in enumerate(self._divisors) if d == 0]
         self._tor_idx = [i for i, d in enumerate(self._divisors) if d >= 2]
         self.group = AbGroup(len(self._free_idx), tuple(self._divisors[i] for i in self._tor_idx))

@@ -1,7 +1,10 @@
 import gc
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -153,6 +156,21 @@ class TestRaySpanLattice:
         p.write_text(json.dumps(data))
         assert run(["diagnostics", "--fan", str(p)]) == 0
         assert "unimodular: no" in capsys.readouterr().out
+
+    def test_ray_outside_the_span_exits_3_under_optimize(self):
+        # a ray with no coordinates over the HNF basis: the raise survives -O and names the ray
+        code = (
+            "import sys\n"
+            "from tropfan import cli, zlinalg\n"
+            "zlinalg.in_rowspace = lambda B, vec: None\n"
+            f"sys.exit(cli.run(['diagnostics', '--fan', {FAN('cube')!r}]))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert res.returncode == 3
+        assert "ray 0 is not in the lattice its rays span" in res.stderr
 
 
 class TestOriginOnlyFan:

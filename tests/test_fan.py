@@ -178,6 +178,28 @@ class TestStarFan:
             ]
             assert prod == [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
+    def test_unsaturated_cone_lattice_exits_3_under_optimize(self):
+        # a cone lattice of index 2 breaks the star projection; the raise survives -O and names the cone
+        code = (
+            "import sys\n"
+            "from tropfan import cli, fan, zlinalg\n"
+            "original = fan.Fan.cone_lattice\n"
+            "def doubled(self, cone_idx):\n"
+            "    L = original(self, cone_idx)\n"
+            "    if self.cones[cone_idx] != (0,):\n"
+            "        return L\n"
+            "    B = zlinalg.IntMatrix(L.rank, L.ambient_rank, [2 * e for e in L.basis.entries])\n"
+            "    return zlinalg.Sublattice(L.ambient_rank, B)\n"
+            "fan.Fan.cone_lattice = doubled\n"
+            f"sys.exit(cli.run(['cohomology', '--fan', {str(SRC.parent / 'fans' / 'p2.json')!r}, '--space', 'fan']))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert res.returncode == 3
+        assert "cone lattice of cone (0,) is not saturated: divisors (2,)" in res.stderr
+
 
 def _poset_signature(fan):
     return sorted((len(c), tuple(sorted(map(len, (set(c) & set(d) for d in fan.cones))))) for c in fan.cones)

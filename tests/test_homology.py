@@ -235,11 +235,14 @@ class TestLazyClassMaps:
 def _left_kernel(M):
     """Saturated basis of {x : x * M = 0}: the rows of T with H = T * M zero.
 
-    T is unimodular, so these rows span a saturated lattice; nothing here
-    shares code with the reduction behind ``class_of``.
+    [H | T] is the HNF of [M | I] on M's columns.  T is unimodular, so
+    these rows span a saturated lattice; nothing here shares code with
+    the reduction behind ``class_of``.
     """
-    H, T = zlinalg.hnf(M)
-    return [T.row(i) for i in range(M.rows) if not any(H.row(i))]
+    n = M.cols
+    aug = [r + tuple(int(i == k) for k in range(M.rows)) for i, r in enumerate(M.row_tuples())]
+    HT = zlinalg.hnf(zlinalg.IntMatrix.from_rows(aug, n + M.rows), n)
+    return [r[n:] for r in HT.row_tuples() if not any(r[:n])]
 
 
 def _add_classes(group, a, b):

@@ -1,8 +1,10 @@
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from tropfan.zlinalg import (
     cokernel_group,
     feasible,
     hnf,
+    hnf_basis,
     kernel_basis,
     rank_frac,
     rref,
@@ -35,9 +38,9 @@ from tropfan.zlinalg import (
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def matrices(max_dim=4, max_entry=9):
-    return st.integers(1, max_dim).flatmap(
-        lambda m: st.integers(1, max_dim).flatmap(
+def matrices(max_dim=4, max_entry=9, min_dim=1):
+    return st.integers(min_dim, max_dim).flatmap(
+        lambda m: st.integers(min_dim, max_dim).flatmap(
             lambda n: st.lists(
                 st.lists(st.integers(-max_entry, max_entry), min_size=n, max_size=n),
                 min_size=m,
@@ -116,7 +119,7 @@ def _in_lattice(B, v):
 
 class TestRowSolver:
     @given(
-        st.one_of(sparse_unit_matrices(5), matrices()),
+        st.one_of(sparse_unit_matrices(5), matrices(min_dim=0)),
         st.lists(st.lists(st.integers(-3, 3), min_size=7, max_size=7), min_size=1, max_size=6),
         st.lists(st.booleans(), min_size=6, max_size=6),
     )
@@ -161,7 +164,7 @@ class TestSNF:
         res = snf(IntMatrix(2, 3, [0] * 6))
         assert not any(res.D.entries)
 
-    @given(matrices())
+    @given(matrices(min_dim=0))
     @settings(max_examples=150, deadline=None)
     def test_snf_properties(self, M):
         res = snf(M)
@@ -185,13 +188,27 @@ def _det(M):
     return det(M.row_list())
 
 
+def _with_identity(M):
+    """[M | I]: reduced on M's columns, the identity block records the row operations."""
+    rows = [r + tuple(int(i == k) for k in range(M.rows)) for i, r in enumerate(M.row_tuples())]
+    return IntMatrix.from_rows(rows, M.cols + M.rows)
+
+
 class TestHNF:
-    @given(matrices())
+    @given(matrices(min_dim=0))
     @settings(max_examples=150, deadline=None)
     def test_hnf_shape(self, M):
-        H, T = hnf(M)
+        HT = hnf(_with_identity(M), M.cols).row_tuples()
+        H = IntMatrix.from_rows([r[: M.cols] for r in HT], M.cols)
+        T = IntMatrix.from_rows([r[M.cols :] for r in HT], M.rows)
+        assert hnf(M) == H
         assert T * M == H
         assert abs(_det(T)) == 1
+        basis = [r for r in H.row_tuples() if any(r)]
+        assert hnf_basis(M.row_tuples(), M.cols) == basis
+        assert Sublattice.from_rows(M.row_tuples(), M.cols).basis == IntMatrix.from_rows(basis, M.cols)
+        if M.rows == 0:
+            assert basis == [] and H == IntMatrix(0, M.cols, [])
         pivots = []
         for i in range(H.rows):
             row = H.row(i)
@@ -206,6 +223,19 @@ class TestHNF:
             for k in range(i):
                 assert 0 <= H[k, p] < H[i, p]
             pivots.append(p)
+
+    def test_tall_basis_keeps_no_transform(self):
+        # a basis from many generators, as the SF_p bases of large fans are built: no m x m transform
+        rng = random.Random(11)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(1000)]
+        tracemalloc.start()
+        try:
+            basis = hnf_basis(rows, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis == [tuple(int(i == j) for j in range(6)) for i in range(6)]
+        assert peak < 2 * 2**20
 
 
 class TestCokernel:
@@ -236,10 +266,12 @@ class TestKernel:
         assert K.rows == 1
         assert K.row(0) in ((1, 1, 1), (-1, -1, -1))
 
-    @given(matrices())
+    @given(matrices(min_dim=0))
     @settings(max_examples=100, deadline=None)
     def test_kernel_saturated_and_annihilates(self, M):
         K = kernel_basis(M)
+        if M.rows == 0:
+            assert K == IntMatrix.identity(M.cols)
         for i in range(K.rows):
             col = K.row(i)
             for r in range(M.rows):
@@ -283,14 +315,14 @@ class TestLatticeQuotient:
 
 
 class TestSmithWithoutLeftTransform:
-    @given(st.one_of(sparse_unit_matrices(), matrices()))
+    @given(st.one_of(sparse_unit_matrices(), matrices(min_dim=0)))
     @settings(max_examples=300, deadline=None)
     def test_same_d_v_and_vinv(self, M):
-        full, right = snf(M), zlinalg._snf(M, False)
-        assert right.U is None
+        full, right = snf(M), zlinalg._snf(M)
+        assert right.U == IntMatrix(M.rows, 0, [])
         assert (right.D, right.V, right.Vinv) == (full.D, full.V, full.Vinv)
 
-    @given(st.one_of(sparse_unit_matrices(), matrices()), st.lists(st.integers(-9, 9), min_size=7, max_size=7))
+    @given(st.one_of(sparse_unit_matrices(), matrices(min_dim=0)), st.lists(st.integers(-9, 9), min_size=7, max_size=7))
     @settings(max_examples=300, deadline=None)
     def test_quotient_matches_a_reference_on_snf(self, R, draw):
         # the canonical coordinates and free generators read straight off snf(R)
@@ -303,6 +335,8 @@ class TestSmithWithoutLeftTransform:
         expected = tuple(y[i] for i in free) + tuple(y[i] % d for i, d in enumerate(divs) if d >= 2)
         assert q.class_of(vec) == expected
         assert q.free_representatives() == [res.Vinv.row(i) for i in free]
+        if R.rows == 0:
+            assert q.group == AbGroup(R.cols) and q.class_of(vec) == vec
 
 
 class TestRationalElimination:
