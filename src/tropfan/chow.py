@@ -316,7 +316,7 @@ def cocycle_to_chow(fan, cochain):
     return ChowClass(fan, p, out)
 
 
-def ray_cocycle(fan, ray, coeff="Z"):
+def ray_cocycle(fan, ray):
     """The corrected preimage cocycle of a degree-one generator.
 
     Starts from the cochain supported on the faces joining a cone to
@@ -377,7 +377,7 @@ def chow_generator_cocycle(fan, cone_idx, coeff="Z"):
         return homol.unit_cochain(comp)
     result = None
     for ray in cone:
-        piece = ray_cocycle(fan, ray, coeff)
+        piece = ray_cocycle(fan, ray)
         result = piece if result is None else homol.cup(result, piece)
     assert homol.coboundary(result).is_zero()
     if coeff == "Z":

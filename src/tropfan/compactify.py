@@ -11,11 +11,24 @@ Covering relations come in two kinds: same sedentarity
 ((tau, sigma') below (tau, sigma) for sigma' a facet of sigma) and
 sedentarity drop ((tau, sigma) below (tau', sigma) for tau' a facet of
 tau).  The incidence sign of a covering pair orients the cell complex.
+
+The signs are read off the ray order.  For a cover of gamma by
+delta = (tau, sigma), let r be the ray in which the two differ (the ray
+gamma drops from sigma, or adds to tau) and k the number of rays of
+sigma minus tau with index below r.  A same-sedentarity cover has sign
+(-1)^k and a sedentarity drop -(-1)^k.  Reason: the face multivector of
+(tau, sigma) is a positive multiple of the wedge of the projected rays
+of sigma minus tau in index order (``Fan.nu`` is signed so on the rays,
+and the star projection is linear), and moving the projected r to its
+place in that wedge takes k transpositions.  No determinant is taken:
+the rays being independent, which keeps these wedges nonzero, is
+checked where the stars are built.
 """
 
 from __future__ import annotations
 
-from . import exterior
+import itertools
+
 from .zlinalg import Sublattice, vecmat
 
 
@@ -24,12 +37,13 @@ class Compactification:
 
     def __init__(self, fan):
         self.fan = fan
-        faces = []
-        for s, sigma in enumerate(fan.cones):
-            sset = set(sigma)
-            for t, tau in enumerate(fan.cones):
-                if set(tau) <= sset:
-                    faces.append((t, s))
+        index = fan._cone_index
+        faces = [
+            (index[tau], s)
+            for s, sigma in enumerate(fan.cones)
+            for k in range(len(sigma) + 1)
+            for tau in itertools.combinations(sigma, k)
+        ]
         faces.sort(key=lambda ts: (
             len(fan.cones[ts[1]]) - len(fan.cones[ts[0]]),
             fan.cones[ts[0]],
@@ -41,19 +55,21 @@ class Compactification:
         self._by_dim = {}
         for fid, q in enumerate(self.dims):
             self._by_dim.setdefault(q, []).append(fid)
+        self._cone_sets = tuple(frozenset(c) for c in fan.cones)
         self._covers = None
         self._cofaces = None
-        self._sign_cache = {}
         self._tangent = {}
         # filled by tropfan.sheaf: coefficient-lattice bases by (face, p); their
-        # integer and rational solvers by basis; restriction and dual
-        # transport blocks by (p, gamma, delta), one object per distinct block
+        # integer and rational solvers by basis; restriction blocks by the
+        # bases (and transition) they depend on, their transposes by block,
+        # and both by (p, gamma, delta) as an index into those
         self.sheaf_basis = {}
         self.sheaf_solver = {}
         self.sheaf_extension = {}
+        self.sheaf_blocks = {}
+        self.sheaf_dual_blocks = {}
         self.sheaf_restriction = {}
         self.sheaf_dual = {}
-        self.sheaf_blocks = {}
         # value dicts of the degree-one Chow cocycles by ray, filled by tropfan.chow
         self.ray_cocycles = {}
 
@@ -68,9 +84,8 @@ class Compactification:
         """Face order: (tg, sg) below (td, sd) iff td < tg < sg < sd in the fan."""
         tg, sg = self.faces[gid]
         td, sd = self.faces[did]
-        ctg, csg = set(self.fan.cones[tg]), set(self.fan.cones[sg])
-        ctd, csd = set(self.fan.cones[td]), set(self.fan.cones[sd])
-        return ctd <= ctg <= csg <= csd
+        sets = self._cone_sets
+        return sets[td] <= sets[tg] <= sets[sg] <= sets[sd]
 
     def covers_of(self, did):
         """List of (gamma, sign) over the faces gamma covered by delta."""
@@ -92,23 +107,21 @@ class Compactification:
                 yield gid, did, sign
 
     def _build_covers(self):
-        fan = self.fan
+        cones = self.fan.cones
+        index = self.fan._cone_index
         covers = [[] for _ in self.faces]
         for did, (t, s) in enumerate(self.faces):
-            ct = fan.cones[t]
-            cs = fan.cones[s]
+            ct = cones[t]
+            cs = cones[s]
+            free = [r for r in cs if r not in ct]
             # same sedentarity: drop one ray of sigma outside tau
-            for r in cs:
-                if r not in ct:
-                    sub = fan.cone_index(tuple(x for x in cs if x != r))
-                    gid = self.face_index[(t, sub)]
-                    covers[did].append((gid, self.face_sign(gid, did)))
+            for pos, r in enumerate(free):
+                gid = self.face_index[(t, index[tuple(x for x in cs if x != r)])]
+                covers[did].append((gid, _cover_sign(pos, False)))
             # sedentarity raise on the subface: tau grows inside sigma
-            for r in cs:
-                if r not in ct:
-                    sup = fan.cone_index(tuple(sorted(ct + (r,))))
-                    gid = self.face_index[(sup, s)]
-                    covers[did].append((gid, self.face_sign(gid, did)))
+            for pos, r in enumerate(free):
+                gid = self.face_index[(index[tuple(sorted(ct + (r,)))], s)]
+                covers[did].append((gid, _cover_sign(pos, True)))
         cofaces = [[] for _ in self.faces]
         for did, lst in enumerate(covers):
             for gid, sign in lst:
@@ -118,46 +131,16 @@ class Compactification:
 
     def face_sign(self, gid, did):
         """Incidence sign of a covering pair gamma below delta."""
-        key = (gid, did)
-        if key in self._sign_cache:
-            return self._sign_cache[key]
-        tg, sg = self.faces[gid]
-        td, sd = self.faces[did]
-        if self.dim(gid) + 1 != self.dim(did) or not self.is_subface(gid, did):
+        if self.dims[gid] + 1 != self.dims[did] or not self.is_subface(gid, did):
             raise ValueError("not a covering pair")
-        if tg == td:
-            sign = self._sign_same_sedentarity(tg, sg, sd)
-        elif sg == sd:
-            sign = self._sign_sedentarity_drop(td, tg, sg)
-        else:
-            raise ValueError("not a covering pair")
-        self._sign_cache[key] = sign
-        return sign
-
-    def _sign_same_sedentarity(self, t, s_small, s_big):
-        # modulo the tangent lattice of (t, s_small), which the wedge with
-        # its multivector kills, the projected extra ray of s_big is a
-        # positive multiple of the normal generator
-        fan = self.fan
-        star = fan.star(t)
-        extra = next(i for i in fan.cones[s_big] if i not in fan.cones[s_small])
-        normal = vecmat(fan.rays[extra], star.proj)
-        k = len(fan.cones[s_small]) - len(fan.cones[t])
-        w = exterior.wedge_coords(normal, 1, fan.nu_face(t, s_small), k, star.quotient_rank)
-        return _sign(fan, fan.varpi_face(t, s_big, w), (t, s_small), (t, s_big))
-
-    def _sign_sedentarity_drop(self, t_small, t_big, s):
-        # gamma = (t_big, s) is covered by delta = (t_small, s), t_small below t_big.
-        # The face multivector of (t_small, t_small + (s - t_big)) projects
-        # onto that of gamma; any two lifts differ by a multivector
-        # divisible by e_cls, which the wedge with e_cls kills.
-        fan = self.fan
-        _, e_cls = fan.unit_normal(t_small, t_big)
-        k = len(fan.cones[s]) - len(fan.cones[t_big])
-        rest = fan.cone_index(fan.cones[t_small] + tuple(i for i in fan.cones[s] if i not in fan.cones[t_big]))
-        lift = fan.nu_face(t_small, rest)
-        w = exterior.wedge_coords(e_cls, 1, lift, k, fan.star(t_small).quotient_rank)
-        return -_sign(fan, fan.varpi_face(t_small, s, w), (t_big, s), (t_small, s))
+        cones = self.fan.cones
+        (tg, sg), (td, sd) = self.faces[gid], self.faces[did]
+        free = [r for r in cones[sd] if r not in cones[td]]
+        # exactly one of tau and sigma differs, by one ray
+        drop = tg != td
+        sets = self._cone_sets
+        (r,) = sets[tg] - sets[td] if drop else sets[sd] - sets[sg]
+        return _cover_sign(free.index(r), drop)
 
     def tangent_lattice(self, fid):
         """Basis of the face tangent lattice in star(sedentarity) coordinates."""
@@ -169,12 +152,13 @@ class Compactification:
         return self._tangent[fid]
 
 
-def _sign(fan, c, gamma, delta):
-    """Sign of an orientation coefficient of gamma in delta, both (tau, sigma) cone-index pairs."""
-    if c == 0:
-        names = [tuple(fan.cones[i] for i in face) for face in (gamma, delta)]
-        raise AssertionError(f"degenerate incidence of face {names[0]} in face {names[1]}")
-    return 1 if c > 0 else -1
+def _cover_sign(pos, drop):
+    """Incidence sign of a cover whose ray r has ``pos`` rays of sigma minus tau below it.
+
+    (tau, sigma) is the upper face; ``drop`` marks a sedentarity drop.
+    """
+    sign = -1 if pos % 2 else 1
+    return -sign if drop else sign
 
 
 def comp_faces(fan):

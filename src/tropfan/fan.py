@@ -193,10 +193,20 @@ class Fan:
         return self._cofaces[cone_idx]
 
     def cones_containing(self, cone_idx):
-        """Indices of the cones having cone_idx as a face, in index order."""
+        """Indices of the cones having cone_idx as a face, in index order.
+
+        Found by walking up-covers, which reach every such cone in a
+        face-closed fan.
+        """
         if cone_idx not in self._containing:
-            c = set(self.cones[cone_idx])
-            self._containing[cone_idx] = [j for j, d in enumerate(self.cones) if c.issubset(d)]
+            seen = {cone_idx}
+            stack = [cone_idx]
+            while stack:
+                for j in self.covered_by(stack.pop()):
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            self._containing[cone_idx] = sorted(seen)
         return self._containing[cone_idx]
 
     def join(self, i, j):
@@ -363,6 +373,10 @@ def _build_star(fan, cone_idx):
         return StarData(cone_idx, n, ident, ident, fan, cone_map, dict(cone_map))
     B = fan.cone_lattice(cone_idx).basis
     res = zlinalg._snf(B)
+    # the checks the orientation rests on: compactify reads its signs off
+    # the ray order, which orients only wedges of independent projected rays
+    if len(res.divisors) < k:
+        raise AssertionError(f"cone {cone} has dependent rays")
     if res.divisors != (1,) * k:
         raise AssertionError(f"cone lattice of cone {cone} is not saturated: divisors {res.divisors}")
     m = n - k
@@ -372,17 +386,15 @@ def _build_star(fan, cone_idx):
     containing = fan.cones_containing(cone_idx)
     cone_set = set(cone)
     # star rays are indexed by the covers of the cone, sorted by extra ray
-    covers = sorted(
-        (c for c in containing if len(fan.cones[c]) == k + 1),
-        key=lambda c: fan.cones[c],
-    )
+    covers = sorted(fan.covered_by(cone_idx), key=lambda c: fan.cones[c])
     star_rays = []
     ray_of_cover = {}
     for s, c in enumerate(covers):
         extra = next(i for i in fan.cones[c] if i not in cone_set)
         img = vecmat(fan.rays[extra], proj)
         prim, g = _primitive(img)
-        assert g > 0, "projected ray collapses"
+        if g == 0:
+            raise AssertionError(f"ray {extra} of cone {fan.cones[c]} collapses in the star of cone {cone}: dependent rays")
         star_rays.append(prim)
         ray_of_cover[c] = s
     extra_to_star = {}

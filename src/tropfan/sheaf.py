@@ -7,6 +7,14 @@ the cones containing sigma with the same sedentarity.  Bases are kept
 in HNF over the fixed wedge-monomial ordering of the star basis of
 N^tau, so every map in this module is an explicit integer matrix.
 
+Bases are built from the top of the face poset down.  When sigma is
+maximal the generators are the p-fold wedges of the face's tangent
+basis; otherwise SF_p(tau, sigma) is the sum of SF_p(tau, sigma') over
+the cones sigma' covering sigma, since every maximal cone above sigma
+lies above one of them.  A lattice has one reduced HNF basis, so the
+HNF of the concatenated bases above is the HNF of all the wedges, and
+each wedge is taken once per maximal face.
+
 SF^p, the dual, is represented by value vectors on the HNF basis of
 SF_p; it is never materialized as a sublattice of an ambient dual
 space.  Restrictions along face inclusions, their dual transports, and
@@ -35,23 +43,18 @@ def basis(comp, fid, p):
         return cache[key]
     fan = comp.fan
     t, s = comp.faces[fid]
-    star = fan.star(t)
-    m = star.quotient_rank
+    m = fan.star(t).quotient_rank
     if p == 0:
         rows = ((1,),)
     elif p < 0 or p > m:
         rows = ()
     else:
-        gens = []
-        # the maximal cones suffice: every other tangent lattice lies in that of one above it
-        for eta in fan.cones_containing(s):
-            if eta not in fan.maximal:
-                continue
-            tangent = comp.tangent_lattice(comp.face_index[(t, eta)]).basis.row_tuples()
-            if len(tangent) < p:
-                continue
-            for subset in itertools.combinations(tangent, p):
-                gens.append(exterior.wedge_rows(list(subset), m))
+        above = fan.covered_by(s)
+        if above:
+            gens = [row for eta in above for row in basis(comp, comp.face_index[(t, eta)], p)]
+        else:
+            tangent = comp.tangent_lattice(fid).basis.row_tuples()
+            gens = [exterior.wedge_rows(list(subset), m) for subset in itertools.combinations(tangent, p)]
         rows = tuple(
             tuple(r) for r in zlinalg.hnf_basis(gens, exterior.dim(m, p))
         )
@@ -91,6 +94,9 @@ def restriction(comp, p, gid, did):
     Same-sedentarity inclusions embed, sedentarity drops project; the
     general case composes both.  Rows are indexed by the basis of
     SF_p(delta), entries are coordinates over the basis of SF_p(gamma).
+    The block depends only on the two bases, plus the transition
+    (t_delta, t_gamma, p) for a sedentarity drop, so it is solved once
+    per distinct such content.
     """
     cache = comp.sheaf_restriction
     key = (p, gid, did)
@@ -98,6 +104,20 @@ def restriction(comp, p, gid, did):
         return cache[key]
     if not comp.is_subface(gid, did):
         raise ValueError("not an incident pair")
+    tg, _ = comp.faces[gid]
+    td, _ = comp.faces[did]
+    content = (basis(comp, did, p), basis(comp, gid, p))
+    if td != tg:
+        content += (td, tg, p)
+    blocks = comp.sheaf_blocks
+    M = blocks.get(content)
+    if M is None:
+        M = blocks[content] = _solve_restriction(comp, p, gid, did)
+    cache[key] = M
+    return M
+
+
+def _solve_restriction(comp, p, gid, did):
     fan = comp.fan
     tg, _ = comp.faces[gid]
     td, _ = comp.faces[did]
@@ -122,18 +142,23 @@ def restriction(comp, p, gid, did):
                 f"restriction of SF_{p} from face {did} to face {gid} is not integral over the target basis"
             )
         rows.append(c)
-    M = IntMatrix._trusted_rows(rows, rank(comp, gid, p))
-    cache[key] = M = comp.sheaf_blocks.setdefault(M, M)
-    return M
+    return IntMatrix._trusted_rows(rows, rank(comp, gid, p))
 
 
 def dual_transport(comp, p, gid, did):
-    """Matrix of the dual map SF^p(gamma) -> SF^p(delta) acting on value rows."""
+    """Matrix of the dual map SF^p(gamma) -> SF^p(delta) acting on value rows.
+
+    The transpose of :func:`restriction`, taken once per distinct block.
+    """
     cache = comp.sheaf_dual
     key = (p, gid, did)
     if key not in cache:
-        M = restriction(comp, p, gid, did).transpose()
-        cache[key] = comp.sheaf_blocks.setdefault(M, M)
+        R = restriction(comp, p, gid, did)
+        duals = comp.sheaf_dual_blocks
+        T = duals.get(R)
+        if T is None:
+            T = duals[R] = R.transpose()
+        cache[key] = T
     return cache[key]
 
 

@@ -1,11 +1,19 @@
 import itertools
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
 from tropfan import exterior, zlinalg
-from tropfan.compactify import comp_faces
+from tropfan.compactify import Compactification, comp_faces
+from tropfan.fan import Fan
 from tropfan.homology import build_complex, compactification
 from tropfan.matroid import Matroid, bergman_fan
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class TestFaceCounts:
@@ -92,14 +100,85 @@ class TestFaceSign:
                 build_complex(comp, p, variant)
                 build_complex(fan, p, variant)
 
-    def test_degenerate_incidence_raises(self, cone2, monkeypatch):
-        comp = compactification(cone2)
-        monkeypatch.setattr(cone2, "varpi_face", lambda *args: 0)
-        z, r1, top = cone2.zero_cone, cone2.cone_index((0,)), cone2.cone_index((0, 1))
-        with pytest.raises(AssertionError, match=r"degenerate incidence of face \(\(\), \(0,\)\) in face \(\(\), \(0, 1\)\)"):
-            comp._sign_same_sedentarity(z, r1, top)
-        with pytest.raises(AssertionError, match=r"degenerate incidence of face \(\(0,\), \(0, 1\)\) in face \(\(\), \(0, 1\)\)"):
-            comp._sign_sedentarity_drop(z, r1, top)
+    def test_degenerate_incidence_raises(self):
+        # three rays in a plane (validate rejects the cone): the signs never
+        # look at the rays, so the star checks are what refuses to orient it,
+        # also under -O
+        code = (
+            "from tropfan.fan import Fan\n"
+            "from tropfan.homology import build_complex, compactification\n"
+            "fan = Fan.from_max_cones(2, [(1, 0), (0, 1), (1, 1)], [(0, 1, 2)])\n"
+            "try:\n"
+            "    for p in range(3):\n"
+            "        build_complex(compactification(fan), p)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        ).stdout
+        assert out.startswith("raised:") and "(0, 1, 2)" in out
+
+
+def _determinant_sign(comp, gid, did):
+    """The incidence sign as an orientation coefficient: the wedge of the
+    normal with gamma's face multivector, read against delta's."""
+    fan = comp.fan
+    (tg, sg), (td, sd) = comp.faces[gid], comp.faces[did]
+    if tg == td:
+        star = fan.star(td)
+        extra = next(i for i in fan.cones[sd] if i not in fan.cones[sg])
+        normal = zlinalg.vecmat(fan.rays[extra], star.proj)
+        k = len(fan.cones[sg]) - len(fan.cones[tg])
+        w = exterior.wedge_coords(normal, 1, fan.nu_face(tg, sg), k, star.quotient_rank)
+        flip = 1
+    else:
+        # a lift of gamma's multivector to star(t_delta), wedged with the unit normal
+        _, normal = fan.unit_normal(td, tg)
+        k = len(fan.cones[sd]) - len(fan.cones[tg])
+        rest = fan.cone_index(fan.cones[td] + tuple(i for i in fan.cones[sd] if i not in fan.cones[tg]))
+        w = exterior.wedge_coords(normal, 1, fan.nu_face(td, rest), k, fan.star(td).quotient_rank)
+        flip = -1
+    c = fan.varpi_face(td, sd, w)
+    assert c != 0
+    return flip if c > 0 else -flip
+
+
+def _reordered(fan, seed):
+    """The same fan with its rays renumbered and its maximal cones listed in a seeded order."""
+    rng = random.Random(seed)
+    new_index = list(range(len(fan.rays)))
+    rng.shuffle(new_index)
+    rays = [None] * len(new_index)
+    for i, ray in enumerate(fan.rays):
+        rays[new_index[i]] = ray
+    maximal = [[new_index[j] for j in fan.cones[c]] for c in sorted(fan.maximal)]
+    rng.shuffle(maximal)
+    return Fan.from_max_cones(fan.rank, rays, maximal)
+
+
+class TestSignOracle:
+    """The ray-order signs equal the determinant signs they replaced."""
+
+    UNIFORM = {"u44": (4, 4), "u53": (5, 3), "u63": (6, 3), "u54": (5, 4)}
+
+    @pytest.mark.parametrize("seed", [None, 17, 29])
+    @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4", "u44", "u53", "u63", "u54"])
+    def test_every_cover_matches_the_determinant(self, name, seed, request):
+        if name == "k4":
+            fan = request.getfixturevalue("k4_pair")[0]
+        elif name in self.UNIFORM:
+            fan = bergman_fan(Matroid.uniform(*self.UNIFORM[name]))[0]
+        else:
+            fan = request.getfixturevalue(name)
+        if seed is not None:
+            fan = _reordered(fan, seed)
+        comp = Compactification(fan)
+        pairs = list(comp.all_cover_pairs())
+        assert pairs
+        for gid, did, sign in pairs:
+            assert sign == comp.face_sign(gid, did) == _determinant_sign(comp, gid, did), (comp.faces[gid], comp.faces[did])
 
 
 def _solve_lift(fan, t, sigma, k, target):

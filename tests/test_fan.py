@@ -191,7 +191,7 @@ class TestStarFan:
             "    B = zlinalg.IntMatrix(L.rank, L.ambient_rank, [2 * e for e in L.basis.entries])\n"
             "    return zlinalg.Sublattice(L.ambient_rank, B)\n"
             "fan.Fan.cone_lattice = doubled\n"
-            f"sys.exit(cli.run(['cohomology', '--fan', {str(SRC.parent / 'fans' / 'p2.json')!r}, '--space', 'fan']))\n"
+            f"sys.exit(cli.run(['cohomology', '--fan', {str(SRC.parent / 'fans' / 'p2.json')!r}, '--space', 'comp']))\n"
         )
         res = subprocess.run(
             [sys.executable, "-O", "-c", code], capture_output=True, text=True,
@@ -199,6 +199,27 @@ class TestStarFan:
         )
         assert res.returncode == 3
         assert "cone lattice of cone (0,) is not saturated: divisors (2,)" in res.stderr
+
+    def test_dependent_rays_raise_under_optimize(self):
+        # three rays in a plane: the star of the cone reports dependent rays,
+        # and the star of a face names the ray that collapses there
+        code = (
+            "from tropfan.fan import Fan\n"
+            "fan = Fan.from_max_cones(2, [(1, 0), (0, 1), (1, 1)], [(0, 1, 2)])\n"
+            "for cone in ((0, 1, 2), (0, 1)):\n"
+            "    try:\n"
+            "        fan.star(fan.cone_index(cone))\n"
+            "    except AssertionError as exc:\n"
+            "        print('raised:', exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        ).stdout.splitlines()
+        assert out == [
+            "raised: cone (0, 1, 2) has dependent rays",
+            "raised: ray 2 of cone (0, 1, 2) collapses in the star of cone (0, 1): dependent rays",
+        ]
 
 
 def _poset_signature(fan):
