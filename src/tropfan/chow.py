@@ -38,7 +38,8 @@ class ChowClass:
         object.__setattr__(self, "vector", tuple(self.vector))
 
     def __add__(self, other):
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise ValueError(f"cannot add Chow classes of degrees {self.degree} and {other.degree}")
         return ChowClass(self.fan, self.degree, tuple(a + b for a, b in zip(self.vector, other.vector)))
 
     def scale(self, c):
@@ -290,7 +291,8 @@ def cycle_class(fan, w):
         fid = comp.face_index[(fan.zero_cone, s)]
         nu = fan.nu(s)
         coords = sheaf.coords_in(comp, fid, p, nu)
-        assert coords is not None
+        if coords is None:
+            raise AssertionError(f"the canonical multivector of cone {fan.cones[s]} leaves SF_{p} there")
         for i, c in enumerate(coords):
             if c:
                 vec[index[(fid, i)]] += value * c
@@ -311,7 +313,8 @@ def cocycle_to_chow(fan, cochain):
         values = cochain.value(fid)
         nu = fan.nu(s)
         coords = sheaf.coords_in(comp, fid, p, nu)
-        assert coords is not None
+        if coords is None:
+            raise AssertionError(f"the canonical multivector of cone {fan.cones[s]} leaves SF_{p} there")
         out.append(sum(v * c for v, c in zip(values, coords)))
     return ChowClass(fan, p, out)
 
@@ -344,7 +347,10 @@ def _ray_cocycle_values(fan, comp, ray):
         fid = comp.face_index[(sp, join)]
         _, e_cls = fan.unit_normal(sp, join)
         c = sheaf.coords_in(comp, fid, 1, e_cls)
-        assert c is not None, "unit normal leaves the coefficient lattice"
+        if c is None:
+            raise AssertionError(
+                f"the unit normal of cone {fan.cones[sp]} in {fan.cones[join]} leaves SF_1 there (ray {ray})"
+            )
         phi = zlinalg.primitive_cosolution(c)
         a.set_value(fid, phi)
     ahat = homol.coboundary(a)
@@ -361,7 +367,8 @@ def _ray_cocycle_values(fan, comp, ray):
         cur = b.value(gid)
         b.set_value(gid, tuple(x + sign * y for x, y in zip(cur, pushed)))
     result = a - b
-    assert homol.coboundary(result).is_zero(), "corrected ray cochain is not a cocycle"
+    if not homol.coboundary(result).is_zero():
+        raise AssertionError(f"the corrected cochain of ray {ray} is not a cocycle")
     return result.data
 
 
@@ -369,17 +376,34 @@ def chow_generator_cocycle(fan, cone_idx, coeff="Z"):
     """A cocycle representing the preimage of a Chow generator.
 
     For a ray this is :func:`ray_cocycle`; for higher-dimensional cones
-    the cup product of the ray cocycles in ray order.
+    the cup product of the ray cocycles in ray order, taken as the cup
+    of the leading face's cocycle with the last ray's.  The values are
+    built and checked once per compactification and cone; every call
+    returns a new cochain over a copy of them.
     """
+    comp = homol.compactification(fan)
     cone = fan.cones[cone_idx]
     if not cone:
-        comp = homol.compactification(fan)
         return homol.unit_cochain(comp)
-    result = None
-    for ray in cone:
-        piece = ray_cocycle(fan, ray)
-        result = piece if result is None else homol.cup(result, piece)
-    assert homol.coboundary(result).is_zero()
+    k = len(cone)
+    result = homol.Cochain(comp, k, k, dict(_generator_cocycle_values(fan, comp, cone_idx)))
     if coeff == "Z":
         result = result.map_integral()
     return result
+
+
+def _generator_cocycle_values(fan, comp, cone_idx):
+    memo = comp.generator_cocycles
+    if cone_idx not in memo:
+        cone = fan.cones[cone_idx]
+        last = ray_cocycle(fan, cone[-1])
+        if len(cone) == 1:
+            result = last
+        else:
+            k = len(cone) - 1
+            lead = homol.Cochain(comp, k, k, _generator_cocycle_values(fan, comp, fan.cone_index(cone[:-1])))
+            result = homol.cup(lead, last)
+        if not homol.coboundary(result).is_zero():
+            raise AssertionError(f"the generator cochain of cone {cone} is not a cocycle")
+        memo[cone_idx] = result.data
+    return memo[cone_idx]

@@ -70,8 +70,10 @@ class Compactification:
         self.sheaf_dual_blocks = {}
         self.sheaf_restriction = {}
         self.sheaf_dual = {}
-        # value dicts of the degree-one Chow cocycles by ray, filled by tropfan.chow
+        # value dicts of the degree-one Chow cocycles by ray, and of the Chow
+        # generator cocycles by cone, filled by tropfan.chow
         self.ray_cocycles = {}
+        self.generator_cocycles = {}
 
     def dim(self, fid):
         return self.dims[fid]

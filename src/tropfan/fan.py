@@ -442,10 +442,16 @@ def validate(fan, level="combinatorial"):
             sub = c[:j] + c[j + 1 :]
             if sub not in cone_set:
                 diags.add("closure", f"face {sub} of cone {c} is missing")
+    # a cone containing a flagged cone contains its first ray
+    with_ray = {}
+    for j, d in enumerate(fan.cones):
+        for r in d:
+            with_ray.setdefault(r, []).append(j)
     for i in fan.maximal:
-        for j, d in enumerate(fan.cones):
-            if j != i and set(fan.cones[i]) < set(d):
-                diags.add("maximal-flag", f"cone {fan.cones[i]} flagged maximal but contained in {d}")
+        c = fan.cones[i]
+        for j in with_ray.get(c[0], ()) if c else range(len(fan.cones)):
+            if j != i and set(c) < set(fan.cones[j]):
+                diags.add("maximal-flag", f"cone {c} flagged maximal but contained in {fan.cones[j]}")
     if level == "geometric" and diags.ok:
         diags.checked_geometric = True
         # faces of one simplicial cone have disjoint relative interiors,

@@ -17,7 +17,6 @@ nose.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -351,10 +350,8 @@ class Cochain:
 
     def vector(self, labels):
         """Row vector of the cochain over explicit (face, index) labels."""
-        out = []
-        for fid, i in labels:
-            out.append(self.value(fid)[i])
-        return tuple(out)
+        data = self.data
+        return tuple(data[fid][i] if fid in data else 0 for fid, i in labels)
 
     def map_integral(self):
         data = {fid: _integral(v, fid, self.p) for fid, v in self.data.items()}
@@ -388,45 +385,56 @@ def cup(a, b):
     The value on a face (tau, eta) sums, over intermediate cones sigma,
     the wedge of the restriction of a at (tau, sigma) with the pullback
     of b at (sigma, eta), weighted by the orientation coefficient of the
-    multivector decomposition of the face.
+    multivector decomposition of the face.  Only the pairs where both a
+    and b are nonzero contribute, so the sum walks the supports: each
+    nonzero value of a at (tau, sigma) meets each nonzero value of b at
+    (sigma, eta).
     """
     if a.comp is not b.comp:
         raise ValueError("cochains live on different compactifications")
     comp = a.comp
     fan = comp.fan
-    out = Cochain(comp, a.p + b.p, a.q + b.q)
-    for fid in comp.faces_of_dim(a.q + b.q):
-        t, eta = comp.faces[fid]
-        rank_out = sheaf.rank(comp, fid, a.p + b.p)
-        if rank_out == 0:
+    p = a.p + b.p
+    b_from = {}
+    for mid_b, bv in b.data.items():
+        if comp.dims[mid_b] == b.q and any(bv):
+            sigma, eta = comp.faces[mid_b]
+            b_from.setdefault(sigma, []).append((mid_b, eta, bv))
+    totals = {}
+    for mid_a, av in a.data.items():
+        if comp.dims[mid_a] != a.q or not any(av):
             continue
-        ct = set(fan.cones[t])
-        c_eta = fan.cones[eta]
-        total = [Fraction(0)] * rank_out
-        free = [r for r in c_eta if r not in ct]
-        for picked in itertools.combinations(free, a.q):
-            sigma = fan.cone_index(tuple(sorted(fan.cones[t] + picked)))
-            mid_a = comp.face_index[(t, sigma)]
-            mid_b = comp.face_index[(sigma, eta)]
-            av = a.data.get(mid_a, ())
-            bv = b.data.get(mid_b, ())
-            if not any(av) or not any(bv):
+        t, sigma = comp.faces[mid_a]
+        partners = b_from.get(sigma)
+        if partners is None:
+            continue
+        c_sigma = fan.cones[sigma]
+        nu_a = fan.nu_face(t, sigma)
+        m_t = fan.star(t).quotient_rank
+        for mid_b, eta, bv in partners:
+            fid = comp.face_index[(t, eta)]
+            rank_out = sheaf.rank(comp, fid, p)
+            if rank_out == 0:
                 continue
             # orientation coefficient: nu_face(t, t + (eta - sigma)) lifts
             # nu_face(sigma, eta) to star(t), and any two lifts differ by
             # multivectors divisible by the kernel, which nu_face(t, sigma) spans
-            rest = fan.cone_index(fan.cones[t] + tuple(r for r in free if r not in picked))
-            m_t = fan.star(t).quotient_rank
-            w = exterior.wedge_coords(fan.nu_face(t, sigma), a.q, fan.nu_face(t, rest), b.q, m_t)
+            rest = fan.cone_index(fan.cones[t] + tuple(r for r in fan.cones[eta] if r not in c_sigma))
+            w = exterior.wedge_coords(nu_a, a.q, fan.nu_face(t, rest), b.q, m_t)
             coefficient = fan.varpi_face(t, eta, w)
             if coefficient == 0:
                 continue
             a_here = _transport_dual(comp, a.p, mid_a, fid, av)
             b_here = _transport_dual(comp, b.p, mid_b, fid, bv)
             term = sheaf.wedge_duals(comp, fid, a.p, a_here, b.p, b_here)
+            total = totals.get(fid)
+            if total is None:
+                total = totals[fid] = [Fraction(0)] * rank_out
             for i, x in enumerate(term):
                 total[i] += coefficient * x
-        out.set_value(fid, total)
+    out = Cochain(comp, p, a.q + b.q)
+    for fid in sorted(totals):
+        out.set_value(fid, totals[fid])
     return out
 
 

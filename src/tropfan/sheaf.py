@@ -55,9 +55,9 @@ def basis(comp, fid, p):
         else:
             tangent = comp.tangent_lattice(fid).basis.row_tuples()
             gens = [exterior.wedge_rows(list(subset), m) for subset in itertools.combinations(tangent, p)]
-        rows = tuple(
-            tuple(r) for r in zlinalg.hnf_basis(gens, exterior.dim(m, p))
-        )
+        # the generators are int rows computed here: no re-coercion on the way in
+        H = zlinalg.hnf(IntMatrix._trusted_rows(gens, exterior.dim(m, p)))
+        rows = tuple(r for r in H.row_tuples() if any(r))
     cache[key] = rows
     return rows
 

@@ -1,9 +1,11 @@
 import json
 import pathlib
+import random
 
 import pytest
 
 from tropfan.cli import load_fan_data
+from tropfan.fan import Fan
 from tropfan.matroid import Matroid, bergman_fan
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -75,3 +77,22 @@ def u24_pair():
 def k4_pair():
     m = Matroid.graphic(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     return bergman_fan(m, name="k4")
+
+
+def _reordered(fan, seed):
+    """The same fan with its rays renumbered and its maximal cones listed in a seeded order."""
+    rng = random.Random(seed)
+    new_index = list(range(len(fan.rays)))
+    rng.shuffle(new_index)
+    rays = [None] * len(new_index)
+    for i, ray in enumerate(fan.rays):
+        rays[new_index[i]] = ray
+    maximal = [[new_index[j] for j in fan.cones[c]] for c in sorted(fan.maximal)]
+    rng.shuffle(maximal)
+    return Fan.from_max_cones(fan.rank, rays, maximal)
+
+
+@pytest.fixture(scope="session")
+def reordered():
+    """``reordered(fan, seed)``: the fan with seeded ray and cone numbering."""
+    return _reordered

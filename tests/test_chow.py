@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +25,8 @@ from tropfan.chow import (
 from tropfan.fan import TropicalWeights
 from tropfan.homology import ComplexGroups, build_complex, compactification, cup
 from tropfan.zlinalg import AbGroup, IntMatrix, LatticeQuotient
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class MonomialQuotient:
@@ -110,6 +116,12 @@ class TestMultiplication:
         sq = chow_multiply(p2, x1, x1)
         pres2 = chow_group(p2, 2)
         assert pres2.classes_equal(sq, pres2.generator(p2.cone_index((0, 2))))
+
+    def test_sum_of_mixed_degrees_rejected(self, p2):
+        x = chow_group(p2, 1).generator(p2.cone_index((0,)))
+        y = chow_group(p2, 2).generator(p2.cone_index((0, 1)))
+        with pytest.raises(ValueError, match="degrees 1 and 2"):
+            x + y
 
     def test_incomparable_rays_vanish(self, delta):
         pres = chow_group(delta, 1)
@@ -368,3 +380,26 @@ class TestPsiMaps:
         want = dict(a.data)
         a.data.clear()
         assert ray_cocycle(cube, ray).data == want
+
+    def test_corrupted_ray_cocycle_raises_under_optimize(self):
+        # the generator cocycles are checked once, when built, and the raise names the cone
+        code = (
+            "from tropfan.cli import load_fan_file\n"
+            "from tropfan.chow import chow_generator_cocycle, ray_cocycle\n"
+            "from tropfan.homology import compactification\n"
+            f"fan = load_fan_file({str(ROOT / 'fans' / 'cube.json')!r})[0]\n"
+            "comp = compactification(fan)\n"
+            "ray_cocycle(fan, 0)\n"
+            "values = comp.ray_cocycles[0]\n"
+            "fid = next(iter(values))\n"
+            "values[fid] = tuple(x + 1 for x in values[fid])\n"
+            "try:\n"
+            "    chow_generator_cocycle(fan, fan.cone_index((0, 1)))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        ).stdout
+        assert out.startswith("raised: the generator cochain of cone (0,) is not a cocycle")

@@ -1,7 +1,6 @@
 import itertools
 import os
 import pathlib
-import random
 import subprocess
 import sys
 
@@ -9,7 +8,6 @@ import pytest
 
 from tropfan import exterior, zlinalg
 from tropfan.compactify import Compactification, comp_faces
-from tropfan.fan import Fan
 from tropfan.homology import build_complex, compactification
 from tropfan.matroid import Matroid, bergman_fan
 
@@ -145,19 +143,6 @@ def _determinant_sign(comp, gid, did):
     return flip if c > 0 else -flip
 
 
-def _reordered(fan, seed):
-    """The same fan with its rays renumbered and its maximal cones listed in a seeded order."""
-    rng = random.Random(seed)
-    new_index = list(range(len(fan.rays)))
-    rng.shuffle(new_index)
-    rays = [None] * len(new_index)
-    for i, ray in enumerate(fan.rays):
-        rays[new_index[i]] = ray
-    maximal = [[new_index[j] for j in fan.cones[c]] for c in sorted(fan.maximal)]
-    rng.shuffle(maximal)
-    return Fan.from_max_cones(fan.rank, rays, maximal)
-
-
 class TestSignOracle:
     """The ray-order signs equal the determinant signs they replaced."""
 
@@ -165,7 +150,7 @@ class TestSignOracle:
 
     @pytest.mark.parametrize("seed", [None, 17, 29])
     @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4", "u44", "u53", "u63", "u54"])
-    def test_every_cover_matches_the_determinant(self, name, seed, request):
+    def test_every_cover_matches_the_determinant(self, name, seed, request, reordered):
         if name == "k4":
             fan = request.getfixturevalue("k4_pair")[0]
         elif name in self.UNIFORM:
@@ -173,7 +158,7 @@ class TestSignOracle:
         else:
             fan = request.getfixturevalue(name)
         if seed is not None:
-            fan = _reordered(fan, seed)
+            fan = reordered(fan, seed)
         comp = Compactification(fan)
         pairs = list(comp.all_cover_pairs())
         assert pairs

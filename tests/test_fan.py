@@ -44,6 +44,16 @@ class TestValidate:
         diags = validate(fan)
         assert any(f.code == "primitivity" for f in diags.findings)
 
+    def test_flagged_face_of_a_maximal_cone(self):
+        # the maximal list names the cone (0, 1) and its face (0,), then also the origin
+        rays = [(1, 0), (0, 1), (-1, -1)]
+        fan = Fan.from_max_cones(2, rays, [(0, 1), (0,), (1, 2)])
+        flags = [f.message for f in validate(fan).findings if f.code == "maximal-flag"]
+        assert flags == ["cone (0,) flagged maximal but contained in (0, 1)"]
+        fan = Fan.from_max_cones(2, rays, [(0, 1), ()])
+        flags = [f.message for f in validate(fan).findings if f.code == "maximal-flag"]
+        assert flags == [f"cone () flagged maximal but contained in {c}" for c in [(0,), (1,), (0, 1)]]
+
     def test_geometric_overlap(self):
         fan = Fan.from_max_cones(2, [(1, 0), (1, 2), (1, 1), (0, 1)], [(0, 1), (2, 3)])
         diags = validate(fan, "geometric")

@@ -1,15 +1,18 @@
+import itertools
 import os
 import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropfan import homology, sheaf, zlinalg
-from tropfan.fan import TropicalWeights
+from tropfan import exterior, homology, sheaf, zlinalg
+from tropfan.chow import chow_generator_cocycle, ray_cocycle
+from tropfan.fan import TropicalWeights, is_unimodular
 from tropfan.matroid import Matroid, bergman_fan
 from tropfan.homology import (
     Cochain,
@@ -539,6 +542,104 @@ class TestCupProduct:
         ba = cup(b, a).map_integral()
         # degree (1,1) classes commute on cohomology
         assert gr.class_of(2, ab.vector(labels)) == gr.class_of(2, ba.vector(labels))
+
+
+def _dense_cup(a, b):
+    """The cup product as a loop over every face of the output dimension.
+
+    For each face (t, eta) it tries every sigma between them with
+    |sigma| - |t| = a.q and adds the terms where a at (t, sigma) and b at
+    (sigma, eta) are both nonzero; :func:`~tropfan.homology.cup` walks
+    the supports instead.
+    """
+    comp = a.comp
+    fan = comp.fan
+    out = Cochain(comp, a.p + b.p, a.q + b.q)
+    for fid in comp.faces_of_dim(a.q + b.q):
+        t, eta = comp.faces[fid]
+        rank_out = sheaf.rank(comp, fid, a.p + b.p)
+        if rank_out == 0:
+            continue
+        free = [r for r in fan.cones[eta] if r not in fan.cones[t]]
+        total = [Fraction(0)] * rank_out
+        for picked in itertools.combinations(free, a.q):
+            sigma = fan.cone_index(fan.cones[t] + picked)
+            mid_a = comp.face_index[(t, sigma)]
+            mid_b = comp.face_index[(sigma, eta)]
+            av = a.data.get(mid_a, ())
+            bv = b.data.get(mid_b, ())
+            if not any(av) or not any(bv):
+                continue
+            rest = fan.cone_index(fan.cones[t] + tuple(r for r in free if r not in picked))
+            m_t = fan.star(t).quotient_rank
+            w = exterior.wedge_coords(fan.nu_face(t, sigma), a.q, fan.nu_face(t, rest), b.q, m_t)
+            coefficient = fan.varpi_face(t, eta, w)
+            a_here = homology._transport_dual(comp, a.p, mid_a, fid, av)
+            b_here = homology._transport_dual(comp, b.p, mid_b, fid, bv)
+            term = sheaf.wedge_duals(comp, fid, a.p, a_here, b.p, b_here)
+            for i, x in enumerate(term):
+                total[i] += coefficient * x
+        out.set_value(fid, total)
+    return out
+
+
+_UNIFORM = {"u53": (5, 3), "u63": (6, 3), "u44": (4, 4)}
+
+
+def _oracle_fan(name, request):
+    if name == "k4":
+        return request.getfixturevalue("k4_pair")[0]
+    if name in _UNIFORM:
+        return bergman_fan(Matroid.uniform(*_UNIFORM[name]))[0]
+    return request.getfixturevalue(name)
+
+
+class TestCupOracle:
+    """The support walk of cup equals the dense face loop it replaced."""
+
+    @pytest.mark.parametrize("seed", [None, 23])
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u53", "u63"])
+    def test_generator_cups_match_the_dense_loop(self, name, seed, request, reordered):
+        fan = _oracle_fan(name, request)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        comp = compactification(fan)
+        # generator cocycles exist on unimodular fans; seeded cochains of every bidegree run everywhere
+        cochains = [chow_generator_cocycle(fan, s, "Q") for s in range(len(fan.cones))] if is_unimodular(fan)[1] else []
+        rng = random.Random(11)
+        cochains += [random_cochain(comp, p, q, rng) for p in range(fan.dim + 1) for q in range(fan.dim + 1)]
+        pairs = 0
+        for a in cochains:
+            for b in cochains:
+                if a.q + b.q > fan.dim:
+                    continue
+                got, want = cup(a, b).data, _dense_cup(a, b).data
+                # the same values, set in face-id order
+                assert list(got.items()) == list(want.items()), ((a.p, a.q), (b.p, b.q))
+                pairs += 1
+        assert pairs > len(cochains)
+
+    @pytest.mark.parametrize("seed", [None, 23])
+    @pytest.mark.parametrize("name", ["p2", "cube", "k4", "u44"])
+    def test_generator_cocycles_are_the_left_fold_of_ray_cups(self, name, seed, request, reordered):
+        fan = _oracle_fan(name, request)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        for s, cone in enumerate(fan.cones):
+            if not cone:
+                continue
+            fold = ray_cocycle(fan, cone[0])
+            for r in cone[1:]:
+                fold = cup(fold, ray_cocycle(fan, r))
+            assert chow_generator_cocycle(fan, s, "Q").data == fold.data, cone
+            want = fold.map_integral().data
+            got = chow_generator_cocycle(fan, s)
+            assert got.data == want, cone
+            # a caller's changes stay with its copy
+            fid, values = next(iter(got.data.items()))
+            got.set_value(fid, (0,) * len(values))
+            got.data[-1] = (7,)
+            assert chow_generator_cocycle(fan, s).data == want, cone
 
 
 class TestFundamentalAndCap:
