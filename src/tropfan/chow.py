@@ -306,17 +306,30 @@ def cocycle_to_chow(fan, cochain):
     comp = cochain.comp
     if not homol.coboundary(cochain).is_zero():
         raise ValueError("input cochain is not a cocycle")
-    p = cochain.q
+    data = cochain.data
     out = []
-    for s in fan.cones_of_dim(p):
-        fid = comp.face_index[(fan.zero_cone, s)]
-        values = cochain.value(fid)
-        nu = fan.nu(s)
-        coords = sheaf.coords_in(comp, fid, p, nu)
-        if coords is None:
-            raise AssertionError(f"the canonical multivector of cone {fan.cones[s]} leaves SF_{p} there")
-        out.append(sum(v * c for v, c in zip(values, coords)))
-    return ChowClass(fan, p, out)
+    for fid, coords in _chow_coords(fan, comp, cochain.q):
+        values = data.get(fid)
+        out.append(sum(v * c for v, c in zip(values, coords)) if values is not None else 0)
+    return ChowClass(fan, cochain.q, out)
+
+
+def _chow_coords(fan, comp, p):
+    """The face (0, s) and the coordinates of nu(s) over SF_p there, per p-cone s.
+
+    Solved once per compactification and p.
+    """
+    cache = comp.chow_coords
+    if p not in cache:
+        rows = []
+        for s in fan.cones_of_dim(p):
+            fid = comp.face_index[(fan.zero_cone, s)]
+            coords = sheaf.coords_in(comp, fid, p, fan.nu(s))
+            if coords is None:
+                raise AssertionError(f"the canonical multivector of cone {fan.cones[s]} leaves SF_{p} there")
+            rows.append((fid, coords))
+        cache[p] = tuple(rows)
+    return cache[p]
 
 
 def ray_cocycle(fan, ray):

@@ -55,6 +55,9 @@ class Compactification:
         self._by_dim = {}
         for fid, q in enumerate(self.dims):
             self._by_dim.setdefault(q, []).append(fid)
+        self._by_sedentarity = [[] for _ in fan.cones]
+        for fid, (t, _) in enumerate(faces):
+            self._by_sedentarity[t].append(fid)
         self._cone_sets = tuple(frozenset(c) for c in fan.cones)
         self._covers = None
         self._cofaces = None
@@ -74,6 +77,9 @@ class Compactification:
         # generator cocycles by cone, filled by tropfan.chow
         self.ray_cocycles = {}
         self.generator_cocycles = {}
+        # by p: (face id of (0, s), coordinates of nu(s) over SF_p there) for the
+        # p-cones s in index order, filled by tropfan.chow.cocycle_to_chow
+        self.chow_coords = {}
 
     def dim(self, fid):
         return self.dims[fid]
@@ -81,6 +87,17 @@ class Compactification:
     def faces_of_dim(self, q):
         """Face ids of dimension q, in index order."""
         return self._by_dim.get(q, [])
+
+    def closed_stratum(self, tau):
+        """Face ids of D_tau = {(t, s) : tau a face of t}, in index order.
+
+        D_tau is the closure of the stratum at infinity in the direction
+        of tau.  It is closed under taking faces, and it is the canonical
+        compactification of the star of tau: (t, s) is the face
+        (t / tau, s / tau) there, of the same dimension.
+        """
+        by_sed = self._by_sedentarity
+        return sorted(fid for t in self.fan.cones_containing(tau) for fid in by_sed[t])
 
     def is_subface(self, gid, did):
         """Face order: (tg, sg) below (td, sd) iff td < tg < sg < sd in the fan."""

@@ -55,9 +55,43 @@ class GradedComplex:
     step: int
     spaces: dict
     maps: dict
+    # face id -> (degree, positions of its cells there), built by the first restrict
+    _cells: dict = field(default=None, init=False, repr=False, compare=False)
 
     def dim(self, q):
         return len(self.spaces.get(q, ()))
+
+    def restrict(self, face_ids):
+        """The complex of a set of faces closed under taking faces.
+
+        Its cells are those of the given faces, in the order they have
+        here, and each differential is the block of the rows and columns
+        of those cells.  That block is the differential of the
+        subcomplex: the set holds every face that one of its faces
+        covers, so neither a boundary nor a coboundary evaluated on the
+        set reaches a face outside it.
+        """
+        if self._cells is None:
+            self._cells = {}
+            for q, labs in self.spaces.items():
+                for k, (fid, _) in enumerate(labs):
+                    self._cells.setdefault(fid, (q, []))[1].append(k)
+        keep = {}
+        for fid in sorted(face_ids):
+            q, positions = self._cells.get(fid, (None, ()))
+            if positions:
+                keep.setdefault(q, []).extend(positions)
+        where = {q: {old: new for new, old in enumerate(olds)} for q, olds in keep.items()}
+        spaces = {}
+        maps = {}
+        for q, olds in keep.items():
+            labs, data = self.spaces[q], self.map_out(q).data
+            target = where.get(q + self.step, {})
+            spaces[q] = tuple(labs[old] for old in olds)
+            # the renumbering keeps the column order the unit-pivot reductions read
+            rows = tuple({target[c]: e for c, e in data[old].items() if c in target} for old in olds)
+            maps[q] = SparseMatrix(len(olds), len(target), rows)
+        return GradedComplex(self.comp, self.p, self.variant, self.coeff, self.step, spaces, maps)
 
     def map_out(self, q):
         if q in self.maps:

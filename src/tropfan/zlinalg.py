@@ -300,15 +300,21 @@ def _snf(M, ncols=None):
 
     t = 0
     while t < m and t < n:
-        # locate minimal-absolute-value nonzero pivot in the trailing block
+        # locate the first minimal-absolute-value nonzero pivot in the
+        # trailing block, row by row; a unit is minimal, so stop at the first
         pivot = None
         best = None
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                v = abs(a[i][j])
+                v = abs(row[j])
                 if v and (best is None or v < best):
                     best = v
                     pivot = (i, j)
+                    if v == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -333,19 +339,13 @@ def _snf(M, ncols=None):
                     dirty = True
         if dirty:
             continue
-        # enforce divisibility of the remaining block by the pivot
+        # enforce divisibility of the remaining block by the pivot; a unit divides every entry
         p = a[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % p != 0:
-                    offender = i
-                    break
+        if p != 1 and p != -1:
+            offender = next((i for i in range(t + 1, m) if any(a[i][j] % p for j in range(t + 1, n))), None)
             if offender is not None:
-                break
-        if offender is not None:
-            _add_row(a, t, offender, 1)
-            continue
+                _add_row(a, t, offender, 1)
+                continue
         t += 1
 
     for i in range(min(m, n)):

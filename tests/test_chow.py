@@ -291,6 +291,18 @@ class TestCycleClass:
             assert zlinalg.snf(mat).divisors == (1,) * len(basis)
 
 
+def _solved_chow(fan, cochain):
+    """``cocycle_to_chow`` with a ``coords_in`` solve per cone and call: the oracle of its cached coordinates."""
+    comp = cochain.comp
+    p = cochain.q
+    out = []
+    for s in fan.cones_of_dim(p):
+        fid = comp.face_index[(fan.zero_cone, s)]
+        coords = sheaf.coords_in(comp, fid, p, fan.nu(s))
+        out.append(sum(v * c for v, c in zip(cochain.value(fid), coords)))
+    return ChowClass(fan, p, out)
+
+
 class TestPsiMaps:
     @pytest.mark.parametrize("name", ["p2", "cone2", "u23", "cube"])
     def test_round_trip_all_generators(self, name, request):
@@ -362,6 +374,28 @@ class TestPsiMaps:
         pres2 = chow_group(p2, 2)
         got = cocycle_to_chow(p2, cup(a, b))
         assert pres2.classes_equal(got, pres2.generator(p2.cone_index((0, 1))))
+
+    @pytest.mark.parametrize("name", ["p2", "delta", "cube", "u23", "k4_pair"])
+    def test_cached_coordinates_match_a_solve_per_call(self, name, request):
+        from tropfan.chow import ray_cocycle
+
+        fan = request.getfixturevalue(name)
+        if name == "k4_pair":
+            fan = fan[0]
+        cocycles = [chow_generator_cocycle(fan, s) for s in range(len(fan.cones))]
+        rays = [fan.cones[r][0] for r in fan.cones_of_dim(1)]
+        cocycles += [cup(ray_cocycle(fan, a), ray_cocycle(fan, b)) for a in rays for b in rays if a <= b]
+        for a in cocycles:
+            assert cocycle_to_chow(fan, a) == _solved_chow(fan, a), (a.p, a.q)
+
+    def test_coordinates_leaving_the_lattice_raise_when_cached(self, monkeypatch):
+        from tropfan.cli import load_fan_file
+
+        fan = load_fan_file(str(ROOT / "fans" / "cube.json"))[0]
+        a = chow_generator_cocycle(fan, fan.cone_index((0,)))
+        monkeypatch.setattr(sheaf, "coords_in", lambda *args: None)
+        with pytest.raises(AssertionError, match=r"canonical multivector of cone \(0,\) leaves SF_1"):
+            cocycle_to_chow(fan, a)
 
     @pytest.mark.parametrize("coeff", ["Z", "Q"])
     def test_returned_cocycles_are_not_shared(self, cube, coeff):

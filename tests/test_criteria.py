@@ -90,6 +90,43 @@ class TestManifoldCheck:
         assert homology_manifold_check(fan, w).ok
 
 
+def _per_star_manifold_faces(fan, weights, coeff):
+    """``homology_manifold_check(...).per_face`` from each star's own compactification: the oracle of the strata."""
+    results = {}
+    for cone_idx in range(len(fan.cones)):
+        star = fan.star(cone_idx)
+        sub = star.fan
+        pd = chow_pd_check(sub, star.induced_weights(weights), coeff)
+        bad_cells = []
+        comp = compactification(sub)
+        for p in range(sub.dim + 1):
+            gs = homology.ComplexGroups(homology.build_complex(comp, p, "cohomology", coeff))
+            for q in range(p):
+                g = gs.group(q)
+                if not g.is_trivial:
+                    bad_cells.append((p, q, str(g)))
+        results[fan.cones[cone_idx]] = {"pd": pd, "vanishing_failures": bad_cells, "ok": pd.ok and not bad_cells}
+    return results
+
+
+class TestManifoldStrata:
+    @pytest.mark.parametrize("coeff", ["Z", "Q"])
+    @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4", "u53"])
+    def test_per_face_matches_the_per_star_check(self, name, coeff, request):
+        if name == "k4":
+            fan, weights = request.getfixturevalue("k4_pair")
+        elif name == "u53":
+            fan, weights = bergman_fan(Matroid.uniform(5, 3))
+        else:
+            fan, weights = request.getfixturevalue(name), None
+        want = _per_star_manifold_faces(fan, weights or TropicalWeights.unit(fan), coeff)
+        rep = homology_manifold_check(fan, weights, coeff)
+        assert list(rep.per_face.items()) == list(want.items())
+        assert rep.ok == all(r["ok"] for r in want.values())
+        if name == "cube":
+            assert any(r["vanishing_failures"] for r in want.values())
+
+
 class TestManifoldConsequences:
     def test_poincare_symmetric_tables(self, k4_pair):
         # a homology manifold has symmetric cohomology/homology tables

@@ -583,7 +583,7 @@ def _dense_cup(a, b):
     return out
 
 
-_UNIFORM = {"u53": (5, 3), "u63": (6, 3), "u44": (4, 4)}
+_UNIFORM = {"u53": (5, 3), "u63": (6, 3), "u44": (4, 4), "u54": (5, 4)}
 
 
 def _oracle_fan(name, request):
@@ -640,6 +640,60 @@ class TestCupOracle:
             got.set_value(fid, (0,) * len(values))
             got.data[-1] = (7,)
             assert chow_generator_cocycle(fan, s).data == want, cone
+
+
+class TestStratumSlices:
+    """The closed stratum of a cone cuts the star's complexes out of the fan's."""
+
+    @pytest.mark.parametrize("seed", [None, 23])
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u53"])
+    def test_closed_stratum_is_the_face_closed_set_above_the_cone(self, name, seed, request, reordered):
+        fan = _oracle_fan(name, request)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        comp = compactification(fan)
+        for tau, cone in enumerate(fan.cones):
+            stratum = comp.closed_stratum(tau)
+            assert stratum == [fid for fid, (t, _) in enumerate(comp.faces) if set(cone) <= set(fan.cones[t])]
+            inside = set(stratum)
+            assert all(gid in inside for did in stratum for gid, _ in comp.covers_of(did)), cone
+
+    @pytest.mark.parametrize("seed", [None, 23])
+    @pytest.mark.parametrize("coeff", ["Z", "Q"])
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u53", "u63", "u54"])
+    def test_slices_have_the_groups_of_the_compactified_stars(self, name, coeff, seed, request, reordered):
+        fan = _oracle_fan(name, request)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        comp = compactification(fan)
+        complexes = [build_complex(comp, p, "cohomology", coeff) for p in range(fan.dim + 1)]
+        for tau, cone in enumerate(fan.cones):
+            star = fan.star(tau).fan
+            stratum = comp.closed_stratum(tau)
+            for p in range(star.dim + 1):
+                sliced = ComplexGroups(complexes[p].restrict(stratum))
+                own = ComplexGroups(build_complex(compactification(star), p, "cohomology", coeff))
+                for q in range(fan.dim + 1):
+                    assert sliced.group(q) == own.group(q), (cone, p, q)
+
+    def test_restrict_keeps_the_rows_and_columns_of_the_faces(self, cube):
+        comp = compactification(cube)
+        gc = build_complex(comp, 1, "cohomology")
+        stratum = comp.closed_stratum(cube.cone_index((0,)))
+        sliced = gc.restrict(stratum)
+        inside = set(stratum)
+        for q, labs in gc.spaces.items():
+            kept = [k for k, (fid, _) in enumerate(labs) if fid in inside]
+            assert sliced.spaces.get(q, ()) == tuple(labs[k] for k in kept)
+            if not kept:
+                continue
+            cols = [k for k, (fid, _) in enumerate(gc.spaces.get(q + 1, ())) if fid in inside]
+            want = [[gc.maps[q].data[r].get(c, 0) for c in cols] for r in kept]
+            assert dense(sliced.maps[q]).row_list() == want, q
+        assert sliced.check_dd_zero()
+        # every face: the complex itself
+        whole = gc.restrict(range(len(comp.faces)))
+        assert whole.spaces == gc.spaces and whole.maps == gc.maps
 
 
 class TestFundamentalAndCap:

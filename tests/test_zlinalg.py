@@ -339,6 +339,114 @@ class TestSmithWithoutLeftTransform:
             assert q.group == AbGroup(R.cols) and q.class_of(vec) == vec
 
 
+def _full_scan_snf(M, ncols=None):
+    """``_snf`` as it was before its pivot search stopped at the first unit: the oracle below."""
+    m = M.rows
+    n = M.cols if ncols is None else ncols
+    a = M.row_list()
+    V = zlinalg._identity_rows(n)
+    Vinv = zlinalg._identity_rows(n)
+
+    def col_op(i, j, k):
+        zlinalg._add_col(a, i, j, k)
+        zlinalg._add_col(V, i, j, k)
+        zlinalg._add_row(Vinv, j, i, -k)
+
+    def col_swap(i, j):
+        zlinalg._swap_cols(a, i, j)
+        zlinalg._swap_cols(V, i, j)
+        zlinalg._swap_rows(Vinv, i, j)
+
+    t = 0
+    while t < m and t < n:
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best = v
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            zlinalg._swap_rows(a, pi, t)
+        if pj != t:
+            col_swap(pj, t)
+        dirty = False
+        for i in range(m):
+            if i != t and a[i][t] != 0:
+                q = a[i][t] // a[t][t]
+                zlinalg._add_row(a, i, t, -q)
+                if a[i][t] != 0:
+                    dirty = True
+        for j in range(n):
+            if j != t and a[t][j] != 0:
+                q = a[t][j] // a[t][t]
+                col_op(j, t, -q)
+                if a[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        p = a[t][t]
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if a[i][j] % p != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            zlinalg._add_row(a, t, offender, 1)
+            continue
+        t += 1
+
+    for i in range(min(m, n)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+    return (
+        IntMatrix._trusted_rows([r[n:] for r in a], M.cols - n),
+        IntMatrix._trusted_rows([r[:n] for r in a], n),
+        IntMatrix._trusted_rows(V, n),
+        IntMatrix._trusted_rows(Vinv, n),
+    )
+
+
+def unit_heavy_matrices(max_dim=6):
+    """Matrices of up to max_dim rows and columns (either may be 0), mostly +-1 with some zeros and larger entries."""
+    entry = st.sampled_from([1, -1] * 4 + [0] * 3 + [2, -2, 3, 5, -6])
+    return st.integers(0, max_dim).flatmap(
+        lambda m: st.integers(0, max_dim).flatmap(
+            lambda n: st.lists(
+                st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m
+            ).map(lambda rows: IntMatrix(m, n, [x for r in rows for x in r]))
+        )
+    )
+
+
+class TestSmithPivotSearch:
+    """Stopping the pivot search at the first unit keeps the pivot the full scan keeps."""
+
+    @given(st.one_of(unit_heavy_matrices(), sparse_unit_matrices(), matrices(min_dim=0)))
+    @settings(max_examples=400, deadline=None)
+    def test_same_forms_as_the_full_scan(self, M):
+        res = zlinalg._snf(M)
+        assert (res.U, res.D, res.V, res.Vinv) == _full_scan_snf(M)
+        # with the identity carried, as snf reads the left transform
+        carried = IntMatrix._trusted_rows(zlinalg._with_identity(M.row_tuples()), M.cols + M.rows)
+        res = zlinalg._snf(carried, M.cols)
+        assert (res.U, res.D, res.V, res.Vinv) == _full_scan_snf(carried, M.cols)
+
+    def test_empty_shapes(self):
+        for m, n in ((0, 0), (0, 3), (3, 0)):
+            M = IntMatrix(m, n, [])
+            res = zlinalg._snf(M)
+            assert (res.U, res.D, res.V, res.Vinv) == _full_scan_snf(M)
+            assert res.divisors == ()
+
+
 class TestRationalElimination:
     @given(matrices(), st.lists(st.integers(-9, 9), min_size=4, max_size=4), st.booleans())
     @settings(max_examples=200, deadline=None)
