@@ -92,21 +92,78 @@ FUNCTION_SCHEMA = {
 }
 
 
-def _compiled(schema):
-    """A validator for ``schema``, built once; the schemas are checked by the tests."""
-    return jsonschema.validators.validator_for(schema)(schema)
-
-
-_FAN_VALIDATOR = _compiled(FAN_SCHEMA)
-_MATROID_VALIDATOR = _compiled(MATROID_SCHEMA)
-_FUNCTION_VALIDATOR = _compiled(FUNCTION_SCHEMA)
+# Draft 2020-12, the dialect of a schema that names none, with JSON integers only:
+# its own "integer" also takes 1.0, which is no rank, ray index or weight here
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda checker, x: type(x) is int),
+)
+_FAN_VALIDATOR = _Validator(FAN_SCHEMA)
+_MATROID_VALIDATOR = _Validator(MATROID_SCHEMA)
+_FUNCTION_VALIDATOR = _Validator(FUNCTION_SCHEMA)
 
 
 class InputError(Exception):
     pass
 
 
+# the Python type of each JSON type the fast check reads; a bool is no int there
+_EXACT_TYPES = {"object": dict, "array": list, "integer": int, "string": str}
+
+
+def _surely_conforms(data, schema):
+    """True only if ``data`` conforms to ``schema``; False means "ask jsonschema".
+
+    Reads the keywords of the fan and function schemas: ``type`` with
+    exact Python types (so a bool or a float is no integer), ``required``,
+    ``properties``, ``additionalProperties: false``, ``items``,
+    ``minimum`` on integers and ``enum`` on strings.  A schema with any
+    other keyword, such as the matroid schema's ``oneOf``, and any
+    document it cannot accept at sight, it leaves to jsonschema.
+    """
+    if "type" in schema:
+        want = schema["type"]
+        if not any(type(data) is _EXACT_TYPES.get(t) for t in (want if isinstance(want, list) else [want])):
+            return False
+    for key, value in schema.items():
+        if key == "type":
+            continue
+        if key == "required":
+            ok = type(data) is dict and all(k in data for k in value)
+        elif key == "properties":
+            ok = type(data) is dict and all(k not in value or _surely_conforms(v, value[k]) for k, v in data.items())
+        elif key == "additionalProperties":
+            ok = value is False and type(data) is dict and all(k in schema.get("properties", ()) for k in data)
+        elif key == "items":
+            ok = type(data) is list and (
+                _integers_at_least(data, value) or all(_surely_conforms(x, value) for x in data)
+            )
+        elif key == "minimum":
+            ok = type(data) is int and data >= value
+        elif key == "enum":
+            ok = type(data) is str and data in value
+        else:
+            ok = False
+        if not ok:
+            return False
+    return True
+
+
+def _integers_at_least(data, schema):
+    """True if ``schema`` is an integer type with at most a minimum, and every item meets it.
+
+    One pass over a ray's coordinates or a cone's ray indices, with no
+    call per item; a False leaves the items to :func:`_surely_conforms`.
+    """
+    if schema.get("type") != "integer" or not schema.keys() <= {"type", "minimum"}:
+        return False
+    lowest = schema.get("minimum")
+    return {type(x) for x in data} <= {int} and (lowest is None or not data or min(data) >= lowest)
+
+
 def _validate_schema(data, validator, origin):
+    if _surely_conforms(data, validator.schema):
+        return
     # the error jsonschema.validate would raise, without re-checking the schema
     exc = jsonschema.exceptions.best_match(validator.iter_errors(data))
     if exc is not None:
@@ -434,7 +491,7 @@ def build_parser():
 
     p = sub.add_parser("diagnostics", help="structural report for a fan file")
     p.add_argument("--fan", required=True)
-    p.add_argument("--geometric", action="store_true", help="also run pairwise cone-overlap LPs")
+    p.add_argument("--geometric", action="store_true", help="also check that no two cones overlap")
     p.set_defaults(func=cmd_diagnostics)
 
     p = sub.add_parser("cohomology", help="(p,q) table of tropical (co)homology groups")

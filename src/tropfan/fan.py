@@ -421,7 +421,15 @@ def _build_star(fan, cone_idx):
 
 
 def validate(fan, level="combinatorial"):
-    """Structural diagnostics; geometric level adds pairwise LP checks."""
+    """Structural diagnostics of a fan, as a :class:`Diagnostics` of findings.
+
+    The combinatorial level checks rays (zero, primitivity, duplicates),
+    simplicial cones, face closure and maximal flags.  If those pass, the
+    geometric level also checks that no two cones have relative
+    interiors that meet.  Faces of one cone are skipped, and so is any
+    pair that an integer functional separates (:func:`_sign_masks`);
+    the exact LP :func:`_interiors_meet` decides every other pair.
+    """
     diags = Diagnostics()
     seen = {}
     for i, r in enumerate(fan.rays):
@@ -454,17 +462,66 @@ def validate(fan, level="combinatorial"):
                 diags.add("maximal-flag", f"cone {c} flagged maximal but contained in {fan.cones[j]}")
     if level == "geometric" and diags.ok:
         diags.checked_geometric = True
-        # faces of one simplicial cone have disjoint relative interiors,
-        # and in a face-closed fan those are the pairs with a join
+        # a separating functional proves a pair disjoint; so does a join, since
+        # faces of one simplicial cone have disjoint relative interiors
         nonzero = [i for i, c in enumerate(fan.cones) if c]
+        ge, le, nz = _sign_masks(fan, nonzero)
         for a in range(len(nonzero)):
+            ge_a, le_a, nz_a = ge[a], le[a], nz[a]
             for b in range(a + 1, len(nonzero)):
+                if (ge_a & le[b] | le_a & ge[b]) & (nz_a | nz[b]):
+                    continue
                 if fan.join(nonzero[a], nonzero[b]) is not None:
                     continue
                 ca, cb = fan.cones[nonzero[a]], fan.cones[nonzero[b]]
                 if _interiors_meet(fan, ca, cb):
                     diags.add("overlap", f"relative interiors of {ca} and {cb} intersect")
     return diags
+
+
+def _sign_masks(fan, cone_ids):
+    """Bitmasks over a fixed set of integer functionals, one triple per cone.
+
+    The functionals are the coordinates e_k and the differences
+    e_i - e_j (i < j); bit k of a mask stands for the k-th of them.  For
+    each cone of ``cone_ids``, in order, ``ge`` has the bits of the
+    functionals that are >= 0 on every ray of the cone, ``le`` those
+    that are <= 0 on every ray, and ``nz`` those that are nonzero on
+    some ray.
+
+    Cones a and b have disjoint relative interiors when some bit is set
+    in ``(ge[a] & le[b] | le[a] & ge[b]) & (nz[a] | nz[b])``.  Proof:
+    say x = sum alpha_i r_i = sum beta_j s_j with every alpha_i and
+    beta_j > 0, over the rays r_i of a and s_j of b.  If l >= 0 on the
+    r_i and l <= 0 on the s_j, then 0 <= l(x) <= 0, so l(x) = 0, and as
+    every coefficient is positive that forces l = 0 on every r_i and
+    s_j.  A functional that is also nonzero on one of those rays leaves
+    no such x.  The other sign pattern is the same argument for -l.
+
+    By the separation form of Farkas' lemma (Schrijver, *Theory of
+    Linear and Integer Programming*, 1986, section 7) some functional
+    separates any two cones with disjoint relative interiors, but not
+    always one of this set, so a pair it leaves unseparated still needs
+    the LP.
+    """
+    n = fan.rank
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    full = (1 << (n + len(pairs))) - 1
+    pos, neg = [], []
+    for r in fan.rays:
+        values = list(r) + [r[i] - r[j] for i, j in pairs]
+        pos.append(sum(1 << k for k, v in enumerate(values) if v > 0))
+        neg.append(sum(1 << k for k, v in enumerate(values) if v < 0))
+    ge, le, nz = [], [], []
+    for idx in cone_ids:
+        p = m = 0
+        for i in fan.cones[idx]:
+            p |= pos[i]
+            m |= neg[i]
+        ge.append(full & ~m)
+        le.append(full & ~p)
+        nz.append(p | m)
+    return ge, le, nz
 
 
 def _interiors_meet(fan, ca, cb):

@@ -1,13 +1,18 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropfan import cli, matroid
 from tropfan.cli import build_parser, run
@@ -257,6 +262,120 @@ class TestSchemas:
         with pytest.raises(cli.InputError) as got:
             cli._validate_schema(data, validator, "origin")
         assert str(got.value) == f"origin: {want.value.json_path}: {want.value.message}"
+
+
+_BAD_SCALARS = st.sampled_from([1.0, 0.5, -2.0, True, False, None, "1"])
+
+
+@st.composite
+def _fan_documents(draw):
+    """Fan files near the schema: non-simplicial cones, duplicate rays, rank 0, huge entries, stray types."""
+    rank = draw(st.integers(0, 3))
+    rays = draw(st.lists(st.lists(st.integers(-1, 1), min_size=rank, max_size=rank), max_size=5))
+    cone = st.lists(st.integers(0, max(len(rays) - 1, 0)), max_size=4, unique=True)
+    cones = draw(st.lists(cone, max_size=4, unique_by=lambda c: tuple(sorted(c))))
+    doc = {"rank": rank, "rays": rays, "maximal_cones": cones}
+    if draw(st.integers(0, 3)):
+        values = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/4", "0", "x", "1/0"])
+        doc["function"] = {"ray_values": draw(st.lists(values, min_size=len(rays), max_size=len(rays)))}
+    if draw(st.booleans()):
+        doc["weights"] = draw(st.lists(st.integers(-1, 2), min_size=len(cones), max_size=len(cones)))
+    if draw(st.booleans()):
+        doc["lattice"] = draw(st.sampled_from(["ambient", "ray-span"]))
+    if draw(st.booleans()):
+        doc["name"] = "f"
+    kind = draw(st.sampled_from([None, None, "huge", "scalar", "extra", "enum", "rank", "length", "cone", "duplicate"]))
+    if kind == "huge" and rank:
+        for r in rays:
+            r[draw(st.integers(0, rank - 1))] = draw(st.sampled_from([2, 10**40, -(10**40) + 1]))
+    elif kind == "scalar":
+        # a float, bool, None or string where an integer or the name belongs
+        spots = [(doc, "rank"), (doc, "name")] + [(r, i) for r in rays for i in range(len(r))]
+        spots += [(c, i) for c in cones for i in range(len(c))]
+        spots += [(doc["weights"], i) for i in range(len(doc.get("weights", ())))]
+        where, key = draw(st.sampled_from(spots))
+        where[key] = draw(_BAD_SCALARS)
+    elif kind == "extra":
+        doc[draw(st.sampled_from(["extra", "Rank", "cones"]))] = 1
+    elif kind == "enum":
+        doc["lattice"] = "other"
+    elif kind == "rank":
+        doc["rank"] = draw(st.integers(-2, 5))
+    elif kind == "length" and rays:
+        rays[0].append(0)
+    elif kind == "duplicate" and rays:
+        rays.append(list(rays[0]))
+    elif kind == "cone":
+        cones.append(draw(st.sampled_from([[0, 0], [len(rays)], [-1]] + cones)))
+    return json.loads(json.dumps(doc))
+
+
+class TestFastSchemaCheck:
+    """``_surely_conforms`` accepts what the validators accept, and every file the project ships or writes."""
+
+    @given(_fan_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_fan_documents(self, doc):
+        assert cli._surely_conforms(doc, cli.FAN_SCHEMA) == cli._FAN_VALIDATOR.is_valid(doc)
+
+    @given(st.one_of(
+        st.fixed_dictionaries({"ray_values": st.lists(st.integers() | st.text(max_size=3) | _BAD_SCALARS, max_size=4)}),
+        st.dictionaries(st.sampled_from(["ray_values", "values"]), st.lists(st.integers(), max_size=2), max_size=2),
+        st.lists(st.integers(), max_size=2),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_function_documents(self, doc):
+        assert cli._surely_conforms(doc, cli.FUNCTION_SCHEMA) == cli._FUNCTION_VALIDATOR.is_valid(doc)
+
+    @pytest.mark.parametrize("data, where", [
+        ({"rank": 1, "rays": [[1]], "maximal_cones": [[0.0]]}, "$.maximal_cones[0][0]: 0.0"),
+        ({"rank": 2.0, "rays": [[1, 0]], "maximal_cones": [[0]]}, "$.rank: 2.0"),
+        ({"rank": 1, "rays": [[1]], "maximal_cones": [[0]], "weights": [1.0]}, "$.weights[0]: 1.0"),
+    ])
+    def test_integral_floats_rejected(self, data, where, tmp_path, capsys):
+        # jsonschema's own integer type takes 1.0; a float ray index used to end in a traceback
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(data))
+        assert run(["diagnostics", "--fan", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {where} is not of type 'integer'\n"
+
+    def test_matroid_documents_go_to_jsonschema(self):
+        for path in sorted((ROOT / "matroids").glob("*.json")):
+            assert not cli._surely_conforms(json.loads(path.read_text()), cli.MATROID_SCHEMA)
+
+    def test_shipped_and_written_files_take_the_fast_path(self, tmp_path, monkeypatch, capsys):
+        fans = sorted((ROOT / "fans").glob("*.json"))
+        for path in sorted((ROOT / "matroids").glob("*.json")):
+            fans.append(tmp_path / path.name)
+            assert run(["bergman", "--matroid", str(path), "-o", str(fans[-1])]) == 0
+        uniform = tmp_path / "u53-matroid.json"
+        uniform.write_text('{"type": "uniform", "n": 5, "r": 3}')
+        fans.append(tmp_path / "u53.json")
+        assert run(["bergman", "--matroid", str(uniform), "-o", str(fans[-1])]) == 0
+
+        def slow_path(errors):
+            raise AssertionError("jsonschema consulted")
+
+        monkeypatch.setattr(jsonschema.exceptions, "best_match", slow_path)
+        for path in fans:
+            assert cli.load_fan_file(str(path), strict=False)
+        for path in sorted((ROOT / "functions").glob("*.json")):
+            assert cli.load_function_file(str(path), 3)
+
+
+class TestInputFuzz:
+    """Generated fan files exit 0, 1 or 2 from diagnostics --geometric and ample, never with a traceback."""
+
+    @given(_fan_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_diagnostics_and_ample(self, doc):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "fan.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert run(["diagnostics", "--geometric", "--fan", path]) in (0, 1, 2)
+                assert run(["ample", "--fan", path]) in (0, 1, 2)
 
 
 def _fan_data(name):

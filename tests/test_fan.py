@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropfan import fan as fan_module
 from tropfan import zlinalg
 from tropfan.fan import (
     Diagnostics,
@@ -26,12 +27,15 @@ FIXTURES = ["p2", "delta", "sigma3", "cone2", "cube", "u23"]
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+_UNIFORM = {"u35": (5, 3), "u44": (4, 4), "u63": (6, 3)}
+
+
 def _named_fan(name, request):
-    """A fixture fan, the Bergman fan of K4, or that of U(5,3) for ``u35``."""
+    """A fixture fan, the Bergman fan of K4, or that of U(n,r) for a name in ``_UNIFORM``."""
     if name == "k4":
         return request.getfixturevalue("k4_pair")[0]
-    if name == "u35":
-        return bergman_fan(Matroid.uniform(5, 3))[0]
+    if name in _UNIFORM:
+        return bergman_fan(Matroid.uniform(*_UNIFORM[name]))[0]
     return request.getfixturevalue(name)
 
 
@@ -72,17 +76,41 @@ class TestValidate:
         messages = [f.message for f in diags.findings if f.code == "overlap"]
         assert "relative interiors of (0, 1, 2) and (3, 4, 5) intersect" in messages
 
-    def test_overlapping_cones_sharing_a_ray_reported(self):
-        # the cone of rays 0 and 2 lies inside the cone of rays 0 and 1
-        fan = Fan.from_max_cones(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
+    @pytest.mark.parametrize("rays", [[(1, 0), (0, 1), (1, 1)], [(1, 0, 0), (0, 1, 0), (1, 1, 0)]])
+    def test_overlapping_cones_sharing_a_ray_reported(self, rays):
+        # the cone of rays 0 and 2 lies inside the cone of rays 0 and 1; in rank 3 all of it
+        # lies in the plane z = 0, where the functional z is zero and separates nothing
+        fan = Fan.from_max_cones(len(rays[0]), rays, [(0, 1), (0, 2)])
         messages = [f.message for f in validate(fan, "geometric").findings if f.code == "overlap"]
         assert "relative interiors of (0, 1) and (0, 2) intersect" in messages
         assert "relative interiors of (2,) and (0, 1) intersect" in messages
 
-    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35"])
-    def test_findings_match_every_pair(self, name, request):
-        # skipping faces of one cone leaves the findings of the all-pairs LP scan
+    @pytest.mark.parametrize("seed", [None, 13])
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35", "u44", "u63"])
+    def test_findings_match_every_pair(self, name, seed, request, reordered):
+        # skipping faces of one cone and separated pairs leaves the findings of the all-pairs LP scan
         fan = _named_fan(name, request)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        assert [(f.code, f.message) for f in validate(fan, "geometric").findings] == _all_pairs_findings(fan)
+
+    @pytest.mark.parametrize("name, lps", [("k4", 0), ("u35", 0), ("sigma3", 3)])
+    def test_lp_only_for_unseparated_pairs(self, name, lps, request, monkeypatch):
+        # sigma3's ray (1, 0) and cone of (1, -3), (-2, 3) are separated by (2, 1), no functional of the set
+        calls = []
+        monkeypatch.setattr(fan_module, "_interiors_meet", lambda *args: calls.append(args) or _interiors_meet(*args))
+        assert validate(_named_fan(name, request), "geometric").ok
+        assert len(calls) == lps
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_fans_match_every_pair(self, data):
+        # small cones in rank <= 3 that may overlap, some inside a hyperplane of a functional
+        rank = data.draw(st.integers(1, 3))
+        ray = st.tuples(*[st.integers(-1, 1)] * rank).filter(any)
+        rays = data.draw(st.lists(ray, min_size=1, max_size=6, unique=True))
+        cone = st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=rank, unique=True)
+        fan = Fan.from_max_cones(rank, rays, data.draw(st.lists(cone, min_size=1, max_size=3)))
         assert [(f.code, f.message) for f in validate(fan, "geometric").findings] == _all_pairs_findings(fan)
 
 
