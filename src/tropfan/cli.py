@@ -19,8 +19,6 @@ import os
 import sys
 from fractions import Fraction
 
-import jsonschema
-
 from . import chow as chow_mod
 from . import criteria, homology, matroid, zlinalg
 from .fan import ConewiseLinear, Fan, TropicalWeights, is_balanced, is_saturated, is_unimodular, validate
@@ -92,15 +90,29 @@ FUNCTION_SCHEMA = {
 }
 
 
-# Draft 2020-12, the dialect of a schema that names none, with JSON integers only:
-# its own "integer" also takes 1.0, which is no rank, ray index or weight here
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda checker, x: type(x) is int),
-)
-_FAN_VALIDATOR = _Validator(FAN_SCHEMA)
-_MATROID_VALIDATOR = _Validator(MATROID_SCHEMA)
-_FUNCTION_VALIDATOR = _Validator(FUNCTION_SCHEMA)
+class _LazyValidator:
+    """The jsonschema validator of ``schema``, built on first use: valid files never import jsonschema."""
+
+    def __init__(self, schema):
+        self.schema = schema
+
+    @functools.cached_property
+    def _validator(self):
+        import jsonschema
+
+        # Draft 2020-12, the dialect of a schema that names none, with JSON integers only:
+        # its own "integer" also takes 1.0, which is no rank, ray index or weight here
+        draft = jsonschema.Draft202012Validator
+        integers = draft.TYPE_CHECKER.redefine("integer", lambda checker, x: type(x) is int)
+        return jsonschema.validators.extend(draft, type_checker=integers)(self.schema)
+
+    def __getattr__(self, name):
+        return getattr(self._validator, name)
+
+
+_FAN_VALIDATOR = _LazyValidator(FAN_SCHEMA)
+_MATROID_VALIDATOR = _LazyValidator(MATROID_SCHEMA)
+_FUNCTION_VALIDATOR = _LazyValidator(FUNCTION_SCHEMA)
 
 
 class InputError(Exception):
@@ -164,6 +176,8 @@ def _integers_at_least(data, schema):
 def _validate_schema(data, validator, origin):
     if _surely_conforms(data, validator.schema):
         return
+    import jsonschema
+
     # the error jsonschema.validate would raise, without re-checking the schema
     exc = jsonschema.exceptions.best_match(validator.iter_errors(data))
     if exc is not None:

@@ -62,17 +62,14 @@ class Compactification:
         self._covers = None
         self._cofaces = None
         self._tangent = {}
-        # filled by tropfan.sheaf: coefficient-lattice bases by (face, p); their
-        # integer and rational solvers by basis; restriction blocks by the
-        # bases (and transition) they depend on, their transposes by block,
-        # and both by (p, gamma, delta) as an index into those
-        self.sheaf_basis = {}
-        self.sheaf_solver = {}
+        # filled by tropfan.sheaf, which says how: the distinct coefficient-lattice
+        # bases, their ids by value, basis ids by p and face, solvers and blocks by id
+        self.sheaf_bases = []
+        self.sheaf_interned = {}
+        self.sheaf_ids = {}
+        self.sheaf_solvers = {}
         self.sheaf_extension = {}
         self.sheaf_blocks = {}
-        self.sheaf_dual_blocks = {}
-        self.sheaf_restriction = {}
-        self.sheaf_dual = {}
         # value dicts of the degree-one Chow cocycles by ray, and of the Chow
         # generator cocycles by cone, filled by tropfan.chow
         self.ray_cocycles = {}

@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .zlinalg import vecmat
-
 
 @lru_cache(maxsize=None)
 def monomials(m, p):
@@ -112,11 +110,6 @@ def induced_matrix(P_rows, p, m_src, m_dst):
         sel = [P_rows[i] for i in I]
         out.append(tuple(det([[row[j] for j in J] for row in sel]) for J in dst))
     return out
-
-
-def apply_induced(P_rows, p, m_src, m_dst, x):
-    """Image of the multivector x under /\\^p of v -> v . P."""
-    return vecmat(x, induced_matrix(P_rows, p, m_src, m_dst), dim(m_dst, p))
 
 
 def contract_vector(alpha, k, x, p, m):

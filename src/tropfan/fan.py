@@ -127,7 +127,8 @@ class Fan:
         self._nu = {}
         self._nu_face = {}
         self._unit_normal = {}
-        self._transition = {}
+        # the distinct /\^k transitions, their ids by (t_small, t_big, k) and by value
+        self._transitions, self._transition_ids, self._transition_by_value = [], {}, {}
         self._compactification = None  # filled by homology.compactification
         for r in self.rays:
             if len(r) != rank:
@@ -252,7 +253,8 @@ class Fan:
         """Multivector of the compactified face (tau, sigma) in star(tau) coordinates.
 
         Image of the canonical multivector of the complementary face of
-        tau inside sigma under the star projection.
+        tau inside sigma under the star projection: by functoriality of
+        /\\^p, the wedge of the projected cone-lattice basis, signed as nu.
         """
         key = (tau_idx, sigma_idx)
         if key not in self._nu_face:
@@ -261,9 +263,13 @@ class Fan:
             comp = tuple(i for i in sigma if i not in tau)
             comp_idx = self._cone_index[comp]
             nu = self.nu(comp_idx)
+            basis = self.cone_lattice(comp_idx).basis.row_tuples()
+            k = next(i for i, x in enumerate(nu) if x)
+            minor = exterior.det([[row[j] for j in exterior.monomials(self.rank, len(comp))[k]] for row in basis])
             star = self.star(tau_idx)
-            p = len(comp)
-            img = exterior.apply_induced(star.proj, p, self.rank, star.quotient_rank, nu)
+            img = exterior.wedge_rows([vecmat(row, star.proj) for row in basis], star.quotient_rank)
+            if minor != nu[k]:
+                img = tuple(-x for x in img)
             if not any(img):
                 raise AssertionError(f"degenerate face multivector of ({self.cones[tau_idx]}, {sigma})")
             self._nu_face[key] = img
@@ -317,18 +323,26 @@ class Fan:
             if star.fan is not self:
                 star.fan.drop_caches()
 
+    def transition_id(self, t_small, t_big, k):
+        """Index of :meth:`transition_wedge` among the fan's transitions, interned by value."""
+        key = (t_small, t_big, k)
+        if key not in self._transition_ids:
+            small, big = self.star(t_small), self.star(t_big)
+            rows = tuple(vecmat(row, big.proj) for row in small.section)
+            value = (rows, big.quotient_rank, k)
+            if value not in self._transition_by_value:
+                self._transition_by_value[value] = len(self._transitions)
+                self._transitions.append(exterior.induced_matrix(rows, k, small.quotient_rank, big.quotient_rank))
+            self._transition_ids[key] = self._transition_by_value[value]
+        return self._transition_ids[key]
+
     def transition_wedge(self, t_small, t_big, k):
         """/\\^k of the projection star(t_small) -> star(t_big) on row vectors.
 
         Rows are indexed by the k-monomials of star(t_small), columns by
-        those of star(t_big); built once per (t_small, t_big, k).
+        those of star(t_big); built once per distinct projection and k.
         """
-        key = (t_small, t_big, k)
-        if key not in self._transition:
-            small, big = self.star(t_small), self.star(t_big)
-            rows = tuple(vecmat(row, big.proj) for row in small.section)
-            self._transition[key] = exterior.induced_matrix(rows, k, small.quotient_rank, big.quotient_rank)
-        return self._transition[key]
+        return self._transitions[self.transition_id(t_small, t_big, k)]
 
 
 @dataclass
@@ -441,9 +455,8 @@ def validate(fan, level="combinatorial"):
         if r in seen:
             diags.add("duplicate-ray", f"rays {seen[r]} and {i} coincide")
         seen[r] = i
-    for idx, c in enumerate(fan.cones):
-        if c and zlinalg.rank_frac([fan.rays[i] for i in c]) != len(c):
-            diags.add("simplicial", f"cone {c} has dependent rays")
+    for c in _dependent_cones(fan):
+        diags.add("simplicial", f"cone {c} has dependent rays")
     cone_set = set(fan.cones)
     for c in fan.cones:
         for j in range(len(c)):
@@ -477,6 +490,22 @@ def validate(fan, level="combinatorial"):
                 if _interiors_meet(fan, ca, cb):
                     diags.add("overlap", f"relative interiors of {ca} and {cb} intersect")
     return diags
+
+
+def _dependent_cones(fan):
+    """The nonzero cones with dependent rays, in index order.
+
+    A face of an independent cone is independent, so an integer rank is
+    taken, largest cones first, only for cones no independent cone covers.
+    """
+    independent, dependent = set(), set()
+    for c in sorted(fan.cones, key=len, reverse=True):
+        if c and c not in independent:
+            if len(zlinalg.snf_divisors([{k: x for k, x in enumerate(fan.rays[i]) if x} for i in c])) != len(c):
+                dependent.add(c)
+                continue
+        independent.update(c[:j] + c[j + 1 :] for j in range(len(c)))
+    return [c for c in fan.cones if c in dependent]
 
 
 def _sign_masks(fan, cone_ids):
@@ -553,18 +582,14 @@ def is_unimodular(fan):
 
 
 def is_saturated_at(fan, cone_idx):
-    """Saturation of the lattice generated by the star fan support."""
+    """Saturation of the lattice generated by the star fan support: every invariant factor is 1."""
     star = fan.star(cone_idx)
-    rows = []
-    for c in fan.cones_containing(cone_idx):
-        if c in fan.maximal:
-            eta_basis = fan.cone_lattice(c).basis.row_tuples()
-            rows.extend(vecmat(r, star.proj) for r in eta_basis)
-    if not rows:
-        return True
-    L = Sublattice.from_rows(rows, star.quotient_rank)
-    _, index = zlinalg.saturate(L)
-    return index == 1
+    rows = [
+        {j: x for j, x in enumerate(vecmat(r, star.proj)) if x}
+        for c in fan.cones_containing(cone_idx) if c in fan.maximal
+        for r in fan.cone_lattice(c).basis.row_tuples()
+    ]
+    return all(d == 1 for d in zlinalg.snf_divisors(rows))
 
 
 def is_saturated(fan):

@@ -116,8 +116,11 @@ def _assemble(nrows, ncols, blocks):
             for c, x in zip(cpos, row):
                 if x:
                     out[c] = out.get(c, 0) + sign * x
-    # columns in increasing order: the unit-pivot reductions break ties by it
-    return SparseMatrix(nrows, ncols, tuple({c: e for c, e in sorted(r.items()) if e} for r in data))
+    # columns in increasing order: the unit-pivot reductions break ties by it; row by row, so
+    # the unsorted rows are freed as the sorted ones are made
+    for i, r in enumerate(data):
+        data[i] = {c: e for c, e in sorted(r.items()) if e}
+    return SparseMatrix(nrows, ncols, tuple(data))
 
 
 def _space_faces(comp, use_fan_faces, variant):
@@ -154,28 +157,24 @@ def build_complex(space, p, variant="cohomology", coeff="Z"):
 
     spaces = {}
     offsets = {}
+    faces_of = {}
     for fid in faces:
         q = comp.dim(fid)
         lab = spaces.setdefault(q, [])
-        offsets[fid] = (q, len(lab))
+        faces_of.setdefault(q, []).append(fid)
+        offsets[fid] = len(lab)
         lab.extend((fid, i) for i in range(sheaf.rank(comp, fid, p)))
 
-    blocks = {q: [] for q in spaces}
-    for gid, did, sign in comp.all_cover_pairs():
-        if gid not in face_set or did not in face_set:
-            continue
-        if dual:
-            src, dst = gid, did
-            block = sheaf.dual_transport(comp, p, gid, did)
-        else:
-            src, dst = did, gid
-            block = sheaf.restriction(comp, p, gid, did)
-        qs, off_s = offsets[src]
-        qd, off_d = offsets[dst]
-        rpos, cpos = range(off_s, off_s + block.rows), range(off_d, off_d + block.cols)
-        blocks[qs].append((rpos, cpos, sign, block.row_tuples()))
+    def blocks(q):
+        # the blocks of the map out of degree q, made as _assemble reads them
+        for src in faces_of[q]:
+            for dst, sign in comp.cofaces_of(src) if dual else comp.covers_of(src):
+                if dst in face_set:
+                    M = sheaf.dual_transport(comp, p, src, dst) if dual else sheaf.restriction(comp, p, dst, src)
+                    rpos, cpos = range(offsets[src], offsets[src] + M.rows), range(offsets[dst], offsets[dst] + M.cols)
+                    yield rpos, cpos, sign, M.row_tuples()
 
-    maps = {q: _assemble(len(labs), len(spaces.get(q + step, ())), blocks[q]) for q, labs in spaces.items()}
+    maps = {q: _assemble(len(labs), len(spaces.get(q + step, ())), blocks(q)) for q, labs in spaces.items()}
     gc = GradedComplex(comp, p, variant, coeff, step, {q: tuple(v) for q, v in spaces.items()}, maps)
     if not gc.check_dd_zero():
         raise AssertionError(f"the {variant} differential for p = {p} does not square to zero")
@@ -335,8 +334,8 @@ def table(space, coeff="Z", variant="cohomology"):
     out = {}
     for p in range(d + 1):
         gs = ComplexGroups(build_complex(space, p, variant, coeff))
-        for q in range(d + 1):
-            out[(p, q)] = gs.group(q)
+        out.update(((p, q), gs.group(q)) for q in range(d + 1))
+        del gs  # frees this complex before the next one is built
     return out
 
 

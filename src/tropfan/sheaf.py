@@ -9,11 +9,18 @@ N^tau, so every map in this module is an explicit integer matrix.
 
 Bases are built from the top of the face poset down.  When sigma is
 maximal the generators are the p-fold wedges of the face's tangent
-basis; otherwise SF_p(tau, sigma) is the sum of SF_p(tau, sigma') over
-the cones sigma' covering sigma, since every maximal cone above sigma
-lies above one of them.  A lattice has one reduced HNF basis, so the
-HNF of the concatenated bases above is the HNF of all the wedges, and
-each wedge is taken once per maximal face.
+basis (a full-rank one gives all of /\\^p, with no wedge taken);
+otherwise SF_p(tau, sigma) is the sum of SF_p(tau, sigma') over the
+cones sigma' covering sigma, since every maximal cone above sigma lies
+above one of them.  A lattice has one reduced HNF basis, so the HNF of
+the distinct bases above is the HNF of all the wedges, and a face whose
+covers share one basis has it too, with no HNF run.
+
+Each compactification interns its bases: ``comp.sheaf_bases`` lists the
+distinct ones and ``comp.sheaf_ids[p][face]`` is the face's basis id.
+Solvers are kept per basis id, and restriction blocks, each with its
+transpose, per (id delta, id gamma) or, for a sedentarity drop, per
+(id delta, id gamma, :meth:`~tropfan.fan.Fan.transition_id`).
 
 SF^p, the dual, is represented by value vectors on the HNF basis of
 SF_p; it is never materialized as a sublattice of an ambient dual
@@ -35,31 +42,52 @@ def star_rank(comp, fid):
     return comp.fan.star(t).quotient_rank
 
 
-def basis(comp, fid, p):
-    """HNF basis rows of SF_p at the face, in /\\^p star coordinates."""
-    cache = comp.sheaf_basis
-    key = (fid, p)
-    if key in cache:
-        return cache[key]
+def basis_id(comp, fid, p):
+    """Index of the SF_p basis at the face in ``comp.sheaf_bases``, built on first use."""
+    ids = comp.sheaf_ids.get(p)
+    if ids is None:
+        ids = comp.sheaf_ids[p] = [None] * len(comp.faces)
+    bid = ids[fid]
+    if bid is None:
+        bid = ids[fid] = _build_basis(comp, fid, p)
+    return bid
+
+
+def _build_basis(comp, fid, p):
     fan = comp.fan
     t, s = comp.faces[fid]
     m = fan.star(t).quotient_rank
     if p == 0:
-        rows = ((1,),)
-    elif p < 0 or p > m:
-        rows = ()
+        return _intern(comp, ((1,),))
+    if p < 0 or p > m:
+        return _intern(comp, ())
+    above = fan.covered_by(s)
+    if above:
+        ids = {basis_id(comp, comp.face_index[(t, eta)], p) for eta in above}
+        if len(ids) == 1:
+            return ids.pop()
+        gens = [row for i in ids for row in comp.sheaf_bases[i]]
+    elif len(fan.cones[s]) - len(fan.cones[t]) == m:
+        # the tangent lattice N_sigma / N_tau is saturated in N^tau, so at full rank it is all of it
+        return _intern(comp, tuple(IntMatrix.identity(exterior.dim(m, p)).row_tuples()))
     else:
-        above = fan.covered_by(s)
-        if above:
-            gens = [row for eta in above for row in basis(comp, comp.face_index[(t, eta)], p)]
-        else:
-            tangent = comp.tangent_lattice(fid).basis.row_tuples()
-            gens = [exterior.wedge_rows(list(subset), m) for subset in itertools.combinations(tangent, p)]
-        # the generators are int rows computed here: no re-coercion on the way in
-        H = zlinalg.hnf(IntMatrix._trusted_rows(gens, exterior.dim(m, p)))
-        rows = tuple(r for r in H.row_tuples() if any(r))
-    cache[key] = rows
-    return rows
+        tangent = comp.tangent_lattice(fid).basis.row_tuples()
+        gens = [exterior.wedge_rows(list(subset), m) for subset in itertools.combinations(tangent, p)]
+    # the generators are int rows computed here: no re-coercion on the way in
+    H = zlinalg.hnf(IntMatrix._trusted_rows(gens, exterior.dim(m, p)))
+    return _intern(comp, tuple(r for r in H.row_tuples() if any(r)))
+
+
+def _intern(comp, rows):
+    if rows not in comp.sheaf_interned:
+        comp.sheaf_interned[rows] = len(comp.sheaf_bases)
+        comp.sheaf_bases.append(rows)
+    return comp.sheaf_interned[rows]
+
+
+def basis(comp, fid, p):
+    """HNF basis rows of SF_p at the face, in /\\^p star coordinates."""
+    return comp.sheaf_bases[basis_id(comp, fid, p)]
 
 
 def rank(comp, fid, p):
@@ -67,17 +95,15 @@ def rank(comp, fid, p):
 
 
 def basis_solver(comp, fid, p):
-    """The :class:`~tropfan.zlinalg.RowSolver` over the SF_p basis, or None if it is empty.
-
-    One solver per distinct basis: faces with equal bases share it.
-    """
-    b = basis(comp, fid, p)
-    if not b:
-        return None
-    cache = comp.sheaf_solver
-    if b not in cache:
-        cache[b] = zlinalg.RowSolver(IntMatrix._trusted_rows(b, len(b[0])))
-    return cache[b]
+    """The :class:`~tropfan.zlinalg.RowSolver` over the SF_p basis, one per basis id, or None if it is empty."""
+    bid = basis_id(comp, fid, p)
+    solver = comp.sheaf_solvers.get(bid)
+    if solver is None:
+        b = comp.sheaf_bases[bid]
+        if not b:
+            return None
+        solver = comp.sheaf_solvers[bid] = zlinalg.RowSolver(IntMatrix._trusted_rows(b, len(b[0])))
+    return solver
 
 
 def coords_in(comp, fid, p, vec):
@@ -94,72 +120,38 @@ def restriction(comp, p, gid, did):
     Same-sedentarity inclusions embed, sedentarity drops project; the
     general case composes both.  Rows are indexed by the basis of
     SF_p(delta), entries are coordinates over the basis of SF_p(gamma).
-    The block depends only on the two bases, plus the transition
-    (t_delta, t_gamma, p) for a sedentarity drop, so it is solved once
-    per distinct such content.
     """
-    cache = comp.sheaf_restriction
-    key = (p, gid, did)
-    if key in cache:
-        return cache[key]
-    if not comp.is_subface(gid, did):
-        raise ValueError("not an incident pair")
-    tg, _ = comp.faces[gid]
-    td, _ = comp.faces[did]
-    content = (basis(comp, did, p), basis(comp, gid, p))
-    if td != tg:
-        content += (td, tg, p)
-    blocks = comp.sheaf_blocks
-    M = blocks.get(content)
-    if M is None:
-        M = blocks[content] = _solve_restriction(comp, p, gid, did)
-    cache[key] = M
-    return M
-
-
-def _solve_restriction(comp, p, gid, did):
-    fan = comp.fan
-    tg, _ = comp.faces[gid]
-    td, _ = comp.faces[did]
-    b_delta = basis(comp, did, p)
-    if td == tg:
-        mapped = b_delta
-    else:
-        A = fan.transition_wedge(td, tg, p)
-        width = exterior.dim(fan.star(tg).quotient_rank, p)
-        mapped = [zlinalg.vecmat(row, A, width) for row in b_delta]
-    target = basis_solver(comp, gid, p)
-    rows = []
-    for v in mapped:
-        if target is None:
-            if any(v):
-                raise AssertionError(f"restriction of SF_{p} from face {did} to face {gid} leaves the target lattice")
-            rows.append(())
-            continue
-        c = target.solve(v)
-        if c is None:
-            raise AssertionError(
-                f"restriction of SF_{p} from face {did} to face {gid} is not integral over the target basis"
-            )
-        rows.append(c)
-    return IntMatrix._trusted_rows(rows, rank(comp, gid, p))
+    return _block(comp, p, gid, did)[0]
 
 
 def dual_transport(comp, p, gid, did):
-    """Matrix of the dual map SF^p(gamma) -> SF^p(delta) acting on value rows.
+    """Matrix of the dual map SF^p(gamma) -> SF^p(delta) on value rows: the transpose of :func:`restriction`."""
+    return _block(comp, p, gid, did)[1]
 
-    The transpose of :func:`restriction`, taken once per distinct block.
-    """
-    cache = comp.sheaf_dual
-    key = (p, gid, did)
-    if key not in cache:
-        R = restriction(comp, p, gid, did)
-        duals = comp.sheaf_dual_blocks
-        T = duals.get(R)
-        if T is None:
-            T = duals[R] = R.transpose()
-        cache[key] = T
-    return cache[key]
+
+def _block(comp, p, gid, did):
+    """(restriction, its transpose), solved once per pair of basis ids and transition."""
+    if not comp.is_subface(gid, did):
+        raise ValueError("not an incident pair")
+    (tg, _), (td, _) = comp.faces[gid], comp.faces[did]
+    key = (basis_id(comp, did, p), basis_id(comp, gid, p))
+    if td != tg:
+        key += (comp.fan.transition_id(td, tg, p),)
+    block = comp.sheaf_blocks.get(key)
+    if block is None:
+        mapped = comp.sheaf_bases[key[0]]
+        if td != tg:
+            A = comp.fan.transition_wedge(td, tg, p)
+            width = exterior.dim(comp.fan.star(tg).quotient_rank, p)
+            mapped = [zlinalg.vecmat(row, A, width) for row in mapped]
+        target = basis_solver(comp, gid, p)
+        rows = [target.solve(v) if target is not None else (None if any(v) else ()) for v in mapped]
+        if None in rows:
+            what = "leaves the target lattice" if target is None else "is not integral over the target basis"
+            raise AssertionError(f"restriction of SF_{p} from face {did} to face {gid} {what}")
+        M = IntMatrix._trusted_rows(rows, rank(comp, gid, p))
+        block = comp.sheaf_blocks[key] = (M, M.transpose())
+    return block
 
 
 def extend_dual(comp, fid, p, values):
@@ -167,38 +159,17 @@ def extend_dual(comp, fid, p, values):
 
     Deterministic: the coordinates g with B g = values that Gaussian
     elimination on the basis B gives with free coordinates pinned to
-    zero, from one :class:`~tropfan.zlinalg.FracSolver` per distinct
-    basis.  Two extensions differ by a form vanishing on SF_p, which
-    is invisible to every use below.
+    zero, from one :class:`~tropfan.zlinalg.FracSolver` per basis id
+    and width.  Two extensions differ by a form vanishing on SF_p,
+    which is invisible to every use below.
     """
-    b = basis(comp, fid, p)
-    width = exterior.dim(star_rank(comp, fid), p)
-    key = (b, width)
-    if key not in comp.sheaf_extension:
-        solver = zlinalg.FracSolver(b, width)
-        if solver.rank != len(b):
+    bid, width = basis_id(comp, fid, p), exterior.dim(star_rank(comp, fid), p)
+    solver = comp.sheaf_extension.get((bid, width))
+    if solver is None:
+        solver = comp.sheaf_extension[bid, width] = zlinalg.FracSolver(comp.sheaf_bases[bid], width)
+        if solver.rank != len(comp.sheaf_bases[bid]):
             raise AssertionError(f"SF_{p} basis rows at face {fid} are linearly dependent")
-        comp.sheaf_extension[key] = solver
-    return comp.sheaf_extension[key].solve(values)
-
-
-def contract(comp, fid, p, alpha_values, nu_coords, k):
-    """Contraction of alpha in SF^p by a k-multivector: values on SF_(p-k).
-
-    ``nu_coords`` is a multivector in /\\^k of the star coordinates; for
-    the well-definedness guaranteed by the coefficient lattices it
-    should lie in the exterior power of the face tangent lattice (all
-    callers in this package satisfy that).
-    """
-    if k > p:
-        raise ValueError("contraction degree exceeds the form degree")
-    alpha_hat = extend_dual(comp, fid, p, alpha_values)
-    m = star_rank(comp, fid)
-    out = []
-    for row in basis(comp, fid, p - k):
-        w = exterior.wedge_coords(nu_coords, k, row, p - k, m)
-        out.append(sum(a * x for a, x in zip(alpha_hat, w)))
-    return tuple(out)
+    return solver.solve(values)
 
 
 def wedge_duals(comp, fid, p, a_values, q, b_values):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropfan import exterior, zlinalg
 from tropfan import fan as fan_module
-from tropfan import zlinalg
 from tropfan.fan import (
     Diagnostics,
     Fan,
@@ -113,6 +113,38 @@ class TestValidate:
         fan = Fan.from_max_cones(rank, rays, data.draw(st.lists(cone, min_size=1, max_size=3)))
         assert [(f.code, f.message) for f in validate(fan, "geometric").findings] == _all_pairs_findings(fan)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_simplicial_findings_match_rational_rank(self, data):
+        # collinear, repeated and zero rays: integer ranks only where no independent cone covers a cone
+        rank = data.draw(st.integers(1, 3))
+        rays = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=1, max_size=6))
+        cone = st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=rank + 1, unique=True)
+        fan = Fan.from_max_cones(rank, rays, data.draw(st.lists(cone, min_size=1, max_size=4)))
+        assert _simplicial_findings(fan) == _rational_rank_findings(fan)
+
+    @pytest.mark.parametrize("cones", [
+        [(), (0, 1, 2)],  # no faces listed below a dependent cone
+        [(), (0, 1), (0, 1, 3)],  # an independent face listed, a dependent cone above it
+        [(), (0, 3), (1, 2), (0, 1, 2)],
+    ])
+    def test_simplicial_findings_without_face_closure(self, cones):
+        fan = Fan(2, [(1, 0), (0, 1), (1, 1), (2, 0)], cones, [len(cones) - 1])
+        assert _simplicial_findings(fan) == _rational_rank_findings(fan)
+        assert [f.code for f in validate(fan).findings].count("closure") > 0
+
+
+def _simplicial_findings(fan):
+    return [f.message for f in validate(fan).findings if f.code == "simplicial"]
+
+
+def _rational_rank_findings(fan):
+    return [
+        f"cone {c} has dependent rays"
+        for c in fan.cones
+        if c and zlinalg.rank_frac([fan.rays[i] for i in c]) != len(c)
+    ]
+
 
 def _all_pairs_findings(fan):
     diags = validate(fan)
@@ -176,6 +208,20 @@ class TestSaturated:
     def test_cube_everywhere(self, cube):
         for i in range(len(cube.cones)):
             assert is_saturated_at(cube, i)
+
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35", "u63"])
+    def test_matches_index_in_saturation(self, name, request):
+        # the Smith divisors of the star's rows against the index of their lattice in its saturation
+        fan = _named_fan(name, request)
+        for i in range(len(fan.cones)):
+            star = fan.star(i)
+            rows = [
+                vecmat(r, star.proj)
+                for c in fan.cones_containing(i) if c in fan.maximal
+                for r in fan.cone_lattice(c).basis.row_tuples()
+            ]
+            index = zlinalg.saturate(Sublattice.from_rows(rows, star.quotient_rank))[1] if rows else 1
+            assert is_saturated_at(fan, i) == (index == 1)
 
 
 class TestStarFan:
@@ -383,6 +429,18 @@ class TestOrientation:
             "raised: vector not proportional to the canonical multivector of cone (0,)",
             "raised: vector not proportional to the face multivector of ((), (0,))",
         ]
+
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35"])
+    def test_nu_face_is_the_induced_image_of_nu(self, name, request):
+        # the wedge of the projected lattice basis against /\^p of the projection applied to nu
+        fan = _named_fan(name, request)
+        for t in range(len(fan.cones)):
+            star = fan.star(t)
+            for s in fan.cones_containing(t):
+                rest = fan.cone_index(tuple(i for i in fan.cones[s] if i not in fan.cones[t]))
+                p = len(fan.cones[rest])
+                induced = exterior.induced_matrix(star.proj, p, fan.rank, star.quotient_rank)
+                assert fan.nu_face(t, s) == vecmat(fan.nu(rest), induced, exterior.dim(star.quotient_rank, p))
 
     def test_non_unimodular_nu_divides_ray_wedge(self, sigma3):
         from tropfan.exterior import wedge_rows

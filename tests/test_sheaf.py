@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import random
@@ -7,8 +8,11 @@ import sys
 import pytest
 
 from tropfan import exterior, sheaf, zlinalg
+from tropfan.compactify import Compactification
+from tropfan.fan import Fan
 from tropfan.homology import compactification
-from tropfan.zlinalg import Sublattice
+from tropfan.matroid import Matroid, bergman_fan
+from tropfan.zlinalg import IntMatrix, Sublattice, vecmat
 
 
 def origin_face(fan):
@@ -95,24 +99,36 @@ class TestRestriction:
                 assert direct == two_step
 
 
+def contract(comp, fid, p, alpha_values, nu_coords, k):
+    """Contraction of alpha in SF^p by a k-multivector in /\\^k of the star coordinates: values on SF_(p-k)."""
+    alpha_hat = sheaf.extend_dual(comp, fid, p, alpha_values)
+    m = sheaf.star_rank(comp, fid)
+    return tuple(
+        sum(a * x for a, x in zip(alpha_hat, exterior.wedge_coords(nu_coords, k, row, p - k, m)))
+        for row in sheaf.basis(comp, fid, p - k)
+    )
+
+
 class TestContract:
+    """The contraction built on the rational extension of a dual element (the pairing the cap product uses)."""
+
     def test_units(self, p2):
         comp, fid = origin_face(p2)
         alpha = (3, -5)
-        out = sheaf.contract(comp, fid, 1, alpha, (1,), 0)
+        out = contract(comp, fid, 1, alpha, (1,), 0)
         assert tuple(out) == alpha
 
     def test_full_contraction_is_evaluation(self, p2):
         comp, fid = origin_face(p2)
         alpha = (2, 7)
         nu = (1, 4)
-        out = sheaf.contract(comp, fid, 1, alpha, nu, 1)
+        out = contract(comp, fid, 1, alpha, nu, 1)
         assert out == (2 * 1 + 7 * 4,)
 
     def test_wedge_pairing_example(self, p2):
         comp, fid = origin_face(p2)
         # alpha dual to e1 ^ e2; contraction by e1 evaluates e2 to one
-        out = sheaf.contract(comp, fid, 2, (1,), (1, 0), 1)
+        out = contract(comp, fid, 2, (1,), (1, 0), 1)
         assert tuple(out) == (0, 1)
 
     def test_composition_up_to_sign(self, cube):
@@ -125,9 +141,9 @@ class TestContract:
             u = tuple(rng.randint(-2, 2) for _ in range(m))
             v = tuple(rng.randint(-2, 2) for _ in range(m))
             uv = exterior.wedge_coords(u, 1, v, 1, m)
-            lhs = sheaf.contract(comp, fid, 2, alpha, uv, 2)
-            kv = sheaf.contract(comp, fid, 2, alpha, u, 1)
-            rhs = sheaf.contract(comp, fid, 1, kv, v, 1)
+            lhs = contract(comp, fid, 2, alpha, uv, 2)
+            kv = contract(comp, fid, 2, alpha, u, 1)
+            rhs = contract(comp, fid, 1, kv, v, 1)
             assert tuple(lhs) == tuple(rhs)
 
 
@@ -177,7 +193,7 @@ class TestFactoredBases:
             "from tropfan.homology import compactification\n"
             "fan = Fan.from_max_cones(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])\n"
             "comp = compactification(fan)\n"
-            "comp.sheaf_basis[(0, 1)] = ((1, 0), (2, 0))\n"
+            "comp.sheaf_bases[sheaf.basis_id(comp, 0, 1)] = ((1, 0), (2, 0))\n"
             "try:\n"
             "    sheaf.extend_dual(comp, 0, 1, (1, 2))\n"
             "except AssertionError as exc:\n"
@@ -189,3 +205,111 @@ class TestFactoredBases:
             env={**os.environ, "PYTHONPATH": str(src)},
         ).stdout
         assert out.startswith("raised: SF_1 basis rows at face 0 are linearly dependent")
+
+
+def _oracle_bases(comp, p):
+    """SF_p at every face, built per face without interning: the HNF of the bases above, or of the wedges."""
+    fan = comp.fan
+    out = {}
+    for fid in sorted(range(len(comp.faces)), key=lambda f: -comp.dims[f]):
+        t, s = comp.faces[fid]
+        m = fan.star(t).quotient_rank
+        if p == 0:
+            out[fid] = ((1,),)
+            continue
+        if p > m:
+            out[fid] = ()
+            continue
+        above = fan.covered_by(s)
+        if above:
+            gens = [row for eta in above for row in out[comp.face_index[(t, eta)]]]
+        else:
+            tangent = comp.tangent_lattice(fid).basis.row_tuples()
+            gens = [exterior.wedge_rows(list(sub), m) for sub in itertools.combinations(tangent, p)]
+        H = zlinalg.hnf(IntMatrix.from_rows(gens, exterior.dim(m, p)))
+        out[fid] = tuple(r for r in H.row_tuples() if any(r))
+    return out
+
+
+def _oracle_restriction(comp, p, bases, gid, did):
+    """The restriction block solved for this one pair, with its own transition matrix."""
+    fan = comp.fan
+    (tg, _), (td, _) = comp.faces[gid], comp.faces[did]
+    mapped = bases[did]
+    if tg != td:
+        small, big = fan.star(td), fan.star(tg)
+        proj = [vecmat(row, big.proj) for row in small.section]
+        A = exterior.induced_matrix(proj, p, small.quotient_rank, big.quotient_rank)
+        mapped = [vecmat(row, A, exterior.dim(big.quotient_rank, p)) for row in mapped]
+    if not bases[gid]:
+        assert not any(any(v) for v in mapped)
+        return [() for _ in mapped]
+    target = IntMatrix.from_rows(bases[gid])
+    return [zlinalg.solve_int(target, v) for v in mapped]
+
+
+_ORACLE_FANS = ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4", "u44", "u35"]
+
+
+def _oracle_fan(name, request):
+    if name == "k4":
+        return request.getfixturevalue("k4_pair")[0]
+    if name == "u44":
+        return bergman_fan(Matroid.uniform(4, 4))[0]
+    if name == "u35":
+        return bergman_fan(Matroid.uniform(5, 3))[0]
+    return request.getfixturevalue(name)
+
+
+class TestInternedAgainstOracle:
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("name", _ORACLE_FANS)
+    def test_bases_and_blocks(self, name, seed, request, reordered):
+        fan = _oracle_fan(name, request)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        comp = Compactification(fan)
+        for p in range(fan.dim + 1):
+            bases = _oracle_bases(comp, p)
+            assert [sheaf.basis(comp, fid, p) for fid in range(len(comp.faces))] == [bases[f] for f in sorted(bases)]
+            for gid, did, _ in comp.all_cover_pairs():
+                R = sheaf.restriction(comp, p, gid, did)
+                assert R.row_tuples() == _oracle_restriction(comp, p, bases, gid, did)
+                assert (R.rows, R.cols) == (len(bases[did]), len(bases[gid]))
+                assert sheaf.dual_transport(comp, p, gid, did) == R.transpose()
+
+
+class TestInterning:
+    def test_complete_unimodular_bases_are_identities(self):
+        # U(4,4) is the complete unimodular 3-dim permutohedral fan: SF_p is all of /\^p at every face
+        fan = bergman_fan(Matroid.uniform(4, 4))[0]
+        comp = Compactification(fan)
+        for p in range(fan.dim + 1):
+            ids = {sheaf.basis_id(comp, fid, p) for fid in range(len(comp.faces))}
+            nontrivial = {comp.sheaf_bases[i] for i in ids if comp.sheaf_bases[i]}
+            ranks = {fan.star(t).quotient_rank for t, _ in comp.faces if fan.star(t).quotient_rank >= p}
+            # one basis per star rank m >= p, the identity of /\^p Z^m
+            assert nontrivial == {tuple(IntMatrix.identity(exterior.dim(m, p)).row_tuples()) for m in ranks}
+
+    @pytest.mark.parametrize("name", ["cube", "sigma3", "u44", "u35"])
+    def test_one_block_per_distinct_content(self, name, request):
+        # a block is fixed by the two bases and, for a sedentarity drop, the projection and degree
+        shared = _oracle_fan(name, request)
+        fan = Fan(shared.rank, shared.rays, shared.cones, shared.maximal)  # no transitions built yet
+        comp = Compactification(fan)
+        contents = set()
+        projections = set()
+        for p in range(fan.dim + 1):
+            for gid, did, _ in comp.all_cover_pairs():
+                sheaf.restriction(comp, p, gid, did)
+                (tg, _), (td, _) = comp.faces[gid], comp.faces[did]
+                drop = None
+                if td != tg:
+                    small, big = fan.star(td), fan.star(tg)
+                    drop = (tuple(vecmat(row, big.proj) for row in small.section), big.quotient_rank, p)
+                    projections.add(drop)
+                contents.add((sheaf.basis(comp, did, p), sheaf.basis(comp, gid, p), drop))
+        assert len(comp.sheaf_blocks) == len(contents)
+        assert len(comp.sheaf_bases) == len(set(comp.sheaf_bases))
+        # one /\^k transition matrix per distinct projection and degree
+        assert len(fan._transitions) == len(projections)
