@@ -392,17 +392,15 @@ def chow_generator_cocycle(fan, cone_idx, coeff="Z"):
     the cup product of the ray cocycles in ray order, taken as the cup
     of the leading face's cocycle with the last ray's.  The values are
     built and checked once per compactification and cone; every call
-    returns a new cochain over a copy of them.
+    returns a new cochain over a copy of them.  The values are integers
+    for either ``coeff``, since cup products are.
     """
     comp = homol.compactification(fan)
     cone = fan.cones[cone_idx]
     if not cone:
         return homol.unit_cochain(comp)
     k = len(cone)
-    result = homol.Cochain(comp, k, k, dict(_generator_cocycle_values(fan, comp, cone_idx)))
-    if coeff == "Z":
-        result = result.map_integral()
-    return result
+    return homol.Cochain(comp, k, k, dict(_generator_cocycle_values(fan, comp, cone_idx)))
 
 
 def _generator_cocycle_values(fan, comp, cone_idx):

@@ -29,12 +29,12 @@ def _primitive(vec):
 
 
 def _proportion(x, nu, what):
-    """The c with x = c * nu; raises, naming ``what`` nu is, if there is none."""
+    """The c with x = c * nu, an int when it is one; raises, naming ``what`` nu is, if there is none."""
     k = next(i for i, v in enumerate(nu) if v)
-    c = Fraction(x[k], nu[k])
-    if any(Fraction(xi) != c * ni for xi, ni in zip(x, nu)):
+    if any(xi * nu[k] != x[k] * ni for xi, ni in zip(x, nu)):
         raise AssertionError(f"vector not proportional to the {what}")
-    return c
+    c, r = divmod(x[k], nu[k])
+    return Fraction(x[k], nu[k]) if r else c
 
 
 @dataclass(frozen=True)
@@ -224,9 +224,11 @@ class Fan:
         """N_sigma: the saturation of the ray span, as an HNF sublattice."""
         if cone_idx not in self._lattice:
             c = self.cones[cone_idx]
-            L = Sublattice.from_rows([self.rays[i] for i in c], self.rank)
-            sat, _ = zlinalg.saturate(L)
-            self._lattice[cone_idx] = sat
+            rays = [self.rays[i] for i in c]
+            L = Sublattice.from_rows(rays, self.rank)
+            # with unit invariant factors the rays span a saturated lattice, and L is its one reduced HNF basis
+            divisors = zlinalg.snf_divisors([{j: x for j, x in enumerate(r) if x} for r in rays])
+            self._lattice[cone_idx] = L if divisors == (1,) * len(c) else zlinalg.saturate(L)[0]
         return self._lattice[cone_idx]
 
     def nu(self, cone_idx):
@@ -235,6 +237,10 @@ class Fan:
         The generator of /\\^dim N_sigma signed so that the wedge of the
         ray generators (sorted by ray index) is a positive multiple.
         """
+        return self._orientation(cone_idx)[0]
+
+    def _orientation(self, cone_idx):
+        """(nu, sign), where sign takes the wedge of the cone-lattice basis to nu."""
         if cone_idx not in self._nu:
             c = self.cones[cone_idx]
             basis = self.cone_lattice(cone_idx).basis.row_tuples()
@@ -242,7 +248,7 @@ class Fan:
             raw = exterior.wedge_rows([self.rays[i] for i in c], self.rank)
             k = next(i for i, x in enumerate(w) if x)
             sign = 1 if (raw[k] > 0) == (w[k] > 0) else -1
-            self._nu[cone_idx] = tuple(sign * x for x in w)
+            self._nu[cone_idx] = (tuple(sign * x for x in w), sign)
         return self._nu[cone_idx]
 
     def varpi(self, cone_idx, x):
@@ -262,13 +268,11 @@ class Fan:
             sigma = self.cones[sigma_idx]
             comp = tuple(i for i in sigma if i not in tau)
             comp_idx = self._cone_index[comp]
-            nu = self.nu(comp_idx)
+            _, sign = self._orientation(comp_idx)
             basis = self.cone_lattice(comp_idx).basis.row_tuples()
-            k = next(i for i, x in enumerate(nu) if x)
-            minor = exterior.det([[row[j] for j in exterior.monomials(self.rank, len(comp))[k]] for row in basis])
             star = self.star(tau_idx)
             img = exterior.wedge_rows([vecmat(row, star.proj) for row in basis], star.quotient_rank)
-            if minor != nu[k]:
+            if sign < 0:
                 img = tuple(-x for x in img)
             if not any(img):
                 raise AssertionError(f"degenerate face multivector of ({self.cones[tau_idx]}, {sigma})")

@@ -18,7 +18,6 @@ nose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import exterior, sheaf, zlinalg
 from .compactify import Compactification, comp_faces
@@ -386,10 +385,6 @@ class Cochain:
         data = self.data
         return tuple(data[fid][i] if fid in data else 0 for fid, i in labels)
 
-    def map_integral(self):
-        data = {fid: _integral(v, fid, self.p) for fid, v in self.data.items()}
-        return Cochain(self.comp, self.p, self.q, data)
-
 
 def coboundary(a):
     """The cellular coboundary of a cochain."""
@@ -462,7 +457,7 @@ def cup(a, b):
             term = sheaf.wedge_duals(comp, fid, a.p, a_here, b.p, b_here)
             total = totals.get(fid)
             if total is None:
-                total = totals[fid] = [Fraction(0)] * rank_out
+                total = totals[fid] = [0] * rank_out
             for i, x in enumerate(term):
                 total[i] += coefficient * x
     out = Cochain(comp, p, a.q + b.q)
@@ -710,7 +705,7 @@ def cap(fan, weights, alpha_values, k):
     comp = compactification(fan)
     d = fan.dim
     origin = comp.face_index[(fan.zero_cone, fan.zero_cone)]
-    alpha_hat = sheaf.extend_dual(comp, origin, k, alpha_values)
+    alpha_hat, den = sheaf.extend_dual(comp, origin, k, alpha_values)
     n = fan.rank
     data = {}
     for s in fan.maximal:
@@ -718,22 +713,10 @@ def cap(fan, weights, alpha_values, k):
         nu = fan.nu(s)
         w = weights[fan.cones[s]]
         contracted = exterior.contract_vector(alpha_hat, k, tuple(w * x for x in nu), d, n)
-        coords = sheaf.coords_in(comp, fid, d - k, _integral(contracted, fid, d - k))
+        what = f"the contraction of SF^{k} values by the multivector of face {fid} in degree {d - k}"
+        coords = sheaf.coords_in(comp, fid, d - k, sheaf.exact_quotient(contracted, den, what))
         if coords is None:
             raise AssertionError(f"the cap coefficient at cone {fan.cones[s]} leaves SF_{d - k} there")
         data[fid] = coords
     return Chain(comp, d - k, d, data)
 
-
-def _integral(vec, fid, p):
-    """The entries of a vector with integral Fraction values, as ints.
-
-    ``fid`` and ``p`` name the face and degree the vector lives at.
-    """
-    out = []
-    for x in vec:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise AssertionError(f"non-integral value {f} on face {fid} in degree {p}")
-        out.append(int(f))
-    return tuple(out)

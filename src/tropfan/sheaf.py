@@ -27,6 +27,15 @@ SF_p; it is never materialized as a sublattice of an ambient dual
 space.  Restrictions along face inclusions, their dual transports, and
 contraction maps all reduce to exact integer solves against these
 bases.
+
+Wedges and contractions of dual elements need their values on every
+wedge monomial.  ``comp.sheaf_extension`` keeps one rational
+elimination per basis id and width whose row operations are scaled
+once by their common denominator D, so an extension is an integer
+vector D * g.  The integer result of a wedge or contraction is divided
+once by the product of the denominators; the division is exact because
+the result is evaluated on lattices spanned by wedges of tangent
+vectors, and an inexact one raises, naming the face and degrees.
 """
 
 from __future__ import annotations
@@ -155,13 +164,14 @@ def _block(comp, p, gid, did):
 
 
 def extend_dual(comp, fid, p, values):
-    """A rational extension of a dual element to all wedge monomials.
+    """An extension of a dual element to all wedge monomials, scaled to integers: (D * g, D).
 
-    Deterministic: the coordinates g with B g = values that Gaussian
-    elimination on the basis B gives with free coordinates pinned to
-    zero, from one :class:`~tropfan.zlinalg.FracSolver` per basis id
-    and width.  Two extensions differ by a form vanishing on SF_p,
-    which is invisible to every use below.
+    Deterministic: g holds the coordinates with B g = values that
+    Gaussian elimination on the basis B gives with free coordinates
+    pinned to zero, from one :class:`~tropfan.zlinalg.FracSolver` per
+    basis id and width, and D is that solver's common denominator.  Two
+    extensions differ by a form vanishing on SF_p, which is invisible
+    to every use below.
     """
     bid, width = basis_id(comp, fid, p), exterior.dim(star_rank(comp, fid), p)
     solver = comp.sheaf_extension.get((bid, width))
@@ -169,16 +179,31 @@ def extend_dual(comp, fid, p, values):
         solver = comp.sheaf_extension[bid, width] = zlinalg.FracSolver(comp.sheaf_bases[bid], width)
         if solver.rank != len(comp.sheaf_bases[bid]):
             raise AssertionError(f"SF_{p} basis rows at face {fid} are linearly dependent")
-    return solver.solve(values)
+    return solver.solve_scaled(values), solver.denominator
+
+
+def exact_quotient(values, d, what):
+    """The values divided by d, as ints; raises, naming ``what`` they are, unless every division is exact."""
+    out = []
+    for v in values:
+        x, r = divmod(v, d)
+        if r:
+            raise AssertionError(f"{what} is not integral: {v}/{d}")
+        out.append(x)
+    return tuple(out)
 
 
 def wedge_duals(comp, fid, p, a_values, q, b_values):
-    """Wedge of dual elements of SF^p and SF^q as a dual element of SF^(p+q)."""
+    """Wedge of dual elements of SF^p and SF^q as a dual element of SF^(p+q).
+
+    The scaled extensions are wedged in integers, and each value on the
+    SF_(p+q) basis is divided once by D_a * D_b.  The division is exact:
+    SF_(p+q) is spanned by wedges of p and q tangent vectors of one
+    cone, and both extensions are integral on such wedges.
+    """
     m = star_rank(comp, fid)
-    a_hat = extend_dual(comp, fid, p, a_values)
-    b_hat = extend_dual(comp, fid, q, b_values)
-    prod = exterior.wedge_forms(a_hat, p, b_hat, q, m)
-    out = []
-    for row in basis(comp, fid, p + q):
-        out.append(sum(f * x for f, x in zip(prod, row)))
-    return tuple(out)
+    a_hat, da = extend_dual(comp, fid, p, a_values)
+    b_hat, db = extend_dual(comp, fid, q, b_values)
+    prod = exterior.wedge_coords(a_hat, p, b_hat, q, m)
+    values = [sum(f * x for f, x in zip(prod, row) if x) for row in basis(comp, fid, p + q)]
+    return exact_quotient(values, da * db, f"the wedge of SF^{p} and SF^{q} values at face {fid}")

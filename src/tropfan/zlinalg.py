@@ -689,30 +689,34 @@ def solve_frac(rows, rhs):
 
 
 class FracSolver:
-    """Rational solutions g of rows . g = rhs for many rhs, from one elimination.
+    """Rational solutions g of rows . g = rhs for many rhs, from one elimination, scaled to integers.
 
     ``rows`` is eliminated once as ``rref`` of [rows | I] on its first
-    ``ncols`` columns; the identity block records the row operations T.
+    ``ncols`` columns; the identity block records the row operations T,
+    which are scaled once by their common denominator ``denominator``.
     The pivots are chosen as :func:`solve_frac` chooses them, so
-    :meth:`solve` returns the same solution: free coordinates zero,
-    g[pivot_k] = T_k . rhs, and None when a row of T past the rank does
-    not annihilate rhs.
+    :meth:`solve_scaled` returns ``denominator`` times the same
+    solution: free coordinates zero, g[pivot_k] = T_k . rhs, and None
+    when a row of T past the rank does not annihilate rhs.
     """
 
     def __init__(self, rows, ncols):
         ech = rref(_with_identity(rows), ncols)
-        ops = [[(j, x) for j, x in enumerate(row[ncols:]) if x] for row in ech.rows]
+        T = [row[ncols:] for row in ech.rows]
+        self.denominator = d = math.lcm(*(x.denominator for row in T for x in row))
+        ops = [[(j, int(x * d)) for j, x in enumerate(row) if x] for row in T]
         self.ncols = ncols
         self.rank = ech.rank
         self._pivots = list(zip(ech.pivots, ops))
         self._null = ops[ech.rank :]
 
-    def solve(self, rhs):
+    def solve_scaled(self, rhs):
+        """``denominator`` times the solution g, in integers for an integer rhs, or None."""
         if any(sum(x * rhs[j] for j, x in t) for t in self._null):
             return None
-        g = [Fraction(0)] * self.ncols
+        g = [0] * self.ncols
         for c, t in self._pivots:
-            g[c] = sum((x * rhs[j] for j, x in t), Fraction(0))
+            g[c] = sum(x * rhs[j] for j, x in t)
         return tuple(g)
 
 

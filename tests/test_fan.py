@@ -1,10 +1,11 @@
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropfan import exterior, zlinalg
@@ -222,6 +223,32 @@ class TestSaturated:
             ]
             index = zlinalg.saturate(Sublattice.from_rows(rows, star.quotient_rank))[1] if rows else 1
             assert is_saturated_at(fan, i) == (index == 1)
+
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u44", "u35"])
+    def test_cone_lattice_is_the_saturation(self, name, request):
+        # unimodular cones skip the saturation; one reduced HNF basis per lattice makes the bases equal
+        fan = _named_fan(name, request)
+        for c, cone in enumerate(fan.cones):
+            L = Sublattice.from_rows([fan.rays[i] for i in cone], fan.rank)
+            assert fan.cone_lattice(c).basis == zlinalg.saturate(L)[0].basis
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cone_lattice_is_the_saturation_on_random_cones(self, case):
+        n, rows = case
+        rays = [tuple(x // g for x in r) for r in rows if (g := math.gcd(*r))]
+        assume(rays and len(zlinalg.snf_divisors([{j: x for j, x in enumerate(r) if x} for r in rays])) == len(rays))
+        fan = Fan.from_max_cones(n, rays, [range(len(rays))])
+        for c, cone in enumerate(fan.cones):
+            L = Sublattice.from_rows([fan.rays[i] for i in cone], n)
+            assert fan.cone_lattice(c).basis == zlinalg.saturate(L)[0].basis
 
 
 class TestStarFan:

@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -101,10 +102,10 @@ class TestRestriction:
 
 def contract(comp, fid, p, alpha_values, nu_coords, k):
     """Contraction of alpha in SF^p by a k-multivector in /\\^k of the star coordinates: values on SF_(p-k)."""
-    alpha_hat = sheaf.extend_dual(comp, fid, p, alpha_values)
+    alpha_hat, den = sheaf.extend_dual(comp, fid, p, alpha_values)
     m = sheaf.star_rank(comp, fid)
     return tuple(
-        sum(a * x for a, x in zip(alpha_hat, exterior.wedge_coords(nu_coords, k, row, p - k, m)))
+        Fraction(sum(a * x for a, x in zip(alpha_hat, exterior.wedge_coords(nu_coords, k, row, p - k, m))), den)
         for row in sheaf.basis(comp, fid, p - k)
     )
 
@@ -159,7 +160,9 @@ class TestFactoredBases:
                 width = exterior.dim(sheaf.star_rank(comp, fid), p)
                 for _ in range(2):
                     values = tuple(rng.randint(-4, 4) for _ in b)
-                    g = sheaf.extend_dual(comp, fid, p, values)
+                    scaled, den = sheaf.extend_dual(comp, fid, p, values)
+                    assert all(type(x) is int for x in scaled)
+                    g = tuple(Fraction(x, den) for x in scaled)
                     assert len(g) == width
                     if b:
                         assert g == zlinalg.solve_frac([list(r) for r in b], list(values))
@@ -184,6 +187,50 @@ class TestFactoredBases:
                     M = sheaf.dual_transport(comp, p, gid, did)
                     assert M == sheaf.restriction(comp, p, gid, did).transpose()
                     assert sheaf.dual_transport(comp, p, gid, did) is M
+
+    @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4", "u35"])
+    def test_integer_wedge_duals_match_the_rational_path(self, name, request):
+        # scaled integer extensions, divided once, against Fraction extensions wedged and paired
+        fan = _oracle_fan(name, request)
+        comp = compactification(fan)
+        rng = random.Random(17)
+
+        def rational_extension(fid, p, values):
+            b = sheaf.basis(comp, fid, p)
+            width = exterior.dim(sheaf.star_rank(comp, fid), p)
+            return zlinalg.solve_frac([list(r) for r in b], list(values)) if b else (0,) * width
+
+        for fid in range(len(comp.faces)):
+            m = sheaf.star_rank(comp, fid)
+            for p in range(fan.dim + 1):
+                for q in range(fan.dim + 1 - p):
+                    a = tuple(rng.randint(-4, 4) for _ in sheaf.basis(comp, fid, p))
+                    b = tuple(rng.randint(-4, 4) for _ in sheaf.basis(comp, fid, q))
+                    got = sheaf.wedge_duals(comp, fid, p, a, q, b)
+                    assert all(type(x) is int for x in got)
+                    prod = exterior.wedge_coords(rational_extension(fid, p, a), p, rational_extension(fid, q, b), q, m)
+                    assert got == tuple(sum(f * x for f, x in zip(prod, row)) for row in sheaf.basis(comp, fid, p + q))
+
+    def test_inexact_wedge_division_raises_under_O(self):
+        # a corrupted SF_1 basis row leaves a wedge that the common denominators do not divide
+        code = (
+            "from tropfan import sheaf\n"
+            "from tropfan.fan import Fan\n"
+            "from tropfan.homology import compactification\n"
+            "fan = Fan.from_max_cones(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])\n"
+            "comp = compactification(fan)\n"
+            "comp.sheaf_bases[sheaf.basis_id(comp, 0, 1)] = ((2, 0), (0, 1))\n"
+            "try:\n"
+            "    sheaf.wedge_duals(comp, 0, 1, (1, 0), 1, (0, 1))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert out.startswith("raised: the wedge of SF^1 and SF^1 values at face 0 is not integral")
 
     def test_dependent_basis_raises_under_O(self):
         # the full-row-rank check is a raise, not an assert

@@ -476,7 +476,11 @@ class TestRationalElimination:
         for draw in draws:
             # one consistent right-hand side M . x and one arbitrary
             for rhs in ([sum(a * x for a, x in zip(r, draw)) for r in rows], draw[: M.rows]):
-                assert solver.solve(rhs) == solve_frac(rows, rhs)
+                scaled, want = solver.solve_scaled(rhs), solve_frac(rows, rhs)
+                assert (scaled is None) == (want is None)
+                if scaled is not None:
+                    assert all(type(x) is int for x in scaled)
+                    assert tuple(Fraction(x, solver.denominator) for x in scaled) == want
 
     @given(matrices())
     @settings(max_examples=100, deadline=None)
