@@ -28,15 +28,6 @@ def _primitive(vec):
     return tuple(v // g for v in vec), g
 
 
-def _proportion(x, nu, what):
-    """The c with x = c * nu, an int when it is one; raises, naming ``what`` nu is, if there is none."""
-    k = next(i for i, v in enumerate(nu) if v)
-    if any(xi * nu[k] != x[k] * ni for xi, ni in zip(x, nu)):
-        raise AssertionError(f"vector not proportional to the {what}")
-    c, r = divmod(x[k], nu[k])
-    return Fraction(x[k], nu[k]) if r else c
-
-
 @dataclass(frozen=True)
 class ConewiseLinear:
     """A conewise linear function given by its rational values on rays."""
@@ -251,10 +242,6 @@ class Fan:
             self._nu[cone_idx] = (tuple(sign * x for x in w), sign)
         return self._nu[cone_idx]
 
-    def varpi(self, cone_idx, x):
-        """Coefficient c with x = c * nu(cone); x must be proportional."""
-        return _proportion(x, self.nu(cone_idx), f"canonical multivector of cone {self.cones[cone_idx]}")
-
     def nu_face(self, tau_idx, sigma_idx):
         """Multivector of the compactified face (tau, sigma) in star(tau) coordinates.
 
@@ -280,9 +267,14 @@ class Fan:
         return self._nu_face[key]
 
     def varpi_face(self, tau_idx, sigma_idx, x):
-        """Coefficient c with x = c * nu_face(tau, sigma); x must be proportional."""
-        what = f"face multivector of ({self.cones[tau_idx]}, {self.cones[sigma_idx]})"
-        return _proportion(x, self.nu_face(tau_idx, sigma_idx), what)
+        """Coefficient c with x = c * nu_face(tau, sigma), an int when it is one; raises if x is not proportional."""
+        nu = self.nu_face(tau_idx, sigma_idx)
+        k = next(i for i, v in enumerate(nu) if v)
+        if any(xi * nu[k] != x[k] * ni for xi, ni in zip(x, nu)):
+            face = (self.cones[tau_idx], self.cones[sigma_idx])
+            raise AssertionError(f"vector not proportional to the face multivector of {face}")
+        c, r = divmod(x[k], nu[k])
+        return Fraction(x[k], nu[k]) if r else c
 
     def unit_normal(self, tau_idx, sigma_idx):
         """Unit normal data for a codimension-one face tau of sigma.

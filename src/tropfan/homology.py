@@ -381,7 +381,7 @@ class Cochain:
         return all(not any(v) for v in self.data.values())
 
     def vector(self, labels):
-        """Row vector of the cochain over explicit (face, index) labels."""
+        """Row vector of the (co)chain over explicit (face, index) labels."""
         data = self.data
         return tuple(data[fid][i] if fid in data else 0 for fid, i in labels)
 
@@ -659,12 +659,7 @@ class Chain:
     q: int
     data: dict = field(default_factory=dict)
 
-    def vector(self, labels):
-        out = []
-        for fid, i in labels:
-            v = self.data.get(fid)
-            out.append(v[i] if v is not None else 0)
-        return tuple(out)
+    vector = Cochain.vector
 
 
 def fundamental_cycle(fan, weights):

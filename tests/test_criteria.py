@@ -5,7 +5,9 @@ import pytest
 
 from tropfan import chow, homology, zlinalg
 from tropfan.criteria import (
+    _psi_status,
     _stratum_pairing_values,
+    chow_to_cohomology_map,
     chow_pd_check,
     homology_manifold_check,
     is_ample,
@@ -13,9 +15,10 @@ from tropfan.criteria import (
     pd_weight,
     verification_report,
 )
-from tropfan.fan import ConewiseLinear, TropicalWeights
+from tropfan.fan import ConewiseLinear, TropicalWeights, is_saturated
 from tropfan.homology import compactification, unit_cochain
 from tropfan.matroid import Matroid, bergman_fan
+from tropfan.zlinalg import AbGroup, IntMatrix
 
 
 class TestVerificationReport:
@@ -48,6 +51,114 @@ class TestVerificationReport:
         r = verification_report(request.getfixturevalue(name))
         assert all(v == "iso" for v in r.psi_status.values())
         assert r.ok
+
+
+def _lattice_oracle_status(images, relations, H, n, saturated):
+    """The status of psi from kernel lattices: the kernel of Z^n -> H against the relations or their saturation."""
+    if n == 0:
+        return ("iso" if saturated else "surjective-torsion-kernel") if H.is_trivial else "psi-failure"
+    f, tor = H.free_rank, H.torsion
+    cols = f + len(tor)
+    rows = [list(img) for img in images]
+    for i, dtor in enumerate(tor):
+        row = [0] * cols
+        row[f + i] = dtor
+        rows.append(row)
+    surj = cols == 0 or zlinalg.cokernel_group(IntMatrix.from_rows(rows, cols)).is_trivial
+    if cols == 0:
+        kernel = zlinalg.hnf_basis([tuple(1 if i == j else 0 for j in range(n)) for i in range(n)], n)
+    else:
+        K = zlinalg.kernel_basis(IntMatrix.from_rows(rows, cols).transpose())
+        kernel = zlinalg.hnf_basis([K.row(i)[:n] for i in range(K.rows)], n)
+    if saturated:
+        return "iso" if surj and kernel == zlinalg.hnf_basis(relations, n) else "psi-failure"
+    sat, _ = zlinalg.saturate(zlinalg.Sublattice.from_rows(relations, n))
+    return "surjective-torsion-kernel" if surj and kernel == list(sat.basis.row_tuples()) else "psi-failure"
+
+
+def _psi_data(fan, p):
+    """(images, relations, A, H) of the comparison map in degree p."""
+    groups = homology.ComplexGroups(homology.build_complex(compactification(fan), p, "cohomology"))
+    pres = chow.chow_group(fan, p)
+    return chow_to_cohomology_map(fan, p, groups), pres.relations, pres.group, groups.group(p)
+
+
+def _both_statuses(images, relations, A, H, saturated):
+    return _psi_status(images, relations, A, H, saturated), _lattice_oracle_status(images, relations, H, len(images), saturated)
+
+
+class TestPsiStatus:
+    @pytest.mark.parametrize("name", ["cone2", "cube", "delta", "p2", "u23", "k4", "u53", "u63"])
+    def test_matches_the_lattice_oracle(self, name, request):
+        if name == "k4":
+            fan = request.getfixturevalue("k4_pair")[0]
+        elif name in ("u53", "u63"):
+            fan = bergman_fan(Matroid.uniform(int(name[1]), int(name[2])))[0]
+        else:
+            fan = request.getfixturevalue(name)
+        saturated = is_saturated(fan)
+        for p in range(fan.dim + 1):
+            new, old = _both_statuses(*_psi_data(fan, p), saturated)
+            assert new == old == ("iso" if saturated else "surjective-torsion-kernel"), (name, p)
+
+    @pytest.mark.parametrize("saturated", [True, False])
+    def test_no_generators(self, saturated):
+        good = "iso" if saturated else "surjective-torsion-kernel"
+        assert _both_statuses([], [], AbGroup(0), AbGroup(0), saturated) == (good, good)
+        assert _both_statuses([], [], AbGroup(0), AbGroup(1), saturated) == ("psi-failure",) * 2
+
+    def test_relation_not_sent_to_zero(self, cube):
+        # (i): image 0 += image 3 keeps the images generating H, but relation 0 now sends them to -image 3
+        images, relations, A, H = _psi_data(cube, 1)
+        assert relations[0][0] != 0 and any(images[3])
+        images[0] = tuple(a + b for a, b in zip(images[0], images[3]))
+        assert _both_statuses(images, relations, A, H, True) == ("psi-failure",) * 2
+
+    def test_torsion_coordinate_not_sent_to_zero(self, delta):
+        # (i) modulo a divisor: delta's A^1 = Z x Z/3Z into Z x Z/3Z, with a third coordinate that is
+        # killed by the relations for (1, 2, 0) (an isomorphism) and not for (1, 0, 0)
+        images, relations, A, H = _psi_data(delta, 1)
+        H3 = AbGroup(H.free_rank, (3,))
+        iso = [img + (t,) for img, t in zip(images, (1, 2, 0))]
+        assert _both_statuses(iso, relations, A, H3, True) == ("iso",) * 2
+        bad = [img + (t,) for img, t in zip(images, (1, 0, 0))]
+        assert _both_statuses(bad, relations, A, H3, True) == ("psi-failure",) * 2
+
+    def test_images_do_not_generate(self, cube):
+        # (ii): doubled images still kill the relations, with the free ranks equal
+        images, relations, A, H = _psi_data(cube, 1)
+        doubled = [tuple(2 * x for x in img) for img in images]
+        assert _both_statuses(doubled, relations, A, H, True) == ("psi-failure",) * 2
+
+    def test_torsion_of_h_not_hit(self, cube):
+        # H with a Z/2Z that A lacks: nothing maps onto it, so (ii) fails; past (i)-(iii) Tors A maps onto Tors H
+        images, relations, A, H = _psi_data(cube, 1)
+        padded = [img + (0,) for img in images]
+        assert _both_statuses(padded, relations, A, AbGroup(H.free_rank, (2,)), True) == ("psi-failure",) * 2
+
+    def test_free_rank_mismatch(self, cube):
+        # (iii): without relation 0, A^1 grows to Z^6 while H^{1,1} stays Z^5
+        images, relations, _, H = _psi_data(cube, 1)
+        fewer = relations[1:]
+        A = zlinalg.cokernel_group(IntMatrix.from_rows(fewer, len(images)))
+        assert A.free_rank == H.free_rank + 1
+        assert _both_statuses(images, fewer, A, H, True) == ("psi-failure",) * 2
+
+    def test_torsion_of_a_in_the_kernel(self, delta):
+        # delta's A^1 = Z x Z/3Z onto H^{1,1} = Z passes (i)-(iii); the orders 3 != 1 rule out "iso"
+        images, relations, A, H = _psi_data(delta, 1)
+        assert str(A) == "Z x Z/3Z" and str(H) == "Z"
+        assert _both_statuses(images, relations, A, H, False) == ("surjective-torsion-kernel",) * 2
+        assert _both_statuses(images, relations, A, H, True) == ("psi-failure",) * 2
+
+    def test_identity_keeps_the_torsion(self, delta):
+        # the identity of delta's A^1 is an isomorphism, so its kernel is not the torsion Z/3Z
+        pres = chow.chow_group(delta, 1)
+        n = len(pres.generators)
+        images = [pres.quotient.class_of(tuple(int(i == j) for j in range(n))) for i in range(n)]
+        A = pres.group
+        assert _both_statuses(images, pres.relations, A, A, True) == ("iso",) * 2
+        assert _both_statuses(images, pres.relations, A, A, False) == ("psi-failure",) * 2
 
 
 class TestChowPD:
