@@ -18,7 +18,6 @@ at infinity and cupping ray cocycles for higher degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import sheaf, zlinalg
 from . import homology as homol
@@ -59,7 +58,12 @@ class MinkowskiWeight:
 
 
 class ChowPresentation:
-    """Localization presentation of A^k: generators x_sigma and linear relations."""
+    """Localization presentation of A^k: generators x_sigma and linear relations.
+
+    One :class:`~tropfan.zlinalg.LatticeQuotient` of the integral
+    relations serves both coefficient rings: over Q the group and the
+    class coordinates are its free part.
+    """
 
     def __init__(self, fan, k, coeff="Z"):
         if coeff not in ("Z", "Q"):
@@ -72,28 +76,14 @@ class ChowPresentation:
         self.generators = fan.cones_of_dim(k) if 0 <= k else []
         self.gen_pos = {c: i for i, c in enumerate(self.generators)}
         self.relations = relation_matrix(fan, k)
-        if coeff == "Z":
-            self.quotient = LatticeQuotient(len(self.generators), self.relations)
-            self.group = self.quotient.group
-        else:
-            self.quotient = None
-            self._echelon = zlinalg.rref(self.relations, len(self.generators))
-            self.group = AbGroup(len(self.generators) - self._echelon.rank)
+        self.quotient = LatticeQuotient(len(self.generators), self.relations)
+        group = self.quotient.group
+        self.group = group if coeff == "Z" else AbGroup(group.free_rank)
 
     def class_of(self, cls):
         """Canonical coordinates of a Chow class in the quotient."""
-        if self.coeff == "Z":
-            return self.quotient.class_of(cls.vector)
-        return self._echelon.reduce(cls.vector)
-
-    def free_representatives(self):
-        """Generator vectors whose classes form a basis of the free part."""
-        if self.coeff == "Z":
-            return self.quotient.free_representatives()
-        # over Q the non-pivot generators give a basis of the quotient
-        n = len(self.generators)
-        pivots = set(self._echelon.pivots)
-        return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n) if i not in pivots]
+        coords = self.quotient.class_of(cls.vector)
+        return coords if self.coeff == "Z" else coords[: self.group.free_rank]
 
     def classes_equal(self, a, b):
         return self.class_of(a) == self.class_of(b)
@@ -106,29 +96,16 @@ class ChowPresentation:
         v[self.gen_pos[cone_idx]] = 1
         return ChowClass(self.fan, self.k, v)
 
-    def zero(self):
-        return ChowClass(self.fan, self.k, (0,) * len(self.generators))
-
 
 def relation_matrix(fan, k):
-    """Rows: one per (k-1)-cone and coordinate of its quotient lattice."""
-    gens = fan.cones_of_dim(k)
-    pos = {c: i for i, c in enumerate(gens)}
-    rows = []
+    """Dict rows (generator position -> nonzero entry), one per (k-1)-cone and coordinate of its quotient lattice."""
     if k <= 0:
-        return rows
+        return []
+    pos = {c: i for i, c in enumerate(fan.cones_of_dim(k))}
+    rows = []
     for tau in fan.cones_of_dim(k - 1):
-        star = fan.star(tau)
-        m = star.quotient_rank
-        normals = {}
-        for sigma in fan.covered_by(tau):
-            _, cls = fan.unit_normal(tau, sigma)
-            normals[sigma] = cls
-        for j in range(m):
-            row = [0] * len(gens)
-            for sigma, cls in normals.items():
-                row[pos[sigma]] = cls[j]
-            rows.append(row)
+        normals = [(pos[sigma], fan.unit_normal(tau, sigma)[1]) for sigma in fan.covered_by(tau)]
+        rows.extend({i: cls[j] for i, cls in normals if cls[j]} for j in range(fan.star(tau).quotient_rank))
     return rows
 
 
@@ -140,87 +117,78 @@ def chow_group(fan, k, coeff="Z"):
 
 
 def _ray_times_generator(fan, ray, cone_idx, coeff):
-    """Expand x_ray * x_cone as a vector over the next-degree generators."""
-    k = fan.dim_of(cone_idx)
-    gens = fan.cones_of_dim(k + 1)
-    pos = {c: i for i, c in enumerate(gens)}
-    out = [Fraction(0) if coeff == "Q" else 0] * len(gens)
+    """x_ray * x_cone as a dict over the next-degree generators (cone -> nonzero coefficient).
+
+    Memoised in the fan's table of ray products by (ray, cone, coeff);
+    an expansion that raises is not stored.  Callers must not change
+    the returned dict.
+    """
+    key = (ray, cone_idx, coeff)
+    if key in fan._ray_products:
+        return fan._ray_products[key]
     cone = fan.cones[cone_idx]
-    ray_cone = fan.cone_index((ray,))
+    out = {}
     if ray not in cone:
-        join = fan.join(ray_cone, cone_idx)
+        join = fan.join(fan.cone_index((ray,)), cone_idx)
         if join is not None:
-            out[pos[join]] = out[pos[join]] + 1
-        return out
-    # self-intersection: pick a linear form that is one on the ray and
-    # zero on the other rays of the cone, then expand by the relation
-    rows = [fan.rays[i] for i in cone]
-    rhs = [1 if i == ray else 0 for i in cone]
-    if coeff == "Z":
-        # want m with rays . m = rhs; as x . A = b with A the rank x |cone| matrix
-        A = IntMatrix.from_rows([[rows[j][i] for j in range(len(rows))] for i in range(fan.rank)], len(rows))
-        m = zlinalg.solve_int(A, rhs)
-        if m is None:
-            raise ValueError("integral separating form requires a unimodular cone")
+            out[join] = 1
     else:
-        m = zlinalg.solve_frac([list(r) for r in rows], rhs)
-        if m is None:
-            raise ValueError("no linear form separates the ray inside its cone")
-    for zeta, gen in enumerate(fan.rays):
-        zeta_cone = fan.cone_index((zeta,))
-        if zeta in cone:
-            continue
-        meet = set(fan.cones[zeta_cone]) & set(cone)
-        if meet:
-            continue
-        join = fan.join(zeta_cone, cone_idx)
-        if join is None:
-            continue
-        coefficient = sum(mi * gi for mi, gi in zip(m, gen))
-        if coefficient:
-            out[pos[join]] = out[pos[join]] - coefficient
+        # self-intersection: pick a linear form that is one on the ray and
+        # zero on the other rays of the cone, then expand by the relation
+        rows = [fan.rays[i] for i in cone]
+        rhs = [1 if i == ray else 0 for i in cone]
+        if coeff == "Z":
+            # want m with rays . m = rhs; as x . A = b with A the rank x |cone| matrix
+            A = IntMatrix.from_rows([[rows[j][i] for j in range(len(rows))] for i in range(fan.rank)], len(rows))
+            m = zlinalg.solve_int(A, rhs)
+            if m is None:
+                raise ValueError("integral separating form requires a unimodular cone")
+        else:
+            m = zlinalg.solve_frac([list(r) for r in rows], rhs)
+            if m is None:
+                raise ValueError("no linear form separates the ray inside its cone")
+        for zeta, gen in enumerate(fan.rays):
+            if zeta in cone:
+                continue
+            join = fan.join(fan.cone_index((zeta,)), cone_idx)
+            if join is None:
+                continue
+            coefficient = sum(mi * gi for mi, gi in zip(m, gen))
+            if coefficient:
+                out[join] = -coefficient
+    fan._ray_products[key] = out
     return out
 
 
-def multiply_by_ray(fan, cls, ray, coeff="Z"):
-    k = cls.degree
-    if k + 1 > fan.dim:
-        return ChowClass(fan, k + 1, ())
-    gens = fan.cones_of_dim(k)
-    total = None
-    for c, cone_idx in zip(cls.vector, gens):
-        if not c:
-            continue
-        term = _ray_times_generator(fan, ray, cone_idx, coeff)
-        if total is None:
-            total = [c * x for x in term]
-        else:
-            total = [t + c * x for t, x in zip(total, term)]
-    n_next = len(fan.cones_of_dim(k + 1))
-    if total is None:
-        total = [0] * n_next
-    return ChowClass(fan, k + 1, total)
+def multiply_sparse(fan, x, y, coeff="Z"):
+    """Product of two Chow vectors given as dicts cone -> coefficient, as such a dict.
+
+    Each cone of y multiplies x by its rays in turn.
+    """
+    out = {}
+    for cone_idx, c in y.items():
+        term = x
+        for ray in fan.cones[cone_idx]:
+            step = {}
+            for s, v in term.items():
+                for t, e in _ray_times_generator(fan, ray, s, coeff).items():
+                    step[t] = step.get(t, 0) + v * e
+            term = step
+        for t, v in term.items():
+            out[t] = out.get(t, 0) + c * v
+    return {t: v for t, v in out.items() if v}
 
 
 def chow_multiply(fan, xi, eta, coeff="Z"):
-    """Product of Chow classes by iterated ray multiplication."""
+    """Product of Chow classes by iterated ray multiplication, on sparse vectors."""
     if xi.fan is not eta.fan:
         raise ValueError("classes on different fans")
-    if xi.degree + eta.degree > fan.dim:
-        return ChowClass(fan, xi.degree + eta.degree, ())
-    gens_eta = fan.cones_of_dim(eta.degree)
-    result = None
-    for c, cone_idx in zip(eta.vector, gens_eta):
-        if not c:
-            continue
-        term = xi
-        for ray in fan.cones[cone_idx]:
-            term = multiply_by_ray(fan, term, ray, coeff)
-        term = term.scale(c)
-        result = term if result is None else result + term
-    if result is None:
-        return ChowClass(fan, xi.degree + eta.degree, (0,) * len(fan.cones_of_dim(xi.degree + eta.degree)))
-    return result
+    k = xi.degree + eta.degree
+    if k > fan.dim:
+        return ChowClass(fan, k, ())
+    x, y = ({s: c for s, c in zip(fan.cones_of_dim(a.degree), a.vector) if c} for a in (xi, eta))
+    prod = multiply_sparse(fan, x, y, coeff)
+    return ChowClass(fan, k, tuple(prod.get(s, 0) for s in fan.cones_of_dim(k)))
 
 
 def degree_map(fan, weights, cls):
@@ -241,14 +209,15 @@ def degree_map(fan, weights, cls):
 
 def minkowski_weights(fan, p, coeff="Z"):
     """Basis of the group of p-dimensional Minkowski weights."""
-    gens = fan.cones_of_dim(p)
-    basis = zlinalg.kernel_basis(IntMatrix.from_rows(relation_matrix(fan, p), len(gens)))
+    n = len(fan.cones_of_dim(p))
+    rows = [[r.get(j, 0) for j in range(n)] for r in relation_matrix(fan, p)]
+    basis = zlinalg.kernel_basis(IntMatrix.from_rows(rows, n))
     return [MinkowskiWeight(fan, p, basis.row(i)) for i in range(basis.rows)]
 
 
 def weight_is_balanced(w):
     rows = relation_matrix(w.fan, w.dimension)
-    return all(sum(r * v for r, v in zip(row, w.values)) == 0 for row in rows)
+    return all(sum(e * w.values[j] for j, e in row.items()) == 0 for row in rows)
 
 
 def chow_mw_pairing(cls, w):
@@ -282,22 +251,17 @@ def cycle_class(fan, w):
     p = w.dimension
     comp = homol.compactification(fan)
     gc = homol.build_complex(comp, p, "homology")
-    labels = gc.spaces.get(p, ())
-    vec = [0] * len(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
+    data = {}
     for value, s in zip(w.values, fan.cones_of_dim(p)):
         if not value:
             continue
         fid = comp.face_index[(fan.zero_cone, s)]
-        nu = fan.nu(s)
-        coords = sheaf.coords_in(comp, fid, p, nu)
+        coords = sheaf.coords_in(comp, fid, p, fan.nu(s))
         if coords is None:
             raise AssertionError(f"the canonical multivector of cone {fan.cones[s]} leaves SF_{p} there")
-        for i, c in enumerate(coords):
-            if c:
-                vec[index[(fid, i)]] += value * c
+        data[fid] = tuple(value * c for c in coords)
     groups = homol.ComplexGroups(gc)
-    return HomologyClass(groups, p, groups.class_of(p, vec))
+    return HomologyClass(groups, p, groups.class_of(p, gc.pairs(homol.Chain(comp, p, p, data))))
 
 
 def cocycle_to_chow(fan, cochain):

@@ -66,11 +66,10 @@ def chow_pd_check(fan, weights=None, coeff="Z"):
         report.applicable = False
         report.reasons.append("weights are not balanced; duality against the degree map is vacuous")
         return report
-    # the degree map, with balancing checked once above
-    fundamental = chow_mod.fundamental_weight(fan, weights)
-    degs = [chow_mod.chow_mw_pairing(pres[d].generator(s), fundamental) for s in fan.cones_of_dim(d)]
+    # the degree map on the top generators, with balancing checked once above
+    degree = dict(zip(fan.cones_of_dim(d), chow_mod.fundamental_weight(fan, weights).values))
     g = 0
-    for x in degs:
+    for x in degree.values():
         g = gcd(g, abs(x))
     if g != 1:
         report.ok = False
@@ -82,16 +81,13 @@ def chow_pd_check(fan, weights=None, coeff="Z"):
             report.ok = False
             report.reasons.append(f"rank A^{k} != rank A^{d - k}")
             continue
-        ra = a.free_representatives()
-        rb = b.free_representatives()
+        ra, rb = ([{s: c for s, c in zip(p.generators, v) if c} for v in p.quotient.free_representatives()] for p in (a, b))
         gram = []
         for va in ra:
             row = []
-            ca = chow_mod.ChowClass(fan, k, va)
             for vb in rb:
-                cb = chow_mod.ChowClass(fan, d - k, vb)
-                prod = chow_mod.chow_multiply(fan, ca, cb, coeff)
-                row.append(chow_mod.chow_mw_pairing(prod, fundamental))
+                prod = chow_mod.multiply_sparse(fan, va, vb, coeff)
+                row.append(sum(c * degree[s] for s, c in prod.items()))
             gram.append(row)
         dt = det(gram) if gram else 1
         report.gram_determinants[k] = dt
@@ -268,7 +264,7 @@ def kleiman_check(fan, f):
         balance = chow_mod.relation_matrix(star.fan, 1)
         cons = []
         for row in balance:
-            cons.append((tuple(row), 0, EQ))
+            cons.append((tuple(row.get(j, 0) for j in range(nrays)), 0, EQ))
         cons.append(((1,) * nrays, -1, EQ))
         for i in range(nrays):
             unit = tuple(1 if j == i else 0 for j in range(nrays))
@@ -345,8 +341,7 @@ def verification_report(fan):
             chow_q[p] = pres[p].group.free_rank
         else:
             chow_groups[p] = None
-            relations = IntMatrix.from_rows(chow_mod.relation_matrix(fan, p), len(fan.cones_of_dim(p)))
-            chow_q[p] = zlinalg.cokernel_group(relations).free_rank
+            chow_q[p] = len(fan.cones_of_dim(p)) - len(zlinalg.snf_divisors(chow_mod.relation_matrix(fan, p)))
 
     vanishing_obs = []
     guaranteed_ok = True
@@ -401,11 +396,10 @@ def chow_to_cohomology_map(fan, p, groups):
     ``groups`` is the :class:`~tropfan.homology.ComplexGroups` of the
     degree-p cohomology complex of the compactification.
     """
-    labels = groups.gc.spaces.get(p, ())
     images = []
     for s in fan.cones_of_dim(p):
         a = chow_mod.chow_generator_cocycle(fan, s)
-        images.append(groups.class_of(p, a.vector(labels)))
+        images.append(groups.class_of(p, groups.gc.pairs(a)))
     return images
 
 
@@ -423,23 +417,24 @@ def _psi_status_unimodular(fan, groups, pres, saturated):
 def _psi_status(images, relations, A, H, saturated):
     """Status of the map psi from A = Z^n / relations to H sending generator i to ``images[i]``.
 
-    ``images`` are canonical coordinates in H (free parts, then torsion
-    parts).  Three checks: (i) every relation row maps to 0 in H, so
-    psi is defined on A; (ii) the images generate H; (iii) A and H have
-    the same free rank.  Then the kernel K of psi is finite, so it lies
-    in Tors A, and Tors A / K is Tors H: a torsion class of H lifts to a
-    class of A whose multiple lies in K, hence to a torsion class.  So
-    psi is an isomorphism iff |Tors A| = |Tors H| (the saturated
-    status), and K = Tors A iff H is torsion-free (the unsaturated one).
+    ``relations`` are dict rows (generator -> nonzero entry), as
+    :func:`~tropfan.chow.relation_matrix` returns them, and ``images``
+    canonical coordinates in H (free parts, then torsion parts).  Three
+    checks: (i) every relation row maps to 0 in H, so psi is defined on
+    A; (ii) the images generate H; (iii) A and H have the same free
+    rank.  Then the kernel K of psi is finite, so it lies in Tors A, and
+    Tors A / K is Tors H: a torsion class of H lifts to a class of A
+    whose multiple lies in K, hence to a torsion class.  So psi is an
+    isomorphism iff |Tors A| = |Tors H| (the saturated status), and
+    K = Tors A iff H is torsion-free (the unsaturated one).
     """
     f, tor = H.free_rank, H.torsion
     cols = f + len(tor)
     for row in relations:
         total = [0] * cols
-        for x, img in zip(row, images):
-            if x:
-                for j, y in enumerate(img):
-                    total[j] += x * y
+        for i, x in row.items():
+            for j, y in enumerate(images[i]):
+                total[j] += x * y
         if any(total[:f]) or any(v % d for v, d in zip(total[f:], tor)):
             return "psi-failure"
     rows = [list(img) for img in images]

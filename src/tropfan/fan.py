@@ -121,6 +121,7 @@ class Fan:
         # the distinct /\^k transitions, their ids by (t_small, t_big, k) and by value
         self._transitions, self._transition_ids, self._transition_by_value = [], {}, {}
         self._compactification = None  # filled by homology.compactification
+        self._ray_products = {}  # (ray, cone, coeff) -> x_ray * x_cone, filled by chow
         for r in self.rays:
             if len(r) != rank:
                 raise ValueError("ray has wrong length")
@@ -150,9 +151,6 @@ class Fan:
 
     def cone_index(self, cone):
         return self._cone_index[tuple(sorted(cone))]
-
-    def dim_of(self, cone_idx):
-        return len(self.cones[cone_idx])
 
     @property
     def dim(self):

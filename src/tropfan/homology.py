@@ -18,11 +18,12 @@ nose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import exterior, sheaf, zlinalg
 from .compactify import Compactification, comp_faces
 from .fan import Fan
-from .zlinalg import AbGroup, IntMatrix, LatticeQuotient, SparseMatrix, sparse_vecmat, vecmat
+from .zlinalg import AbGroup, IntMatrix, LatticeQuotient, SparseMatrix, replay, sparse_vecmat, vecmat
 
 VARIANTS = ("cohomology", "homology", "borel_moore", "compact_support")
 _DUAL_VARIANTS = {"cohomology": True, "compact_support": True, "homology": False, "borel_moore": False}
@@ -54,8 +55,6 @@ class GradedComplex:
     step: int
     spaces: dict
     maps: dict
-    # face id -> (degree, positions of its cells there), built by the first restrict
-    _cells: dict = field(default=None, init=False, repr=False, compare=False)
 
     def dim(self, q):
         return len(self.spaces.get(q, ()))
@@ -70,11 +69,6 @@ class GradedComplex:
         covers, so neither a boundary nor a coboundary evaluated on the
         set reaches a face outside it.
         """
-        if self._cells is None:
-            self._cells = {}
-            for q, labs in self.spaces.items():
-                for k, (fid, _) in enumerate(labs):
-                    self._cells.setdefault(fid, (q, []))[1].append(k)
         keep = {}
         for fid in sorted(face_ids):
             q, positions = self._cells.get(fid, (None, ()))
@@ -91,6 +85,27 @@ class GradedComplex:
             rows = tuple({target[c]: e for c, e in data[old].items() if c in target} for old in olds)
             maps[q] = SparseMatrix(len(olds), len(target), rows)
         return GradedComplex(self.comp, self.p, self.variant, self.coeff, self.step, spaces, maps)
+
+    @cached_property
+    def _cells(self):
+        """Face id -> (degree, positions of its cells there)."""
+        cells = {}
+        for q, labs in self.spaces.items():
+            for k, (fid, _) in enumerate(labs):
+                cells.setdefault(fid, (q, []))[1].append(k)
+        return cells
+
+    def pairs(self, chain):
+        """The (cell, value) pairs of a chain or cochain, as :meth:`ComplexGroups.class_of` takes them.
+
+        Values on faces with no cells of the chain's degree here are left out.
+        """
+        out = []
+        for fid, values in chain.data.items():
+            q, positions = self._cells.get(fid, (None, ()))
+            if q == chain.q:
+                out.extend(zip(positions, values))
+        return out
 
     def map_out(self, q):
         if q in self.maps:
@@ -201,8 +216,9 @@ class ComplexGroups:
     d_in.  A unit at cell a' below and cell b of degree q in d_in pairs
     them the other way: once column b is cleared, x is congruent to
     x - x_b * r with r row a' scaled to 1 at b, which vanishes at b, so
-    b is dropped with its row of d_out.  Each pair is recorded as a step
-    (b, r), with r None for the first kind.  What is left is a small
+    b is dropped with its row of d_out.  Each dropped cell is recorded
+    as a step with its r, None for the first kind, for
+    :func:`~tropfan.zlinalg.replay`.  What is left is a small
     residual complex, often with no differential at all; its kernel
     basis, a solver over it and the quotient by the residual image give
     the canonical coordinates, and that quotient is checked against the
@@ -222,23 +238,15 @@ class ComplexGroups:
     def group(self, q):
         return self.groups.get(q, AbGroup(0))
 
-    def class_of(self, q, vec):
-        """Canonical coordinates of the class of a cycle/cocycle vector."""
+    def class_of(self, q, pairs):
+        """Canonical coordinates of the class of a cycle/cocycle given as distinct (cell, value) pairs."""
         if self.gc.coeff != "Z":
             raise ValueError("class map only available over Z")
         steps, cells, solver, quot = self._class_map(q)
-        if sparse_vecmat(enumerate(vec), self.gc.map_out(q).data):
+        x = {i: v for i, v in pairs if v}
+        if sparse_vecmat(x.items(), self.gc.map_out(q).data):
             raise AssertionError(f"vector is not a cycle in degree {q}")
-        x = {i: v for i, v in enumerate(vec) if v}
-        for b, r in steps:
-            xb = x.pop(b, 0)
-            if xb and r is not None:
-                for c, e in r.items():
-                    v = x.get(c, 0) - xb * e
-                    if v:
-                        x[c] = v
-                    else:
-                        del x[c]
+        replay(steps, x)
         if solver is None:
             if x:
                 raise AssertionError(f"nonzero vector in a trivial kernel in degree {q}")
@@ -266,7 +274,7 @@ class ComplexGroups:
             rows = [dict(r) for r in d_in]
             rows += [{n + j: e for j, e in r.items()} for r in gc.map_out(q).data]
             where, alive = zlinalg._sparse_index(rows)
-            steps = []
+            steps = {}
 
             def on_pivot(i, j):
                 if i >= m:
@@ -277,12 +285,10 @@ class ComplexGroups:
                         del rk[a]
                         if not rk:
                             alive.discard(k)
-                    steps.append((a, None))
+                    zlinalg.record_step(steps, a)
                 else:
                     # row i of d_in against cell j: drop the row of d_out of cell j
-                    r = rows[i]
-                    s = r[j]
-                    steps.append((j, {c: s * e for c, e in r.items() if c != j}))
+                    zlinalg.record_step(steps, j, rows[i])
                     k = m + j
                     if k in alive:
                         for c in rows[k]:
@@ -290,8 +296,7 @@ class ComplexGroups:
                         alive.discard(k)
 
             zlinalg._unit_pivots(rows, where, alive, on_pivot)
-            dropped = {b for b, _ in steps}
-            cells = [c for c in range(n) if c not in dropped]
+            cells = [c for c in range(n) if c not in steps]
             pos = {c: i for i, c in enumerate(cells)}
             # the residual d_out, transposed: one row per column it still has
             transposed = {}
@@ -309,7 +314,7 @@ class ComplexGroups:
                     coeff = solver.solve(v) if solver else None
                     if coeff is None:
                         raise AssertionError(f"image does not lie in the kernel in degree {q}")
-                    rel_rows.append(coeff)
+                    rel_rows.append({j: e for j, e in enumerate(coeff) if e})
             quot = LatticeQuotient(K.rows, rel_rows)
             if quot.group != self.group(q):
                 raise AssertionError(f"class map quotient {quot.group} differs from H_{q} = {self.group(q)}")
@@ -379,11 +384,6 @@ class Cochain:
 
     def is_zero(self):
         return all(not any(v) for v in self.data.values())
-
-    def vector(self, labels):
-        """Row vector of the (co)chain over explicit (face, index) labels."""
-        data = self.data
-        return tuple(data[fid][i] if fid in data else 0 for fid, i in labels)
 
 
 def coboundary(a):
@@ -659,8 +659,6 @@ class Chain:
     q: int
     data: dict = field(default_factory=dict)
 
-    vector = Cochain.vector
-
 
 def fundamental_cycle(fan, weights):
     """The canonical Borel-Moore cycle of a balanced weighted fan."""
@@ -686,8 +684,7 @@ def fundamental_cycle(fan, weights):
 
 def _boundary_vanishes(fan, comp, chain):
     gc = build_complex(fan, chain.p, "borel_moore")
-    labels = gc.spaces.get(chain.q, ())
-    return not sparse_vecmat(enumerate(chain.vector(labels)), gc.map_out(chain.q).data)
+    return not sparse_vecmat(gc.pairs(chain), gc.map_out(chain.q).data)
 
 
 def cap(fan, weights, alpha_values, k):

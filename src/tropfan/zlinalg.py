@@ -9,7 +9,8 @@ are adequate and keep everything exact.
 The main entry points are :func:`snf`, its divisors-only variant
 :func:`snf_divisors`, :func:`hnf`, the factor-once solver
 :class:`RowSolver`, :func:`kernel_basis`, :func:`cokernel_group`,
-:func:`saturate`, the quotient-group helper :class:`LatticeQuotient`,
+:func:`saturate`, the quotient :class:`LatticeQuotient` with its step
+replay :func:`replay`,
 the rational elimination :func:`rref`, the row-vector products
 :func:`vecmat` and :func:`sparse_vecmat`, and the exact Bland-rule
 simplex :func:`feasible` / :func:`strict_lp_feasible`.
@@ -24,6 +25,7 @@ T), so no elimination builds a transform that nobody reads.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -183,10 +185,6 @@ class AbGroup:
     @property
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
-
-    @property
-    def is_free(self):
-        return not self.torsion
 
     def __str__(self):
         parts = []
@@ -418,23 +416,36 @@ def _unit_pivots(rows, where, alive, on_pivot=None):
     return units
 
 
-def snf_divisors(rows):
-    """Invariant factors of a matrix given as dict rows, as :attr:`SNFResult.divisors`.
+# the Smith form of the empty residual that unit pivots often leave
+_NO_RESIDUAL = SNFResult(*(IntMatrix._trusted(0, 0, ()) for _ in range(4)))
 
-    The rows (column -> nonzero entry) are consumed.  Unit pivots go
-    first, on the sparse rows (:func:`_unit_pivots`).  The residual
-    block, with no unit entry left, goes to the dense Smith elimination,
-    which carries no left transform.
+
+def _units_then_snf(rows, on_pivot=None):
+    """Unit pivots of dict rows, then the dense Smith form of what is left.
+
+    The rows are consumed by :func:`_unit_pivots`, which calls
+    ``on_pivot``.  Returns the number of unit pivots, the columns the
+    residual rows still have, in increasing order, and the Smith form
+    (no left transform) of the residual over them.
     """
-    rows = [r for r in rows if r]
     where, alive = _sparse_index(rows)
-    units = _unit_pivots(rows, where, alive)
+    units = _unit_pivots(rows, where, alive, on_pivot)
     if not alive:
-        return (1,) * units
+        return units, [], _NO_RESIDUAL
     residual = [rows[i] for i in sorted(alive)]
     cols = sorted(set().union(*residual))
     dense = [tuple(r.get(c, 0) for c in cols) for r in residual]
-    return (1,) * units + _snf(IntMatrix._trusted_rows(dense, len(cols))).divisors
+    return units, cols, _snf(IntMatrix._trusted_rows(dense, len(cols)))
+
+
+def snf_divisors(rows):
+    """Invariant factors of a matrix given as dict rows, as :attr:`SNFResult.divisors`.
+
+    The rows are consumed: unit pivots first, on the sparse rows, then
+    the residual block (:func:`_units_then_snf`).
+    """
+    units, _, res = _units_then_snf(rows)
+    return (1,) * units + res.divisors
 
 
 def hnf(M, ncols=None):
@@ -623,15 +634,6 @@ class Echelon:
     def rank(self):
         return len(self.pivots)
 
-    def reduce(self, vec):
-        """Normal form of ``vec`` modulo the row space: zero on every pivot."""
-        v = [Fraction(x) for x in vec]
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                f = v[c]
-                v = [x - f * y for x, y in zip(v, row)]
-        return tuple(v)
-
 
 def rref(rows, ncols=None):
     """Gauss-Jordan elimination over Q on the first ``ncols`` columns.
@@ -736,46 +738,87 @@ def section_rows(A):
     return out
 
 
+def record_step(steps, j, row=None):
+    """Record the unit pivot of a dict row at column j as the next step for :func:`replay`.
+
+    The step keeps the row scaled to 1 at j, without column j, or None
+    when there is no row: then it drops coordinate j and subtracts nothing.
+    """
+    if row is not None:
+        s = row[j]
+        row = {c: s * e for c, e in row.items() if c != j}
+    steps[j] = (len(steps), row)
+
+
+def replay(steps, x):
+    """Apply recorded unit-pivot steps to a sparse vector (dict column -> value), in place.
+
+    ``steps`` maps each pivot column j to (k, r), k the step's place in
+    the pivot order and r from :func:`record_step`.  Step j drops
+    coordinate j, first subtracting x_j * r if x_j and r are nonzero.
+    Only the steps at columns that x reaches run, in the order of k: r
+    holds no earlier pivot column, and a later one it brings in runs in
+    turn.  Returns x.
+    """
+    heap = [(steps[j][0], j) for j in x if j in steps]
+    heapq.heapify(heap)
+    while heap:
+        _, j = heapq.heappop(heap)
+        xj = x.pop(j, 0)
+        r = steps[j][1]
+        if xj and r:
+            for c, e in r.items():
+                v = x.get(c, 0) - xj * e
+                if v:
+                    if c not in x and c in steps:
+                        heapq.heappush(heap, (steps[c][0], c))
+                    x[c] = v
+                else:
+                    del x[c]
+    return x
+
+
 class LatticeQuotient:
     """The quotient Z^n / rowspace(R) with a canonical-form class map.
 
-    Built once from the relation matrix via SNF; classes of vectors are
-    then read off by a change of coordinates.  Canonical coordinates
-    list the free components first, then one component modulo each
-    invariant factor >= 2.
+    R is given as dict rows (column -> nonzero entry), which are copied.
+    Its +-1 pivots are split off first and recorded as steps for
+    :func:`replay`; only the residual goes to the dense Smith
+    elimination (:func:`_units_then_snf`).  Canonical coordinates list
+    the free components first (the surviving columns that no residual
+    row touches, then the free directions of the residual), then one
+    component modulo each invariant factor >= 2.
     """
 
     def __init__(self, n, relation_rows):
         self.n = n
-        R = IntMatrix.from_rows(relation_rows, n)
-        self.relations = R
-        res = _snf(R)
+        rows = [dict(r) for r in relation_rows]
+        self._steps = steps = {}
+        _, self._cols, res = _units_then_snf(rows, lambda i, j: record_step(steps, j, rows[i]))
+        dropped = steps.keys() | self._cols
+        self._kept = [c for c in range(n) if c not in dropped]
         self._V = res.V.row_tuples()
         self._Vinv = res.Vinv
-        divs = list(res.divisors)
-        self._divisors = divs + [0] * (n - len(divs))
-        self._free_idx = [i for i, d in enumerate(self._divisors) if d == 0]
-        self._tor_idx = [i for i, d in enumerate(self._divisors) if d >= 2]
-        self.group = AbGroup(len(self._free_idx), tuple(self._divisors[i] for i in self._tor_idx))
+        # D has its nonzero divisors first, so the residual's free directions come last
+        self._free_idx = range(res.rank, len(self._cols))
+        self._torsion = [(i, d) for i, d in enumerate(res.divisors) if d >= 2]
+        self.group = AbGroup(len(self._kept) + len(self._free_idx), tuple(d for _, d in self._torsion))
 
     def class_of(self, vec):
         """Canonical coordinates (free parts, then torsion parts) of a class."""
         if len(vec) != self.n:
             raise ValueError("length mismatch")
-        y = vecmat(vec, self._V, self.n)
-        free = tuple(y[i] for i in self._free_idx)
-        tor = tuple(y[i] % self._divisors[i] for i in self._tor_idx)
-        return free + tor
-
-    def is_zero(self, vec):
-        return all(c == 0 for c in self.class_of(vec))
-
-    def classes_equal(self, u, v):
-        return self.class_of(u) == self.class_of(v)
+        x = replay(self._steps, {i: v for i, v in enumerate(vec) if v})
+        kept = tuple(x.get(c, 0) for c in self._kept)
+        if not self._cols:
+            return kept
+        y = vecmat([x.get(c, 0) for c in self._cols], self._V, len(self._cols))
+        return kept + tuple(y[i] for i in self._free_idx) + tuple(y[i] % d for i, d in self._torsion)
 
     def free_representatives(self):
         """Vectors in Z^n whose classes are the canonical free generators."""
-        return [self._Vinv.row(i) for i in self._free_idx]
+        reps = [{c: 1} for c in self._kept] + [dict(zip(self._cols, self._Vinv.row(i))) for i in self._free_idx]
+        return [tuple(r.get(j, 0) for j in range(self.n)) for r in reps]
 
 
 EQ, GE, GT = "=", ">=", ">"

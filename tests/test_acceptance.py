@@ -145,7 +145,7 @@ def test_acceptance_6_manifold_criteria(u23_weights, u23, u24_pair, k4_pair, cub
         assert pd.ok
         for k in range(fan.dim + 1):
             pres = chow_group(fan, k)
-            assert pres.group.is_free
+            assert not pres.group.torsion
         top = chow_group(fan, fan.dim).group
         assert top == AbGroup(1)
         assert all(abs(dt) == 1 for dt in pd.gram_determinants.values())

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tropfan import homology, sheaf, zlinalg
+from tropfan import chow, homology, sheaf, zlinalg
 from tropfan.chow import (
     ChowClass,
     MinkowskiWeight,
@@ -43,17 +43,15 @@ class MonomialQuotient:
         rels = []
         for m in self.monomials:
             if tuple(sorted(set(m))) not in cone_set:
-                row = [0] * len(self.monomials)
-                row[self.index[m]] = 1
-                rels.append(row)
+                rels.append({self.index[m]: 1})
         if k >= 1:
             for mu in itertools.combinations_with_replacement(range(len(fan.rays)), k - 1):
                 for j in range(fan.rank):
-                    row = [0] * len(self.monomials)
+                    row = {}
                     for z in range(len(fan.rays)):
-                        mm = tuple(sorted(mu + (z,)))
-                        row[self.index[mm]] += fan.rays[z][j]
-                    rels.append(row)
+                        mm = self.index[tuple(sorted(mu + (z,)))]
+                        row[mm] = row.get(mm, 0) + fan.rays[z][j]
+                    rels.append({c: e for c, e in row.items() if e})
         self.quotient = LatticeQuotient(len(self.monomials), rels)
 
     def class_of_monomial(self, mono):
@@ -171,11 +169,33 @@ class TestMultiplication:
         pres1 = chow_group(sigma3, 1, "Q")
         pres2 = chow_group(sigma3, 2, "Q")
         assert pres2.group.free_rank == 1
+        n = len(pres1.generators)
         for row in relation_matrix(sigma3, 1):
-            rel = ChowClass(sigma3, 1, row)
+            rel = ChowClass(sigma3, 1, [row.get(j, 0) for j in range(n)])
             for r in range(3):
                 prod = chow_multiply(sigma3, rel, pres1.generator(sigma3.cone_index((r,))), "Q")
                 assert pres2.is_zero(prod)
+
+    def test_products_repeat_from_the_memo(self, sigma3):
+        # repeated products read the fan's ray-product memo and stay equal; over Q the Z and Q products agree
+        pres1, pres2 = chow_group(sigma3, 1), chow_group(sigma3, 2, "Q")
+        gens = [pres1.generator(s) for s in sigma3.cones_of_dim(1)]
+        first = {}
+        for _ in range(2):
+            for coeff in ("Z", "Q"):
+                got = [chow_multiply(sigma3, a, b, coeff) for a in gens for b in gens]
+                assert [p.vector for p in got] == first.setdefault(coeff, [p.vector for p in got])
+        for z, q in zip(first["Z"], first["Q"]):
+            assert pres2.classes_equal(ChowClass(sigma3, 2, z), ChowClass(sigma3, 2, q))
+
+    def test_non_unimodular_self_intersection_raises_every_time(self, sigma3):
+        # the cone (1, 2) has index 3: no integral form is 1 on ray 1 and 0 on ray 2, and a failure is not stored
+        cone = sigma3.cone_index((1, 2))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unimodular"):
+                chow._ray_times_generator(sigma3, 1, cone, "Z")
+            assert (1, cone, "Z") not in sigma3._ray_products
+        assert chow._ray_times_generator(sigma3, 1, cone, "Q") == {}
 
 
 class TestDegreeAndPairing:
@@ -209,9 +229,10 @@ class TestDegreeAndPairing:
     def test_relation_rows_pair_to_zero(self, cube):
         for p in range(1, 3):
             rows = relation_matrix(cube, p)
+            n = len(cube.cones_of_dim(p))
             for w in minkowski_weights(cube, p):
                 for row in rows:
-                    cls = ChowClass(cube, p, row)
+                    cls = ChowClass(cube, p, [row.get(j, 0) for j in range(n)])
                     assert chow_mw_pairing(cls, w) == 0
 
     def test_cube_gram_determinant_two(self, cube, cube_weights):

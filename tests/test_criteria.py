@@ -53,8 +53,14 @@ class TestVerificationReport:
         assert r.ok
 
 
+def _dense(rows, n):
+    """Dense rows of length n from dict rows (column -> nonzero entry)."""
+    return [[r.get(j, 0) for j in range(n)] for r in rows]
+
+
 def _lattice_oracle_status(images, relations, H, n, saturated):
     """The status of psi from kernel lattices: the kernel of Z^n -> H against the relations or their saturation."""
+    relations = _dense(relations, n)
     if n == 0:
         return ("iso" if saturated else "surjective-torsion-kernel") if H.is_trivial else "psi-failure"
     f, tor = H.free_rank, H.torsion
@@ -110,7 +116,7 @@ class TestPsiStatus:
     def test_relation_not_sent_to_zero(self, cube):
         # (i): image 0 += image 3 keeps the images generating H, but relation 0 now sends them to -image 3
         images, relations, A, H = _psi_data(cube, 1)
-        assert relations[0][0] != 0 and any(images[3])
+        assert relations[0].get(0) and any(images[3])
         images[0] = tuple(a + b for a, b in zip(images[0], images[3]))
         assert _both_statuses(images, relations, A, H, True) == ("psi-failure",) * 2
 
@@ -140,7 +146,7 @@ class TestPsiStatus:
         # (iii): without relation 0, A^1 grows to Z^6 while H^{1,1} stays Z^5
         images, relations, _, H = _psi_data(cube, 1)
         fewer = relations[1:]
-        A = zlinalg.cokernel_group(IntMatrix.from_rows(fewer, len(images)))
+        A = zlinalg.cokernel_group(IntMatrix.from_rows(_dense(fewer, len(images)), len(images)))
         assert A.free_rank == H.free_rank + 1
         assert _both_statuses(images, fewer, A, H, True) == ("psi-failure",) * 2
 
@@ -256,12 +262,12 @@ class TestManifoldConsequences:
         for p in range(d + 1):
             for q in range(d + 1):
                 assert coh[(p, q)] == hom[(d - p, d - q)], (p, q)
-                assert coh[(p, q)].is_free
+                assert not coh[(p, q)].torsion
 
     def test_chow_torsion_free_on_manifold(self, k4_pair):
         fan, _ = k4_pair
         for k in range(fan.dim + 1):
-            assert chow.chow_group(fan, k).group.is_free
+            assert not chow.chow_group(fan, k).group.torsion
 
 
 class TestPDWeight:

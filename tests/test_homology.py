@@ -193,7 +193,7 @@ class TestFixtureTables:
         gq = ComplexGroups(build_complex(comp, 1, "cohomology", "Q"))
         for q in range(3):
             assert gq.group(q).free_rank == gz.group(q).free_rank
-            assert gq.group(q).is_free
+            assert not gq.group(q).torsion
 
 
 class TestLazyClassMaps:
@@ -212,7 +212,7 @@ class TestLazyClassMaps:
                         assert quot.group == cg.group(q), (variant, p, q)
                         if q - gc.step in gc.spaces:
                             for v in dense(gc.map_out(q - gc.step)).row_tuples():
-                                assert not any(cg.class_of(q, v)), (variant, p, q)
+                                assert not any(cg.class_of(q, enumerate(v))), (variant, p, q)
 
     def test_group_mismatch_raises_under_optimize(self):
         code = (
@@ -224,7 +224,7 @@ class TestLazyClassMaps:
             "cg = ComplexGroups(gc)\n"
             "cg.groups[2] = AbGroup(0)\n"
             "try:\n"
-            "    cg.class_of(2, (0,) * gc.dim(2))\n"
+            "    cg.class_of(2, ())\n"
             "except AssertionError as exc:\n"
             "    print('raised:', exc)\n"
         )
@@ -287,7 +287,7 @@ class TestReducedClassMaps:
         for label, cg, q, _, d_in, _ in reduction_cases:
             if d_in is not None:
                 for v in d_in.row_tuples():
-                    assert not any(cg.class_of(q, v)), label
+                    assert not any(cg.class_of(q, enumerate(v))), label
 
     def test_additive_modulo_torsion(self, reduction_cases):
         rng = random.Random(5)
@@ -295,8 +295,8 @@ class TestReducedClassMaps:
             g = cg.group(q)
             for _ in range(4 if K else 0):
                 u, v = (zlinalg.vecmat([rng.randint(-3, 3) for _ in K], K) for _ in range(2))
-                total = cg.class_of(q, [a + b for a, b in zip(u, v)])
-                assert total == _add_classes(g, cg.class_of(q, u), cg.class_of(q, v)), label
+                total = cg.class_of(q, enumerate(a + b for a, b in zip(u, v)))
+                assert total == _add_classes(g, cg.class_of(q, enumerate(u)), cg.class_of(q, enumerate(v))), label
 
     def test_kernel_basis_classes_generate(self, reduction_cases):
         for label, cg, q, K, _, _ in reduction_cases:
@@ -304,7 +304,7 @@ class TestReducedClassMaps:
             width = g.free_rank + len(g.torsion)
             if width == 0:
                 continue
-            rows = [cg.class_of(q, k) for k in K]
+            rows = [cg.class_of(q, enumerate(k)) for k in K]
             rows += [tuple(d if j == g.free_rank + i else 0 for j in range(width)) for i, d in enumerate(g.torsion)]
             assert zlinalg.cokernel_group(zlinalg.IntMatrix.from_rows(rows, width)).is_trivial, label
 
@@ -325,7 +325,7 @@ class TestReducedClassMaps:
             v = [x + y for x, y in zip(v, e)]
         diff = tuple(x - y for x, y in zip(u, v))
         boundary = solver.solve(diff) is not None if solver is not None else not any(diff)
-        assert (cg.class_of(q, u) == cg.class_of(q, v)) == boundary, label
+        assert (cg.class_of(q, enumerate(u)) == cg.class_of(q, enumerate(v))) == boundary, label
 
     def test_non_cocycle_raises_under_optimize(self):
         code = (
@@ -337,7 +337,7 @@ class TestReducedClassMaps:
             "vec = [0] * gc.dim(1)\n"
             "vec[0] = 1\n"
             "try:\n"
-            "    cg.class_of(1, vec)\n"
+            "    cg.class_of(1, enumerate(vec))\n"
             "except AssertionError as exc:\n"
             "    print('raised:', exc)\n"
         )
@@ -535,13 +535,12 @@ class TestCupProduct:
         comp = compactification(cube)
         gc = build_complex(comp, 2, "cohomology")
         gr = ComplexGroups(gc)
-        labels = gc.spaces[2]
         a = chow_generator_cocycle(cube, cube.cone_index((0,)))
         b = chow_generator_cocycle(cube, cube.cone_index((1,)))
         ab = cup(a, b)
         ba = cup(b, a)
         # degree (1,1) classes commute on cohomology
-        assert gr.class_of(2, ab.vector(labels)) == gr.class_of(2, ba.vector(labels))
+        assert gr.class_of(2, gc.pairs(ab)) == gr.class_of(2, gc.pairs(ba))
 
 
 def _dense_cup(a, b):

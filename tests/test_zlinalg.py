@@ -262,7 +262,7 @@ class TestKernel:
         from tropfan.chow import relation_matrix
 
         rows = relation_matrix(p2, 1)
-        K = kernel_basis(IntMatrix.from_rows(rows, 3))
+        K = kernel_basis(IntMatrix.from_rows([[r.get(j, 0) for j in range(3)] for r in rows], 3))
         assert K.rows == 1
         assert K.row(0) in ((1, 1, 1), (-1, -1, -1))
 
@@ -299,19 +299,67 @@ class TestSaturate:
         assert index == 4
 
 
+def _check_quotient(R, coeffs, extra):
+    """LatticeQuotient of R against the dense snf(R) and RowSolver membership.
+
+    ``coeffs`` and ``extra`` hold at least R.rows and 2 * R.cols
+    integers.  u and w come from ``extra``; v is u plus the combination
+    ``coeffs`` of the rows, plus w when w has an odd sum.  The classes
+    of u and v must agree iff u - v is in the row lattice.
+    """
+    q = LatticeQuotient(R.cols, dict_rows(R))
+    res = snf(R)
+    divs = list(res.divisors) + [0] * (R.cols - res.rank)
+    f, tor = divs.count(0), [d for d in divs if d >= 2]
+    assert q.group == AbGroup(f, tuple(tor))
+    u, w = tuple(extra[: R.cols]), tuple(extra[R.cols : 2 * R.cols])
+    v = [a + b for a, b in zip(u, zlinalg.vecmat(coeffs[: R.rows], R.row_tuples(), R.cols))]
+    if sum(w) % 2:
+        v = [a + b for a, b in zip(v, w)]
+    diff = tuple(a - b for a, b in zip(u, v))
+    in_lattice = RowSolver(R).solve(diff) is not None if R.rows else not any(diff)
+    assert (q.class_of(u) == q.class_of(tuple(v))) == in_lattice
+    for c in (q.class_of(u), q.class_of(tuple(v))):
+        assert len(c) == f + len(tor) and all(0 <= x < d for x, d in zip(c[f:], tor))
+    reps = q.free_representatives()
+    assert len(reps) == f
+    for i, rep in enumerate(reps):
+        assert q.class_of(rep) == tuple(int(j == i) for j in range(f)) + (0,) * len(tor)
+    return q
+
+
 class TestLatticeQuotient:
     def test_classes(self):
-        q = LatticeQuotient(3, [(1, 1, -2), (0, -3, 3)])
+        q = LatticeQuotient(3, [{0: 1, 1: 1, 2: -2}, {1: -3, 2: 3}])
         assert q.group == AbGroup(1, (3,))
-        assert q.is_zero((1, 1, -2))
-        assert not q.is_zero((0, -1, 1))
-        assert q.is_zero((0, -3, 3))
+        zero = q.class_of((0, 0, 0))
+        assert q.class_of((1, 1, -2)) == zero
+        assert q.class_of((0, -1, 1)) != zero
+        assert q.class_of((0, -3, 3)) == zero
 
     def test_free_representatives(self):
-        q = LatticeQuotient(2, [(2, 0)])
+        q = LatticeQuotient(2, [{0: 2}])
         reps = q.free_representatives()
         assert len(reps) == 1
-        assert not q.is_zero(reps[0])
+        assert any(q.class_of(reps[0]))
+
+    @given(
+        st.one_of(sparse_unit_matrices(), matrices(min_dim=0)),
+        st.lists(st.integers(-4, 4), min_size=7, max_size=7),
+        st.lists(st.integers(-9, 9), min_size=14, max_size=14),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_against_the_dense_snf(self, R, coeffs, extra):
+        _check_quotient(R, coeffs, extra)
+
+    def test_nonempty_residuals(self):
+        # no unit entry at all, or one unit pivot that leaves a block without units behind
+        rng = random.Random(3)
+        for rows in ([(2, 0), (0, 3)], [(1, 1, 0), (2, 4, 0), (0, 0, 6)], [(2, 4, 6), (4, 6, 8)], [(1, 2, 0, 0), (0, 0, 4, 6)]):
+            R = IntMatrix.from_rows(rows)
+            for _ in range(20):
+                q = _check_quotient(R, [rng.randint(-4, 4) for _ in range(7)], [rng.randint(-9, 9) for _ in range(14)])
+            assert q._cols, rows
 
 
 class TestSmithWithoutLeftTransform:
@@ -321,22 +369,6 @@ class TestSmithWithoutLeftTransform:
         full, right = snf(M), zlinalg._snf(M)
         assert right.U == IntMatrix(M.rows, 0, [])
         assert (right.D, right.V, right.Vinv) == (full.D, full.V, full.Vinv)
-
-    @given(st.one_of(sparse_unit_matrices(), matrices(min_dim=0)), st.lists(st.integers(-9, 9), min_size=7, max_size=7))
-    @settings(max_examples=300, deadline=None)
-    def test_quotient_matches_a_reference_on_snf(self, R, draw):
-        # the canonical coordinates and free generators read straight off snf(R)
-        res = snf(R)
-        divs = list(res.divisors) + [0] * (R.cols - res.rank)
-        free = [i for i, d in enumerate(divs) if d == 0]
-        q = LatticeQuotient(R.cols, R.row_tuples())
-        vec = tuple(draw[: R.cols])
-        y = zlinalg.vecmat(vec, res.V.row_tuples(), R.cols)
-        expected = tuple(y[i] for i in free) + tuple(y[i] % d for i, d in enumerate(divs) if d >= 2)
-        assert q.class_of(vec) == expected
-        assert q.free_representatives() == [res.Vinv.row(i) for i in free]
-        if R.rows == 0:
-            assert q.group == AbGroup(R.cols) and q.class_of(vec) == vec
 
 
 def _full_scan_snf(M, ncols=None):
@@ -484,10 +516,12 @@ class TestRationalElimination:
 
     @given(matrices())
     @settings(max_examples=100, deadline=None)
-    def test_reduce_kills_the_row_space(self, M):
+    def test_pivot_rows_span_the_row_space(self, M):
         ech = rref(M.row_tuples())
+        pivot_rows = ech.rows[: ech.rank]
         for r in M.row_tuples():
-            assert not any(ech.reduce(r))
+            # the pivot rows are zero on each other's pivots: r is sum of r[c] * (pivot row at c)
+            assert tuple(r) == tuple(sum(r[c] * row[j] for row, c in zip(pivot_rows, ech.pivots)) for j in range(M.cols))
         for row, c in zip(ech.rows, ech.pivots):
             assert row[c] == 1
 
