@@ -104,8 +104,9 @@ def relation_matrix(fan, k):
     pos = {c: i for i, c in enumerate(fan.cones_of_dim(k))}
     rows = []
     for tau in fan.cones_of_dim(k - 1):
-        normals = [(pos[sigma], fan.unit_normal(tau, sigma)[1]) for sigma in fan.covered_by(tau)]
-        rows.extend({i: cls[j] for i, cls in normals if cls[j]} for j in range(fan.star(tau).quotient_rank))
+        star = fan.star(tau)
+        normals = [(pos[sigma], star.normals[sigma]) for sigma in fan.covered_by(tau)]
+        rows.extend({i: cls[j] for i, cls in normals if cls[j]} for j in range(star.quotient_rank))
     return rows
 
 
@@ -322,8 +323,7 @@ def _ray_cocycle_values(fan, comp, ray):
         if join is None:
             continue
         fid = comp.face_index[(sp, join)]
-        _, e_cls = fan.unit_normal(sp, join)
-        c = sheaf.coords_in(comp, fid, 1, e_cls)
+        c = sheaf.coords_in(comp, fid, 1, fan.star(sp).normals[join])
         if c is None:
             raise AssertionError(
                 f"the unit normal of cone {fan.cones[sp]} in {fan.cones[join]} leaves SF_1 there (ray {ray})"

@@ -37,7 +37,9 @@ def chow_pd_check(fan, weights=None, coeff="Z"):
 
     Requires every graded piece torsion-free, the top piece isomorphic
     to Z through the degree map, and unimodular Gram matrices for the
-    pairing of complementary degrees (nondegenerate over Q).
+    pairing of complementary degrees (nondegenerate over Q).  On a fan
+    that is not pure-dimensional, or with unbalanced weights, there is
+    no degree map, and the report is not applicable.
     """
     d = fan.dim
     report = PDReport(ok=True)
@@ -61,10 +63,11 @@ def chow_pd_check(fan, weights=None, coeff="Z"):
         return report
     if weights is None:
         weights = TropicalWeights.unit(fan)
-    if not is_balanced(fan, weights):
+    if not fan.is_pure() or not is_balanced(fan, weights):
         report.ok = False
         report.applicable = False
-        report.reasons.append("weights are not balanced; duality against the degree map is vacuous")
+        what = "the fan is not pure-dimensional" if not fan.is_pure() else "weights are not balanced"
+        report.reasons.append(f"{what}; duality against the degree map is vacuous")
         return report
     # the degree map on the top generators, with balancing checked once above
     degree = dict(zip(fan.cones_of_dim(d), chow_mod.fundamental_weight(fan, weights).values))
@@ -261,10 +264,8 @@ def kleiman_check(fan, f):
             continue
         star = fan.star(cone_idx)
         nrays = len(covers)
-        balance = chow_mod.relation_matrix(star.fan, 1)
-        cons = []
-        for row in balance:
-            cons.append((tuple(row.get(j, 0) for j in range(nrays)), 0, EQ))
+        # a balanced weight on the star's rays: one row per coordinate of the unit normals
+        cons = [(row, 0, EQ) for row in zip(*(star.normals[c] for c in covers))]
         cons.append(((1,) * nrays, -1, EQ))
         for i in range(nrays):
             unit = tuple(1 if j == i else 0 for j in range(nrays))

@@ -2,10 +2,12 @@
 
 A :class:`Fan` stores primitive ray generators and all cones as sorted
 ray-index tuples (the empty tuple is the zero cone).  Geometry is
-derived on demand and cached: cone lattices ``N_sigma`` (saturations of
-ray spans), star fans with a deterministic choice of quotient basis,
-unit normal vectors, and the canonical multivector orientation used by
-the face complexes downstream.
+derived on demand and cached: per-cone unimodularity, cone lattices
+``N_sigma`` (saturations of ray spans), star fans with a deterministic
+choice of quotient basis, and the canonical multivector orientation used
+by the face complexes downstream.  The unit normal e_{sigma/tau} of a
+cone sigma covering tau is the ray of the star fan of tau that sigma
+maps to, kept as ``fan.star(tau).normals[sigma]``.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class Fan:
         self._star = {}
         self._nu = {}
         self._nu_face = {}
-        self._unit_normal = {}
+        self._unimodular = None  # (per-cone, verdict), filled by is_unimodular
         # the distinct /\^k transitions, their ids by (t_small, t_big, k) and by value
         self._transitions, self._transition_ids, self._transition_by_value = [], {}, {}
         self._compactification = None  # filled by homology.compactification
@@ -212,12 +214,9 @@ class Fan:
     def cone_lattice(self, cone_idx):
         """N_sigma: the saturation of the ray span, as an HNF sublattice."""
         if cone_idx not in self._lattice:
-            c = self.cones[cone_idx]
-            rays = [self.rays[i] for i in c]
-            L = Sublattice.from_rows(rays, self.rank)
-            # with unit invariant factors the rays span a saturated lattice, and L is its one reduced HNF basis
-            divisors = zlinalg.snf_divisors([{j: x for j, x in enumerate(r) if x} for r in rays])
-            self._lattice[cone_idx] = L if divisors == (1,) * len(c) else zlinalg.saturate(L)[0]
+            L = Sublattice.from_rows([self.rays[i] for i in self.cones[cone_idx]], self.rank)
+            # a unimodular cone's rays span a saturated lattice, and L is its one reduced HNF basis
+            self._lattice[cone_idx] = L if is_unimodular(self)[0][cone_idx] else zlinalg.saturate(L)[0]
         return self._lattice[cone_idx]
 
     def nu(self, cone_idx):
@@ -274,29 +273,6 @@ class Fan:
         c, r = divmod(x[k], nu[k])
         return Fraction(x[k], nu[k]) if r else c
 
-    def unit_normal(self, tau_idx, sigma_idx):
-        """Unit normal data for a codimension-one face tau of sigma.
-
-        Returns (lift, cls): a lattice vector of N_sigma generating
-        N_sigma / N_tau on the sigma side, and its class in the chosen
-        basis of N^tau.  N_sigma is saturated and contains N_tau, so its
-        image in N^tau is saturated of rank one: ``cls`` is the primitive
-        projected extra ray, i.e. the star's ray, and its lift through
-        the section lies in N_sigma since the kernel N_tau does.
-        """
-        key = (tau_idx, sigma_idx)
-        if key in self._unit_normal:
-            return self._unit_normal[key]
-        tau = self.cones[tau_idx]
-        sigma = self.cones[sigma_idx]
-        if not (set(tau) <= set(sigma) and len(sigma) == len(tau) + 1):
-            raise ValueError("not a codimension-one incidence")
-        extra = next(i for i in sigma if i not in tau)
-        star = self.star(tau_idx)
-        cls, _ = _primitive(vecmat(self.rays[extra], star.proj))
-        self._unit_normal[key] = (vecmat(cls, star.section), cls)
-        return self._unit_normal[key]
-
     # star fans --------------------------------------------------------
 
     def star(self, cone_idx):
@@ -347,7 +323,11 @@ class StarData:
     N -> N^sigma acting on row vectors; ``section`` is a right inverse.
     ``cone_map`` sends a cone of the base fan containing sigma to the
     corresponding cone index of the star fan, and ``cone_preimage`` is its
-    inverse.
+    inverse.  ``normals`` sends each cone covering sigma to its unit
+    normal in N^sigma: the primitive image of its extra ray, which is the
+    star ray it maps to.  N_cover is saturated and contains N_sigma, so
+    its image in N^sigma is saturated of rank one, and the normal's lift
+    through ``section`` lies in N_cover and generates it over N_sigma.
     """
 
     base_cone: int
@@ -357,6 +337,7 @@ class StarData:
     fan: Fan
     cone_map: dict
     cone_preimage: dict
+    normals: dict
 
     def induced_weights(self, weights):
         star = self.fan
@@ -378,7 +359,8 @@ def _build_star(fan, cone_idx):
     if k == 0:
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         cone_map = {i: i for i in range(len(fan.cones))}
-        return StarData(cone_idx, n, ident, ident, fan, cone_map, dict(cone_map))
+        normals = {c: _primitive(fan.rays[fan.cones[c][0]])[0] for c in fan.covered_by(cone_idx)}
+        return StarData(cone_idx, n, ident, ident, fan, cone_map, dict(cone_map), normals)
     B = fan.cone_lattice(cone_idx).basis
     res = zlinalg._snf(B)
     # the checks the orientation rests on: compactify reads its signs off
@@ -395,20 +377,15 @@ def _build_star(fan, cone_idx):
     cone_set = set(cone)
     # star rays are indexed by the covers of the cone, sorted by extra ray
     covers = sorted(fan.covered_by(cone_idx), key=lambda c: fan.cones[c])
-    star_rays = []
-    ray_of_cover = {}
+    normals = {}
+    extra_to_star = {}
     for s, c in enumerate(covers):
         extra = next(i for i in fan.cones[c] if i not in cone_set)
-        img = vecmat(fan.rays[extra], proj)
-        prim, g = _primitive(img)
+        prim, g = _primitive(vecmat(fan.rays[extra], proj))
         if g == 0:
             raise AssertionError(f"ray {extra} of cone {fan.cones[c]} collapses in the star of cone {cone}: dependent rays")
-        star_rays.append(prim)
-        ray_of_cover[c] = s
-    extra_to_star = {}
-    for c in covers:
-        extra = next(i for i in fan.cones[c] if i not in cone_set)
-        extra_to_star[extra] = ray_of_cover[c]
+        normals[c] = prim
+        extra_to_star[extra] = s
 
     star_cones = []
     for c in containing:
@@ -419,10 +396,10 @@ def _build_star(fan, cone_idx):
     maximal = frozenset(
         i for i, t in enumerate(order) if containing[t] in fan.maximal
     )
-    star_fan = Fan(m, star_rays, cones_sorted, maximal, name=f"{fan.name}^{cone}")
+    star_fan = Fan(m, list(normals.values()), cones_sorted, maximal, name=f"{fan.name}^{cone}")
     cone_map = {containing[t]: i for i, t in enumerate(order)}
     cone_preimage = {i: containing[t] for i, t in enumerate(order)}
-    return StarData(cone_idx, m, proj, section, star_fan, cone_map, cone_preimage)
+    return StarData(cone_idx, m, proj, section, star_fan, cone_map, cone_preimage, normals)
 
 
 # predicates ------------------------------------------------------------
@@ -564,15 +541,22 @@ def _interiors_meet(fan, ca, cb):
 
 
 def is_unimodular(fan):
-    """Per-cone unimodularity against the ambient lattice, plus the global verdict."""
-    per_cone = {}
-    for i, c in enumerate(fan.cones):
-        if not c:
-            per_cone[i] = True
-            continue
-        rows = [{k: x for k, x in enumerate(fan.rays[j]) if x} for j in c]
-        per_cone[i] = zlinalg.snf_divisors(rows) == (1,) * len(c)
-    return per_cone, all(per_cone.values())
+    """Per-cone unimodularity against the ambient lattice, plus the global verdict.
+
+    Decided once per fan: the answer is kept on the fan, and every call
+    returns that same (per-cone dict, verdict) pair, which callers must
+    not change.
+    """
+    if fan._unimodular is None:
+        per_cone = {}
+        for i, c in enumerate(fan.cones):
+            if not c:
+                per_cone[i] = True
+                continue
+            rows = [{k: x for k, x in enumerate(fan.rays[j]) if x} for j in c]
+            per_cone[i] = zlinalg.snf_divisors(rows) == (1,) * len(c)
+        fan._unimodular = (per_cone, all(per_cone.values()))
+    return fan._unimodular
 
 
 def is_saturated_at(fan, cone_idx):
@@ -601,7 +585,7 @@ def is_balanced(fan, weights):
         for sigma in fan.covered_by(tau):
             if sigma not in fan.maximal:
                 continue
-            _, cls = fan.unit_normal(tau, sigma)
+            cls = star.normals[sigma]
             w = weights[fan.cones[sigma]]
             for j in range(star.quotient_rank):
                 total[j] += w * cls[j]

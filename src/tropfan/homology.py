@@ -539,8 +539,9 @@ def _cubical_block(fan, comp, p, t, s):
     r_dst = sheaf.rank(comp, face_s, k_dst)
     if r_src == 0 or r_dst == 0:
         return [[0] * r_dst for _ in range(r_src)]
-    _, e_cls = fan.unit_normal(t, s)
-    m_t = fan.star(t).quotient_rank
+    star_t = fan.star(t)
+    e_cls = star_t.normals[s]
+    m_t = star_t.quotient_rank
     # lift each basis vector of SF_(k_dst) at infinity of s through the
     # surjection from the mixed face (t, s)
     R = sheaf.restriction(comp, k_dst, face_s, face_ts)

@@ -22,6 +22,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FAN = lambda name: str(ROOT / "fans" / f"{name}.json")
 FUNC = lambda name: str(ROOT / "functions" / f"{name}.json")
 MATROID = lambda name: str(ROOT / "matroids" / f"{name}.json")
+NON_PURE = {"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1]], "maximal_cones": [[0, 1], [1, 2], [0, 2], [3]]}
 
 
 class TestExitCodes:
@@ -54,6 +55,18 @@ class TestExitCodes:
         assert run(["manifold-check", "--fan", FAN("u23")]) == 0
         assert capsys.readouterr().out.startswith("true")
         assert run(["manifold-check", "--fan", FAN("cube")]) == 1
+
+    def test_manifold_check_non_pure(self, tmp_path, capsys):
+        # a valid fan with maximal cones of two dimensions has no degree map to be dual against
+        p = tmp_path / "nonpure.json"
+        p.write_text(json.dumps(NON_PURE))
+        assert run(["diagnostics", "--fan", str(p), "--geometric"]) == 0
+        capsys.readouterr()
+        assert run(["manifold-check", "--fan", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "false"
+        assert "not pure-dimensional" in out
+        assert "Traceback" not in err
 
     def test_verify_exit(self, capsys):
         assert run(["verify", "--fan", FAN("delta")]) == 0

@@ -133,7 +133,7 @@ def _determinant_sign(comp, gid, did):
         flip = 1
     else:
         # a lift of gamma's multivector to star(t_delta), wedged with the unit normal
-        _, normal = fan.unit_normal(td, tg)
+        normal = fan.star(td).normals[tg]
         k = len(fan.cones[sd]) - len(fan.cones[tg])
         rest = fan.cone_index(fan.cones[td] + tuple(i for i in fan.cones[sd] if i not in fan.cones[tg]))
         w = exterior.wedge_coords(normal, 1, fan.nu_face(td, rest), k, fan.star(td).quotient_rank)
@@ -200,7 +200,7 @@ class TestFaceMultivectorLifts:
                             lift = fan.nu_face(t, rest)
                             kernels = [(fan.nu_face(t, sigma), a_q)]
                             if a_q == 1:
-                                kernels.append((fan.unit_normal(t, sigma)[1], 1))
+                                kernels.append((fan.star(t).normals[sigma], 1))
                             for vec, deg in kernels:
                                 assert exterior.wedge_coords(vec, deg, lift, b_q, m) == exterior.wedge_coords(
                                     vec, deg, solved, b_q, m

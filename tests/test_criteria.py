@@ -15,7 +15,7 @@ from tropfan.criteria import (
     pd_weight,
     verification_report,
 )
-from tropfan.fan import ConewiseLinear, TropicalWeights, is_saturated
+from tropfan.fan import ConewiseLinear, Fan, TropicalWeights, is_saturated
 from tropfan.homology import compactification, unit_cochain
 from tropfan.matroid import Matroid, bergman_fan
 from tropfan.zlinalg import AbGroup, IntMatrix
@@ -186,6 +186,16 @@ class TestChowPD:
     def test_k4_true(self, k4_pair):
         fan, w = k4_pair
         assert chow_pd_check(fan, w).ok
+
+    def test_non_pure_not_applicable(self):
+        # the complete fan of P^2 in a plane, and a ray off it
+        fan = Fan.from_max_cones(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)], [(0, 1), (1, 2), (0, 2), (3,)])
+        rep = chow_pd_check(fan)
+        assert not rep.ok and not rep.applicable
+        assert rep.reasons == ["the fan is not pure-dimensional; duality against the degree map is vacuous"]
+        manifold = homology_manifold_check(fan)
+        assert not manifold.ok
+        assert not manifold.per_face[()]["pd"].applicable
 
 
 class TestManifoldCheck:
@@ -401,7 +411,8 @@ def _solved_pairing_values(fan, f, cone_idx):
         lam = (Fraction(0),) * fan.rank
     values = []
     for eta in sorted(fan.covered_by(cone_idx), key=lambda c: fan.cones[c]):
-        lift, _ = fan.unit_normal(cone_idx, eta)
+        star = fan.star(cone_idx)
+        lift = zlinalg.vecmat(star.normals[eta], star.section)
         eta_rays = fan.cones[eta]
         coeffs = zlinalg.solve_frac([[fan.rays[r][j] for r in eta_rays] for j in range(fan.rank)], list(lift))
         f_eta = sum(c * f(r) for c, r in zip(coeffs, eta_rays))

@@ -196,6 +196,25 @@ class TestUnimodular:
     def test_cube_is(self, cube):
         assert is_unimodular(cube)[1]
 
+    def test_decided_once_per_fan(self, p2):
+        assert is_unimodular(p2) is is_unimodular(p2)
+
+
+class TestConeLattice:
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35"])
+    def test_matches_saturation_and_divisors(self, name, request):
+        # the per-cone verdict against the Smith divisors, and N_sigma against saturating the ray span
+        fan = _named_fan(name, request)
+        per_cone, _ = is_unimodular(fan)
+        for c, cone in enumerate(fan.cones):
+            rays = [fan.rays[i] for i in cone]
+            divisors = zlinalg.snf_divisors([{j: x for j, x in enumerate(r) if x} for r in rays])
+            assert per_cone[c] == (divisors == (1,) * len(cone))
+            want = zlinalg.saturate(Sublattice.from_rows(rays, fan.rank))[0]
+            assert fan.cone_lattice(c).basis == want.basis
+        if name == "sigma3":
+            assert not all(per_cone.values())
+
 
 class TestSaturated:
     def test_delta_not_at_origin(self, delta):
@@ -366,33 +385,35 @@ class TestBalanced:
 
 class TestUnitNormal:
     def test_ray_normal_is_generator(self, p2):
-        lift, cls = p2.unit_normal(p2.zero_cone, p2.cone_index((0,)))
+        star = p2.star(p2.zero_cone)
+        cls = star.normals[p2.cone_index((0,))]
+        lift = vecmat(cls, star.section)
         assert lift == (1, 0)
         assert cls == (1, 0)
 
     def test_cone2_example(self, cone2):
-        lift, cls = cone2.unit_normal(cone2.cone_index((0,)), cone2.cone_index((0, 1)))
+        star = cone2.star(cone2.cone_index((0,)))
+        cls = star.normals[cone2.cone_index((0, 1))]
+        lift = vecmat(cls, star.section)
         assert cls == (1,)
         assert lift[1] == 1  # lies on the e2 side
 
     def test_sigma3_non_unimodular_cone(self, sigma3):
         tau = sigma3.cone_index((0,))
         sigma = sigma3.cone_index((0, 1))
-        lift, cls = sigma3.unit_normal(tau, sigma)
+        star = sigma3.star(tau)
+        lift = vecmat(star.normals[sigma], star.section)
         # N_sigma = Z^2 here; the class generates N^tau and points to (1,-3)
         assert lift[1] == -1
 
     def test_lattice_property(self, cube):
         for sigma in range(len(cube.cones)):
             for tau in cube.covers_of(sigma):
-                lift, _ = cube.unit_normal(tau, sigma)
+                star = cube.star(tau)
+                lift = vecmat(star.normals[sigma], star.section)
                 rows = list(cube.cone_lattice(tau).basis.row_tuples()) + [lift]
                 L = Sublattice.from_rows(rows, cube.rank)
                 assert L.basis == cube.cone_lattice(sigma).basis
-
-    def test_error_on_bad_pair(self, p2):
-        with pytest.raises(ValueError):
-            p2.unit_normal(p2.zero_cone, p2.cone_index((0, 1)))
 
     @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35"])
     def test_class_is_star_ray_and_lift_generates(self, name, request):
@@ -401,8 +422,9 @@ class TestUnitNormal:
         fan = _named_fan(name, request)
         for sigma in range(len(fan.cones)):
             for tau in fan.covers_of(sigma):
-                lift, cls = fan.unit_normal(tau, sigma)
                 star = fan.star(tau)
+                cls = star.normals[sigma]
+                lift = vecmat(cls, star.section)
                 (ray,) = star.fan.cones[star.cone_map[sigma]]
                 assert cls == star.fan.rays[ray]
                 assert vecmat(lift, star.proj) == cls

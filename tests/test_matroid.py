@@ -2,8 +2,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropfan.chow import chow_group
 from tropfan.fan import is_balanced, is_saturated, is_unimodular, validate
 from tropfan.matroid import Matroid, bergman_fan
+from tropfan.zlinalg import AbGroup
+
+
+def _fy_hilbert(matroid):
+    """Ranks of the Chow ring A(M) by degree, from the Feichtner-Yuzvinsky basis.
+
+    The basis monomials are x_{F1}^{a1} ... x_{Fk}^{ak} over chains
+    cl(empty) < F1 < ... < Fk of flats, Fk = E allowed, with
+    1 <= a_i < rk F_i - rk F_{i-1} (Feichtner-Yuzvinsky, Invent. Math.
+    155, 2004).  Reads only the lattice of flats.
+    """
+    flats = matroid.flats()
+    ranked = [(r, frozenset(f)) for r, fs in flats.items() if r for f in fs]
+    counts = [0] * matroid.rank()
+
+    def extend(prev_rank, prev, degree):
+        counts[degree] += 1
+        for r, f in ranked:
+            if prev < f:
+                for a in range(1, r - prev_rank):
+                    extend(r, f, degree + a)
+
+    extend(0, frozenset(flats[0][0]), 0)
+    return counts
 
 
 class TestMatroid:
@@ -93,3 +118,25 @@ class TestBergman:
         # pure of dimension rank - 1 and facets match chains of proper flats
         assert fan.is_pure()
         assert all(len(fan.cones[i]) == 2 for i in fan.maximal)
+
+
+class TestFeichtnerYuzvinsky:
+    K4 = Matroid.graphic(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+    @staticmethod
+    def _check(matroid):
+        fan, _ = bergman_fan(matroid)
+        want = [AbGroup(c) for c in _fy_hilbert(matroid)]
+        assert [chow_group(fan, k).group for k in range(fan.dim + 1)] == want
+
+    @pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 7) for r in range(1, min(n, 5) + 1)])
+    def test_uniform_chow_groups_free_of_the_monomial_ranks(self, n, r):
+        self._check(Matroid.uniform(n, r))
+
+    def test_k4_chow_groups_free_of_the_monomial_ranks(self):
+        self._check(self.K4)
+
+    def test_known_hilbert_functions(self):
+        assert _fy_hilbert(self.K4) == [1, 8, 1]
+        assert _fy_hilbert(Matroid.uniform(5, 5)) == [1, 26, 66, 26, 1]
+        assert _fy_hilbert(Matroid.uniform(6, 5)) == [1, 51, 161, 51, 1]
