@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from . import chow as chow_mod
 from . import homology as homol
 from . import sheaf, zlinalg
 from .exterior import det
 from .fan import TropicalWeights, is_balanced, is_saturated, is_unimodular
-from .zlinalg import EQ, GE, GT, IntMatrix, vecmat
+from .zlinalg import EQ, GE, GT, IntMatrix
 
 
 @dataclass
@@ -212,8 +212,21 @@ def strict_convexity_system(fan, f, cone_idx):
     return cons
 
 
+def _integer_values(fan, f):
+    """The values of f on the rays, times the positive lcm of their denominators.
+
+    Strict convexity and the sign of the pairing with every curve class
+    do not change under a positive scale, so both ampleness checks run
+    on these integers.
+    """
+    values = [f(r) for r in range(len(fan.rays))]
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values]
+
+
 def is_ample(fan, f):
     """Strict convexity around every cone, decided by exact feasibility."""
+    f = _integer_values(fan, f).__getitem__
     for cone_idx in range(len(fan.cones)):
         cons = strict_convexity_system(fan, f, cone_idx)
         cert = zlinalg.feasible(cons, fan.rank)
@@ -227,8 +240,9 @@ def _stratum_pairing_values(fan, f, cone_idx):
 
     With lam linear and equal to f on the cone, f - lam is linear on each
     cover eta and vanishes on the cone; the extra ray of eta is g times
-    the unit normal modulo the cone, g the gcd of its projection, so the
-    value at the unit normal is (f(extra) - lam . extra) / g.
+    the unit normal modulo the cone, g the star's multiple of eta, so the
+    value at the unit normal is (f(extra) - lam . extra) / g.  lam . extra
+    is taken in integers over the common denominator of lam.
     """
     cone = fan.cones[cone_idx]
     rows = [fan.rays[r] for r in cone]
@@ -238,15 +252,18 @@ def _stratum_pairing_values(fan, f, cone_idx):
         if lam is None:
             raise AssertionError(f"no linear function agrees with f on cone {cone}")
     else:
-        lam = (Fraction(0),) * fan.rank
-    proj = fan.star(cone_idx).proj
-    covers = sorted(fan.covered_by(cone_idx), key=lambda c: fan.cones[c])
+        lam = (0,) * fan.rank
+    den = lcm(*(x.denominator for x in lam))
+    lam = [x.numerator * (den // x.denominator) for x in lam]
+    star = fan.star(cone_idx)
+    cone_set = set(cone)
+    covers = list(star.normals)
     values = []
     for eta in covers:
-        extra = next(r for r in fan.cones[eta] if r not in cone)
-        ray = fan.rays[extra]
-        g = gcd(*vecmat(ray, proj))
-        values.append((f(extra) - sum(l * x for l, x in zip(lam, ray))) / g)
+        extra = next(r for r in fan.cones[eta] if r not in cone_set)
+        v = f(extra)
+        num = v.numerator * den - v.denominator * sum(l * x for l, x in zip(lam, fan.rays[extra]))
+        values.append(Fraction(num, v.denominator * den * star.multiples[eta]))
     return covers, values
 
 
@@ -255,9 +272,13 @@ def kleiman_check(fan, f):
 
     At each cone the normalized effective balanced weights of the star
     form a polytope; the verdict requires the pairing with the induced
-    function to be strictly positive on it.  Strata with no nonzero
-    effective balanced weight are vacuous.
+    function to be strictly positive on it.  One LP per stratum asks for
+    a point of the polytope with a non-positive pairing; a stratum with
+    no nonzero effective balanced weight has none, so it is vacuous.
+    The function is scaled to integers once, and each pairing row by one
+    positive factor, which leaves every sign unchanged.
     """
+    f = _integer_values(fan, f).__getitem__
     for cone_idx in range(len(fan.cones)):
         covers, values = _stratum_pairing_values(fan, f, cone_idx)
         if not covers:
@@ -270,13 +291,9 @@ def kleiman_check(fan, f):
         for i in range(nrays):
             unit = tuple(1 if j == i else 0 for j in range(nrays))
             cons.append((unit, 0, GE))
-        base = zlinalg.feasible(cons, nrays)
-        if not base.feasible:
-            continue
-        bad = zlinalg.feasible(
-            cons + [(tuple(-v for v in values), 0, GE)], nrays
-        )
-        if bad.feasible:
+        scale = lcm(*(v.denominator for v in values))
+        cons.append((tuple(-v.numerator * (scale // v.denominator) for v in values), 0, GE))
+        if zlinalg.feasible(cons, nrays).feasible:
             return False
     return True
 

@@ -283,15 +283,17 @@ class Fan:
     def drop_caches(self):
         """Forget the cached stars and compactification, and theirs.
 
-        Both point back to this fan (the star of the origin is the fan
-        itself), so while it keeps them the fan is freed only by the
-        cyclic garbage collector; after this, by reference counting.
+        Both point back to this fan (every star keeps its base fan, and
+        the star fan of the origin is the fan itself), so while it keeps
+        them the fan is freed only by the cyclic garbage collector; after
+        this, by reference counting.
         """
         stars, self._star = self._star, {}
         self._compactification = None
         for star in stars.values():
-            if star.fan is not self:
-                star.fan.drop_caches()
+            # a star fan not built yet has no caches
+            if star._fan is not None and star._fan is not self:
+                star._fan.drop_caches()
 
     def transition_id(self, t_small, t_big, k):
         """Index of :meth:`transition_wedge` among the fan's transitions, interned by value."""
@@ -315,29 +317,76 @@ class Fan:
         return self._transitions[self.transition_id(t_small, t_big, k)]
 
 
-@dataclass
 class StarData:
     """The star fan of a cone with its projection bookkeeping.
 
     ``proj`` is the rank x quotient_rank matrix of the projection
     N -> N^sigma acting on row vectors; ``section`` is a right inverse.
-    ``cone_map`` sends a cone of the base fan containing sigma to the
-    corresponding cone index of the star fan, and ``cone_preimage`` is its
-    inverse.  ``normals`` sends each cone covering sigma to its unit
-    normal in N^sigma: the primitive image of its extra ray, which is the
-    star ray it maps to.  N_cover is saturated and contains N_sigma, so
-    its image in N^sigma is saturated of rank one, and the normal's lift
-    through ``section`` lies in N_cover and generates it over N_sigma.
+    ``normals`` sends each cone covering sigma, in the order of their
+    extra rays, to its unit normal in N^sigma: the primitive image of
+    its extra ray, which is the star ray it maps to; ``multiples``
+    sends it to the gcd of that image, so
+    the projected extra ray is its multiple times the normal.  N_cover
+    is saturated and contains N_sigma, so its image in N^sigma is
+    saturated of rank one, and the normal's lift through ``section``
+    lies in N_cover and generates it over N_sigma.
+
+    The star fan itself is built on first read of ``fan``, ``cone_map``
+    or ``cone_preimage``: the ampleness checks, saturation, the
+    compactification and the comparison report read only the
+    projection and the normals.  ``cone_map`` sends a cone of the base
+    fan containing sigma to the corresponding cone index of the star
+    fan, and ``cone_preimage`` is its inverse.
     """
 
-    base_cone: int
-    quotient_rank: int
-    proj: tuple
-    section: tuple
-    fan: Fan
-    cone_map: dict
-    cone_preimage: dict
-    normals: dict
+    def __init__(self, base, base_cone, quotient_rank, proj, section, normals, multiples):
+        self.base_cone = base_cone
+        self.quotient_rank = quotient_rank
+        self.proj = proj
+        self.section = section
+        self.normals = normals
+        self.multiples = multiples
+        self._base = base
+        self._fan = None  # with _cone_map and _cone_preimage, filled by _build_fan
+
+    @property
+    def fan(self):
+        if self._fan is None:
+            self._build_fan()
+        return self._fan
+
+    @property
+    def cone_map(self):
+        if self._fan is None:
+            self._build_fan()
+        return self._cone_map
+
+    @property
+    def cone_preimage(self):
+        if self._fan is None:
+            self._build_fan()
+        return self._cone_preimage
+
+    def _build_fan(self):
+        fan, cone_idx = self._base, self.base_cone
+        if not fan.cones[cone_idx]:
+            self._cone_map = {i: i for i in range(len(fan.cones))}
+            self._cone_preimage = dict(self._cone_map)
+            self._fan = fan
+            return
+        containing = fan.cones_containing(cone_idx)
+        cone_set = set(fan.cones[cone_idx])
+        # star rays are indexed by the covers of the cone, sorted by extra ray
+        extra_to_star = {}
+        for s, c in enumerate(self.normals):
+            extra_to_star[next(i for i in fan.cones[c] if i not in cone_set)] = s
+        star_cones = [tuple(sorted(extra_to_star[i] for i in fan.cones[c] if i not in cone_set)) for c in containing]
+        order = sorted(range(len(containing)), key=lambda t: (len(star_cones[t]), star_cones[t]))
+        maximal = frozenset(i for i, t in enumerate(order) if containing[t] in fan.maximal)
+        name = f"{fan.name}^{fan.cones[cone_idx]}"
+        self._fan = Fan(self.quotient_rank, list(self.normals.values()), [star_cones[t] for t in order], maximal, name=name)
+        self._cone_map = {containing[t]: i for i, t in enumerate(order)}
+        self._cone_preimage = {i: containing[t] for i, t in enumerate(order)}
 
     def induced_weights(self, weights):
         star = self.fan
@@ -356,11 +405,14 @@ def _build_star(fan, cone_idx):
     n = fan.rank
     cone = fan.cones[cone_idx]
     k = len(cone)
+    # normals and multiples are keyed by the covers of the cone, sorted by extra ray
+    covers = sorted(fan.covered_by(cone_idx), key=lambda c: fan.cones[c])
+    normals, multiples = {}, {}
     if k == 0:
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        cone_map = {i: i for i in range(len(fan.cones))}
-        normals = {c: _primitive(fan.rays[fan.cones[c][0]])[0] for c in fan.covered_by(cone_idx)}
-        return StarData(cone_idx, n, ident, ident, fan, cone_map, dict(cone_map), normals)
+        for c in covers:
+            normals[c], multiples[c] = _primitive(fan.rays[fan.cones[c][0]])
+        return StarData(fan, cone_idx, n, ident, ident, normals, multiples)
     B = fan.cone_lattice(cone_idx).basis
     res = zlinalg._snf(B)
     # the checks the orientation rests on: compactify reads its signs off
@@ -369,37 +421,15 @@ def _build_star(fan, cone_idx):
         raise AssertionError(f"cone {cone} has dependent rays")
     if res.divisors != (1,) * k:
         raise AssertionError(f"cone lattice of cone {cone} is not saturated: divisors {res.divisors}")
-    m = n - k
     proj = tuple(tuple(res.V[i, j] for j in range(k, n)) for i in range(n))
     section = tuple(tuple(res.Vinv[i, j] for j in range(n)) for i in range(k, n))
-
-    containing = fan.cones_containing(cone_idx)
     cone_set = set(cone)
-    # star rays are indexed by the covers of the cone, sorted by extra ray
-    covers = sorted(fan.covered_by(cone_idx), key=lambda c: fan.cones[c])
-    normals = {}
-    extra_to_star = {}
-    for s, c in enumerate(covers):
+    for c in covers:
         extra = next(i for i in fan.cones[c] if i not in cone_set)
-        prim, g = _primitive(vecmat(fan.rays[extra], proj))
-        if g == 0:
+        normals[c], multiples[c] = _primitive(vecmat(fan.rays[extra], proj))
+        if multiples[c] == 0:
             raise AssertionError(f"ray {extra} of cone {fan.cones[c]} collapses in the star of cone {cone}: dependent rays")
-        normals[c] = prim
-        extra_to_star[extra] = s
-
-    star_cones = []
-    for c in containing:
-        rays_here = tuple(sorted(extra_to_star[i] for i in fan.cones[c] if i not in cone_set))
-        star_cones.append(rays_here)
-    order = sorted(range(len(containing)), key=lambda t: (len(star_cones[t]), star_cones[t]))
-    cones_sorted = [star_cones[t] for t in order]
-    maximal = frozenset(
-        i for i, t in enumerate(order) if containing[t] in fan.maximal
-    )
-    star_fan = Fan(m, list(normals.values()), cones_sorted, maximal, name=f"{fan.name}^{cone}")
-    cone_map = {containing[t]: i for i, t in enumerate(order)}
-    cone_preimage = {i: containing[t] for i, t in enumerate(order)}
-    return StarData(cone_idx, m, proj, section, star_fan, cone_map, cone_preimage, normals)
+    return StarData(fan, cone_idx, n - k, proj, section, normals, multiples)
 
 
 # predicates ------------------------------------------------------------
@@ -412,7 +442,7 @@ def validate(fan, level="combinatorial"):
     simplicial cones, face closure and maximal flags.  If those pass, the
     geometric level also checks that no two cones have relative
     interiors that meet.  Faces of one cone are skipped, and so is any
-    pair that an integer functional separates (:func:`_sign_masks`);
+    pair that an integer functional separates (:func:`_separated_partners`);
     the exact LP :func:`_interiors_meet` decides every other pair.
     """
     diags = Diagnostics()
@@ -449,12 +479,14 @@ def validate(fan, level="combinatorial"):
         # a separating functional proves a pair disjoint; so does a join, since
         # faces of one simplicial cone have disjoint relative interiors
         nonzero = [i for i, c in enumerate(fan.cones) if c]
-        ge, le, nz = _sign_masks(fan, nonzero)
-        for a in range(len(nonzero)):
-            ge_a, le_a, nz_a = ge[a], le[a], nz[a]
-            for b in range(a + 1, len(nonzero)):
-                if (ge_a & le[b] | le_a & ge[b]) & (nz_a | nz[b]):
-                    continue
+        everyone = (1 << len(nonzero)) - 1
+        for a, separated in enumerate(_separated_partners(fan, nonzero)):
+            # the unseparated partners after a, lowest first
+            rest = (everyone & ~separated) >> (a + 1)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = a + low.bit_length()
                 if fan.join(nonzero[a], nonzero[b]) is not None:
                     continue
                 ca, cb = fan.cones[nonzero[a]], fan.cones[nonzero[b]]
@@ -479,19 +511,23 @@ def _dependent_cones(fan):
     return [c for c in fan.cones if c in dependent]
 
 
-def _sign_masks(fan, cone_ids):
-    """Bitmasks over a fixed set of integer functionals, one triple per cone.
+def _separated_partners(fan, cone_ids):
+    """For each cone of ``cone_ids``, the partners an integer functional separates from it.
 
     The functionals are the coordinates e_k and the differences
-    e_i - e_j (i < j); bit k of a mask stands for the k-th of them.  For
-    each cone of ``cone_ids``, in order, ``ge`` has the bits of the
-    functionals that are >= 0 on every ray of the cone, ``le`` those
-    that are <= 0 on every ray, and ``nz`` those that are nonzero on
-    some ray.
+    e_i - e_j (i < j).  A functional l separates cones a and b when it
+    is >= 0 on every ray of one, <= 0 on every ray of the other, and
+    nonzero on some ray of either.  The result has one bitset per cone,
+    in order: bit b is set when some functional separates the cone from
+    the b-th cone of ``cone_ids``.  It is a union over the functionals
+    l of bitsets over the cones, chosen by the sign of l on the cone:
+    where l is >= 0 and nonzero on it, the cones on which l is <= 0;
+    where l is <= 0 and nonzero, those on which l is >= 0; where l
+    vanishes on it, those on which l is >= 0 or <= 0 and nonzero
+    somewhere.  A functional of both signs on the cone adds nothing.
 
-    Cones a and b have disjoint relative interiors when some bit is set
-    in ``(ge[a] & le[b] | le[a] & ge[b]) & (nz[a] | nz[b])``.  Proof:
-    say x = sum alpha_i r_i = sum beta_j s_j with every alpha_i and
+    Separated cones have disjoint relative interiors.  Proof: say
+    x = sum alpha_i r_i = sum beta_j s_j with every alpha_i and
     beta_j > 0, over the rays r_i of a and s_j of b.  If l >= 0 on the
     r_i and l <= 0 on the s_j, then 0 <= l(x) <= 0, so l(x) = 0, and as
     every coefficient is positive that forces l = 0 on every r_i and
@@ -506,22 +542,43 @@ def _sign_masks(fan, cone_ids):
     """
     n = fan.rank
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    full = (1 << (n + len(pairs))) - 1
+    nfun = n + len(pairs)
     pos, neg = [], []
     for r in fan.rays:
         values = list(r) + [r[i] - r[j] for i, j in pairs]
         pos.append(sum(1 << k for k, v in enumerate(values) if v > 0))
         neg.append(sum(1 << k for k, v in enumerate(values) if v < 0))
-    ge, le, nz = [], [], []
-    for idx in cone_ids:
+    # per functional, the bitsets over the cones of those it is >= 0 on, <= 0 on, and nonzero on
+    ge, le, nz = [0] * nfun, [0] * nfun, [0] * nfun
+    signs = []
+    for a, idx in enumerate(cone_ids):
         p = m = 0
         for i in fan.cones[idx]:
             p |= pos[i]
             m |= neg[i]
-        ge.append(full & ~m)
-        le.append(full & ~p)
-        nz.append(p | m)
-    return ge, le, nz
+        signs.append((p, m))
+        bit = 1 << a
+        for k in range(nfun):
+            if not m >> k & 1:
+                ge[k] |= bit
+            if not p >> k & 1:
+                le[k] |= bit
+            if (p | m) >> k & 1:
+                nz[k] |= bit
+    either_nz = [(g | l) & z for g, l, z in zip(ge, le, nz)]
+    out = []
+    for p, m in signs:
+        s = 0
+        for k in range(nfun):
+            if p >> k & 1:
+                if not m >> k & 1:
+                    s |= le[k]
+            elif m >> k & 1:
+                s |= ge[k]
+            else:
+                s |= either_nz[k]
+        out.append(s)
+    return out
 
 
 def _interiors_meet(fan, ca, cb):

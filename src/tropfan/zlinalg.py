@@ -635,14 +635,25 @@ class Echelon:
         return len(self.pivots)
 
 
-def rref(rows, ncols=None):
-    """Gauss-Jordan elimination over Q on the first ``ncols`` columns.
+def _eliminate(rows, ncols=None):
+    """Fraction-free Gauss-Jordan elimination: (a, scale, pivots), in integers.
 
-    Pivots are taken column by column from the first row at or below
-    the current one with a nonzero entry.  Columns past ``ncols`` (an
-    augmented right-hand side) are carried along but never pivoted on.
+    Row i of :func:`rref`'s result is ``a[i] / scale[i]``, with every
+    scale positive; a pivot row's scale is its (positive) pivot entry.
+    Each input row is cleared of denominators once.  A pivot row P at
+    column c, with pivot p, then clears column c of every other row R
+    with entry f there by the cross-multiplication
+    R <- (p R - f P) / gcd(p, f), its scale multiplied by p / gcd(p, f),
+    and the row and its scale are divided by their common gcd, so the
+    scale stays the least common denominator of the rational row.  The
+    pivot choice is :func:`rref`'s, since R and the rational row have
+    the same zeros.
     """
-    a = [[Fraction(e) for e in r] for r in rows]
+    a, scale = [], []
+    for r in rows:
+        d = math.lcm(*(x.denominator for x in r))
+        a.append([x.numerator * (d // x.denominator) for x in r])
+        scale.append(d)
     m = len(a)
     if ncols is None:
         ncols = len(a[0]) if a else 0
@@ -651,24 +662,54 @@ def rref(rows, ncols=None):
     for c in range(ncols):
         if r == m:
             break
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        scale[piv] = scale[r]
+        prow = a[r]
+        g = math.gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            prow = a[r] = [x // g for x in prow]
+        p = scale[r] = prow[c]
         for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i == r or not f:
+                continue
+            g = math.gcd(p, f)
+            keep, sub = p // g, f // g
+            row = [keep * x - sub * y for x, y in zip(a[i], prow)]
+            s = scale[i] * keep
+            if s != 1:
+                g = math.gcd(s, *row)
+                if g != 1:
+                    row = [x // g for x in row]
+                    s //= g
+            a[i] = row
+            scale[i] = s
         pivots.append(c)
         r += 1
-    return Echelon(a, pivots)
+    return a, scale, pivots
+
+
+def rref(rows, ncols=None):
+    """Gauss-Jordan elimination over Q on the first ``ncols`` columns.
+
+    Pivots are taken column by column from the first row at or below
+    the current one with a nonzero entry.  Columns past ``ncols`` (an
+    augmented right-hand side) are carried along but never pivoted on.
+    The elimination runs in integers (:func:`_eliminate`); each entry
+    becomes a ``Fraction`` once, at the end.
+    """
+    a, scale, pivots = _eliminate(rows, ncols)
+    return Echelon([[Fraction(x, s) for x in row] for row, s in zip(a, scale)], pivots)
 
 
 def rank_frac(rows):
     """Rank of a matrix with Fraction/int entries."""
-    return rref(rows).rank
+    return len(_eliminate(rows)[2])
 
 
 def solve_frac(rows, rhs):
@@ -681,21 +722,22 @@ def solve_frac(rows, rhs):
     if not rows:
         return ()
     n = len(rows[0])
-    ech = rref([list(r) + [b] for r, b in zip(rows, rhs)], n)
-    if any(row[n] != 0 for row in ech.rows[ech.rank :]):
+    a, _, pivots = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if any(row[n] for row in a[len(pivots) :]):
         return None
     g = [Fraction(0)] * n
-    for row, c in zip(ech.rows, ech.pivots):
-        g[c] = row[n]
+    for row, c in zip(a, pivots):
+        g[c] = Fraction(row[n], row[c])
     return tuple(g)
 
 
 class FracSolver:
     """Rational solutions g of rows . g = rhs for many rhs, from one elimination, scaled to integers.
 
-    ``rows`` is eliminated once as ``rref`` of [rows | I] on its first
-    ``ncols`` columns; the identity block records the row operations T,
-    which are scaled once by their common denominator ``denominator``.
+    The integer ``rows`` are eliminated once as ``rref`` of [rows | I] on
+    its first ``ncols`` columns; the identity block records the row
+    operations T, which are scaled once by their least common
+    denominator ``denominator``.
     The pivots are chosen as :func:`solve_frac` chooses them, so
     :meth:`solve_scaled` returns ``denominator`` times the same
     solution: free coordinates zero, g[pivot_k] = T_k . rhs, and None
@@ -703,14 +745,15 @@ class FracSolver:
     """
 
     def __init__(self, rows, ncols):
-        ech = rref(_with_identity(rows), ncols)
-        T = [row[ncols:] for row in ech.rows]
-        self.denominator = d = math.lcm(*(x.denominator for row in T for x in row))
-        ops = [[(j, int(x * d)) for j, x in enumerate(row) if x] for row in T]
+        a, scale, pivots = _eliminate(_with_identity(rows), ncols)
+        # row k of T is a[k][ncols:] / scale[k]; scale[k] is the least common denominator of
+        # the whole row, and for integer rows that of T's part, since the rest is T times rows
+        self.denominator = d = math.lcm(*scale)
+        ops = [[(j, x * (d // s)) for j, x in enumerate(row[ncols:]) if x] for row, s in zip(a, scale)]
         self.ncols = ncols
-        self.rank = ech.rank
-        self._pivots = list(zip(ech.pivots, ops))
-        self._null = ops[ech.rank :]
+        self.rank = len(pivots)
+        self._pivots = list(zip(pivots, ops))
+        self._null = ops[self.rank :]
 
     def solve_scaled(self, rhs):
         """``denominator`` times the solution g, in integers for an integer rhs, or None."""
@@ -842,8 +885,8 @@ class LPCertificate:
         # the point, or the multipliers, times the lcm of their denominators:
         # every sign below is unchanged by that positive scale
         if self.feasible:
-            scale = math.lcm(*(Fraction(v).denominator for v in self.point))
-            x = [int(v * scale) for v in self.point]
+            scale = math.lcm(*(v.denominator for v in self.point))
+            x = [v.numerator * (scale // v.denominator) for v in self.point]
             for coeffs, const, rel in constraints:
                 val = sum(c * x[i] for i, c in enumerate(coeffs) if c) + const * scale
                 if rel == EQ and val != 0:
@@ -853,13 +896,13 @@ class LPCertificate:
                 if rel == GT and val <= 0:
                     return False
             return True
-        scale = math.lcm(*(Fraction(m).denominator for m in self.multipliers.values()))
+        scale = math.lcm(*(m.denominator for m in self.multipliers.values()))
         combo = [0] * nvars
         const = 0
         strict = False
         has_ineq = False
         for idx, mult in self.multipliers.items():
-            mult = int(mult * scale)
+            mult = mult.numerator * (scale // mult.denominator)
             coeffs, c, rel = constraints[idx]
             if rel in (GE, GT):
                 if mult < 0:
@@ -903,11 +946,11 @@ def feasible(constraints, nvars):
     rows = {}
     eqs, ineqs = [], []
     for i, (coeffs, const, rel) in enumerate(constraints):
-        d = math.lcm(*(Fraction(a).denominator for a in coeffs if a), Fraction(const).denominator)
-        row = {j: int(a * d) for j, a in enumerate(coeffs) if a}
+        d = math.lcm(*(a.denominator for a in coeffs if a), const.denominator)
+        row = {j: a.numerator * (d // a.denominator) for j, a in enumerate(coeffs) if a}
         if rel == GT:
             row[t] = -d
-        rows[nvars + 2 + i] = [int(const * d), row, d]
+        rows[nvars + 2 + i] = [const.numerator * (d // const.denominator), row, d]
         (eqs if rel == EQ else ineqs).append(nvars + 2 + i)
     strict = any(rel == GT for _, _, rel in constraints)
     if strict:

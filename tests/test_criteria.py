@@ -436,3 +436,87 @@ class TestStratumPairingValues:
                 covers, values = _stratum_pairing_values(fan, f, cone_idx)
                 assert covers == sorted(fan.covered_by(cone_idx), key=lambda c: fan.cones[c])
                 assert repr(values) == repr(_solved_pairing_values(fan, f, cone_idx))
+
+
+def _two_lp_kleiman(fan, f, vacuous=None):
+    """The Kleiman check with a feasibility LP per stratum before the positivity LP.
+
+    The pairing values come from :func:`_solved_pairing_values`, in
+    Fractions and unscaled; a stratum whose first LP is infeasible is
+    appended to ``vacuous`` when a list is given.
+    """
+    for cone_idx in range(len(fan.cones)):
+        covers = sorted(fan.covered_by(cone_idx), key=lambda c: fan.cones[c])
+        if not covers:
+            continue
+        values = _solved_pairing_values(fan, f, cone_idx)
+        star = fan.star(cone_idx)
+        nrays = len(covers)
+        cons = [(row, 0, zlinalg.EQ) for row in zip(*(star.normals[c] for c in covers))]
+        cons.append(((1,) * nrays, -1, zlinalg.EQ))
+        for i in range(nrays):
+            cons.append((tuple(1 if j == i else 0 for j in range(nrays)), 0, zlinalg.GE))
+        if not zlinalg.feasible(cons, nrays).feasible:
+            if vacuous is not None:
+                vacuous.append(cone_idx)
+            continue
+        if zlinalg.feasible(cons + [(tuple(-v for v in values), 0, zlinalg.GE)], nrays).feasible:
+            return False
+    return True
+
+
+def _oracle_fan(name, request):
+    if name == "k4":
+        return request.getfixturevalue("k4_pair")[0]
+    if name in ("u53", "u44"):
+        n, r = int(name[1]), int(name[2])
+        return bergman_fan(Matroid.uniform(n, r))[0]
+    return request.getfixturevalue(name)
+
+
+def _known_functions(name, fan):
+    """Functions with a known verdict: ample ones where there is one, and a linear one."""
+    known = {"p2": [[0, 0, 1]], "delta": [[1, 1, 1]]}.get(name, [])
+    if name in ("u53", "u44"):
+        n = int(name[1])
+        # |F|(n - |F|) at the ray of the flat F: its support has |F| or n - |F| elements
+        known.append([(n - sum(1 for x in r if x)) * sum(1 for x in r if x) for r in fan.rays])
+    known.append([sum(x for x in r) for r in fan.rays])  # the sum of the coordinates, linear
+    return [ConewiseLinear(v) for v in known]
+
+
+class TestKleimanOracle:
+    ORACLE_FANS = ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4", "u53", "u44"]
+
+    @pytest.mark.parametrize("name", ORACLE_FANS)
+    def test_one_lp_per_stratum_matches_two(self, name, request):
+        fan = _oracle_fan(name, request)
+        rng = random.Random(f"kleiman-{name}")
+        functions = _known_functions(name, fan)
+        functions += [
+            ConewiseLinear([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in fan.rays])
+            for _ in range(30)
+        ]
+        verdicts, vacuous = set(), []
+        for f in functions:
+            want = _two_lp_kleiman(fan, f, vacuous)
+            assert kleiman_check(fan, f) == want
+            verdicts.add(want)
+        if name == "cone2":
+            # one cone: every stratum is vacuous, so every function passes
+            assert vacuous and verdicts == {True}
+        else:
+            assert not vacuous
+            assert verdicts == ({False} if name in ("cube", "k4") else {True, False})
+
+    @pytest.mark.parametrize("name", ORACLE_FANS)
+    def test_positive_scale_keeps_both_verdicts(self, name, request):
+        fan = _oracle_fan(name, request)
+        rng = random.Random(f"scale-{name}")
+        for f in _known_functions(name, fan) + [
+            ConewiseLinear([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in fan.rays]) for _ in range(3)
+        ]:
+            c = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+            scaled = ConewiseLinear([c * v for v in f.values])
+            assert is_ample(fan, scaled) == is_ample(fan, f)
+            assert kleiman_check(fan, scaled) == kleiman_check(fan, f)

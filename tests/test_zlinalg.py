@@ -7,10 +7,12 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropfan import zlinalg
+from tropfan import exterior, sheaf, zlinalg
+from tropfan.homology import compactification
 from tropfan.zlinalg import (
     EQ,
     GE,
@@ -479,7 +481,88 @@ class TestSmithPivotSearch:
             assert res.divisors == ()
 
 
+def _fraction_rref(rows, ncols=None):
+    """Gauss-Jordan elimination in Fractions, pivoting as :func:`rref` does: (rows, pivots)."""
+    a = [[Fraction(e) for e in r] for r in rows]
+    m = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@st.composite
+def rational_systems(draw, max_rows=6, max_cols=5):
+    """Rational rows over ``ncols`` pivot columns and up to two augmented ones.
+
+    Besides random rows it inserts combinations k1 r1 + k2 r2 of earlier
+    rows at random places: zero rows, repeated and scaled rows, and
+    rows dependent on the pivot columns but not on the augmented ones.
+    """
+    ncols = draw(st.integers(0, max_cols))
+    width = ncols + draw(st.integers(0, 2))
+    den = draw(st.sampled_from([1, 2, 6]))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, den))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=max_rows))
+    combos = st.tuples(st.integers(0, max_rows), st.integers(0, max_rows), st.integers(-2, 2), st.integers(-2, 2),
+                       st.integers(0, max_rows), st.integers(-1, 1))
+    for i, j, k1, k2, at, shift in draw(st.lists(combos, max_size=3)):
+        if not rows:
+            break
+        a, b = rows[i % len(rows)], rows[j % len(rows)]
+        new = [k1 * x + k2 * y for x, y in zip(a, b)]
+        if width > ncols:
+            new[-1] += shift
+        rows.insert(at % (len(rows) + 1), new)
+    return rows, ncols
+
+
 class TestRationalElimination:
+    @given(rational_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_rref_matches_the_fraction_elimination(self, system):
+        # the integer elimination gives every row, past the rank too, and every pivot of the Fraction one
+        rows, ncols = system
+        ech = rref(rows, ncols)
+        want_rows, want_pivots = _fraction_rref(rows, ncols)
+        assert ech.pivots == want_pivots
+        assert ech.rows == want_rows
+        assert all(type(x) is Fraction for row in ech.rows for x in row)
+
+    @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4"])
+    def test_solver_denominator_on_coefficient_lattices(self, name, request):
+        # the common denominator of the row operations, as the Fraction elimination of [B | I] gives it
+        fan = request.getfixturevalue("k4_pair")[0] if name == "k4" else request.getfixturevalue(name)
+        comp = compactification(fan)
+        seen = set()
+        for fid in range(len(comp.faces)):
+            for p in range(fan.dim + 1):
+                b = sheaf.basis(comp, fid, p)
+                width = exterior.dim(sheaf.star_rank(comp, fid), p)
+                if (b, width) in seen:
+                    continue
+                seen.add((b, width))
+                T = [row[width:] for row in _fraction_rref(zlinalg._with_identity(b), width)[0]]
+                want = math.lcm(*(x.denominator for row in T for x in row))
+                assert zlinalg.FracSolver(b, width).denominator == want
+        assert len(seen) > 1
+
     @given(matrices(), st.lists(st.integers(-9, 9), min_size=4, max_size=4), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_rank_and_solve(self, M, draw, in_image):
@@ -505,6 +588,8 @@ class TestRationalElimination:
         rows = M.row_tuples()
         solver = zlinalg.FracSolver(rows, M.cols)
         assert solver.rank == rank_frac(rows)
+        T = [row[M.cols :] for row in _fraction_rref(zlinalg._with_identity(rows), M.cols)[0]]
+        assert solver.denominator == math.lcm(*(x.denominator for row in T for x in row))
         for draw in draws:
             # one consistent right-hand side M . x and one arbitrary
             for rhs in ([sum(a * x for a, x in zip(r, draw)) for r in rows], draw[: M.rows]):
