@@ -3,7 +3,8 @@
 
 Runs ``tropfan.cli.run`` in-process, from the ``src/`` of the source tree
 named on the command line, over the ``fans/`` fixtures and the Bergman
-fan of K4.  Two trees are compared by diffing their records:
+fan of K4, and runs ``cohomology`` and ``verify`` on the Bergman fan of
+U(4,4).  Two trees are compared by diffing their records:
 
     python scripts/cli_snapshot.py <other tree> old.txt
     python scripts/cli_snapshot.py . new.txt
@@ -22,21 +23,28 @@ import sys
 import tempfile
 
 
+def bergman_file(work, name, m):
+    """Write the Bergman fan of a matroid, with its weights, as a fan file; returns its path."""
+    from tropfan import matroid
+
+    fan, weights = matroid.bergman_fan(m, name=name)
+    maximal = [list(fan.cones[i]) for i in sorted(fan.maximal)]
+    path = work / f"{name}.json"
+    path.write_text(json.dumps({
+        "name": name,
+        "rank": fan.rank,
+        "rays": [list(r) for r in fan.rays],
+        "maximal_cones": maximal,
+        "weights": [weights[tuple(c)] for c in maximal],
+    }))
+    return path
+
+
 def cases(root, work):
     from tropfan import matroid
 
     fans = sorted((root / "fans").glob("*.json"))
-    m = matroid.Matroid.graphic(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    k4, weights = matroid.bergman_fan(m, name="k4")
-    maximal = [list(k4.cones[i]) for i in sorted(k4.maximal)]
-    k4_path = work / "k4.json"
-    k4_path.write_text(json.dumps({
-        "name": "k4",
-        "rank": k4.rank,
-        "rays": [list(r) for r in k4.rays],
-        "maximal_cones": maximal,
-        "weights": [weights[tuple(c)] for c in maximal],
-    }))
+    k4_path = bergman_file(work, "k4", matroid.Matroid.graphic(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
     fans.append(k4_path)
 
     out = []
@@ -68,6 +76,14 @@ def cases(root, work):
             for mode in ("both", "lp", "kleiman"):
                 out.append(["ample", "--fan", f, "--function", str(fp), "--mode", mode])
         out.append(["verify", "--fan", f])
+    # the 3-dim permutohedral fan: the largest complexes of the tables
+    f = str(bergman_file(work, "u44", matroid.Matroid.uniform(4, 4)))
+    for variant in ("c", "bm"):
+        for coeff in ("Z", "Q"):
+            out.append(["cohomology", "--fan", f, "--space", "fan", "--variant", variant, "--coeff", coeff])
+    for coeff in ("Z", "Q"):
+        out.append(["cohomology", "--fan", f, "--space", "comp", "--coeff", coeff])
+    out.append(["verify", "--fan", f])
     return out
 
 

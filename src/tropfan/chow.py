@@ -339,8 +339,8 @@ def _ray_cocycle_values(fan, comp, ray):
         t_up = fan.cone_index(tuple(sorted(fan.cones[t] + (ray,))))
         gid = comp.face_index[(t_up, eta)]
         sign = comp.face_sign(gid, did)
-        R = sheaf.restriction(comp, 1, gid, did)
-        pushed = [sum(l * v for l, v in zip(lift, values)) for lift in zlinalg.section_rows(R)]
+        lifts = zlinalg.section_rows(sheaf.restriction(comp, 1, gid, did), sheaf.rank(comp, gid, 1))
+        pushed = [sum(l * v for l, v in zip(lift, values)) for lift in lifts]
         cur = b.value(gid)
         b.set_value(gid, tuple(x + sign * y for x, y in zip(cur, pushed)))
     result = a - b

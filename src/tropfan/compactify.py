@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import itertools
 
-from .zlinalg import Sublattice, vecmat
-
 
 class Compactification:
     """Face poset of the canonical compactification with oriented covers."""
@@ -61,7 +59,6 @@ class Compactification:
         self._cone_sets = tuple(frozenset(c) for c in fan.cones)
         self._covers = None
         self._cofaces = None
-        self._tangent = {}
         # filled by tropfan.sheaf, which says how: the distinct coefficient-lattice
         # bases, their ids by value, basis ids by p and face, solvers and blocks by id
         self.sheaf_bases = []
@@ -115,29 +112,24 @@ class Compactification:
             self._build_covers()
         return self._cofaces[gid]
 
-    def all_cover_pairs(self):
-        if self._covers is None:
-            self._build_covers()
-        for did, lst in enumerate(self._covers):
-            for gid, sign in lst:
-                yield gid, did, sign
-
     def _build_covers(self):
         cones = self.fan.cones
-        index = self.fan._cone_index
+        # the facets of each cone, by the position of the ray they drop, and
+        # each cone's covers by the ray they add: the fan's indexes, read once
+        facets = [self.fan.covers_of(c) for c in range(len(cones))]
+        raised = [{} for _ in cones]
+        for c, below in enumerate(facets):
+            for r, f in zip(cones[c], below):
+                raised[f][r] = c
         covers = [[] for _ in self.faces]
         for did, (t, s) in enumerate(self.faces):
-            ct = cones[t]
-            cs = cones[s]
-            free = [r for r in cs if r not in ct]
+            free = [(r, f) for r, f in zip(cones[s], facets[s]) if r not in self._cone_sets[t]]
             # same sedentarity: drop one ray of sigma outside tau
-            for pos, r in enumerate(free):
-                gid = self.face_index[(t, index[tuple(x for x in cs if x != r)])]
-                covers[did].append((gid, _cover_sign(pos, False)))
+            for pos, (_, f) in enumerate(free):
+                covers[did].append((self.face_index[(t, f)], _cover_sign(pos, False)))
             # sedentarity raise on the subface: tau grows inside sigma
-            for pos, r in enumerate(free):
-                gid = self.face_index[(index[tuple(sorted(ct + (r,)))], s)]
-                covers[did].append((gid, _cover_sign(pos, True)))
+            for pos, (r, _) in enumerate(free):
+                covers[did].append((self.face_index[(raised[t][r], s)], _cover_sign(pos, True)))
         cofaces = [[] for _ in self.faces]
         for did, lst in enumerate(covers):
             for gid, sign in lst:
@@ -157,15 +149,6 @@ class Compactification:
         sets = self._cone_sets
         (r,) = sets[tg] - sets[td] if drop else sets[sd] - sets[sg]
         return _cover_sign(free.index(r), drop)
-
-    def tangent_lattice(self, fid):
-        """Basis of the face tangent lattice in star(sedentarity) coordinates."""
-        if fid not in self._tangent:
-            t, s = self.faces[fid]
-            star = self.fan.star(t)
-            rows = [vecmat(r, star.proj) for r in self.fan.cone_lattice(s).basis.row_tuples()]
-            self._tangent[fid] = Sublattice.from_rows(rows, star.quotient_rank)
-        return self._tangent[fid]
 
 
 def _cover_sign(pos, drop):

@@ -120,8 +120,10 @@ class Fan:
         self._nu = {}
         self._nu_face = {}
         self._unimodular = None  # (per-cone, verdict), filled by is_unimodular
-        # the distinct /\^k transitions, their ids by (t_small, t_big, k) and by value
+        # the distinct /\^k transitions, their ids by (t_small, t_big, k) and by value,
+        # and the projection rows of each (t_small, t_big) they are made from
         self._transitions, self._transition_ids, self._transition_by_value = [], {}, {}
+        self._projections = {}
         self._compactification = None  # filled by homology.compactification
         self._ray_products = {}  # (ray, cone, coeff) -> x_ray * x_cone, filled by chow
         for r in self.rays:
@@ -296,25 +298,22 @@ class Fan:
                 star._fan.drop_caches()
 
     def transition_id(self, t_small, t_big, k):
-        """Index of :meth:`transition_wedge` among the fan's transitions, interned by value."""
+        """Index in ``_transitions`` of /\\^k of the projection star(t_small) -> star(t_big), interned by value.
+
+        Its rows are indexed by the k-monomials of star(t_small), its columns by those of star(t_big).
+        """
         key = (t_small, t_big, k)
         if key not in self._transition_ids:
             small, big = self.star(t_small), self.star(t_big)
-            rows = tuple(vecmat(row, big.proj) for row in small.section)
+            rows = self._projections.get((t_small, t_big))
+            if rows is None:
+                rows = self._projections[t_small, t_big] = tuple(vecmat(row, big.proj) for row in small.section)
             value = (rows, big.quotient_rank, k)
             if value not in self._transition_by_value:
                 self._transition_by_value[value] = len(self._transitions)
                 self._transitions.append(exterior.induced_matrix(rows, k, small.quotient_rank, big.quotient_rank))
             self._transition_ids[key] = self._transition_by_value[value]
         return self._transition_ids[key]
-
-    def transition_wedge(self, t_small, t_big, k):
-        """/\\^k of the projection star(t_small) -> star(t_big) on row vectors.
-
-        Rows are indexed by the k-monomials of star(t_small), columns by
-        those of star(t_big); built once per distinct projection and k.
-        """
-        return self._transitions[self.transition_id(t_small, t_big, k)]
 
 
 class StarData:

@@ -137,21 +137,6 @@ def _assemble(nrows, ncols, blocks):
     return SparseMatrix(nrows, ncols, tuple(data))
 
 
-def _space_faces(comp, use_fan_faces, variant):
-    faces = []
-    origin = comp.face_index[(comp.fan.zero_cone, comp.fan.zero_cone)]
-    for fid in range(len(comp.faces)):
-        t, s = comp.faces[fid]
-        if use_fan_faces and t != comp.fan.zero_cone:
-            continue
-        if _COMPACT_ONLY[variant]:
-            if use_fan_faces and fid != origin:
-                # the only compact face of a fan is its origin
-                continue
-        faces.append(fid)
-    return faces
-
-
 def build_complex(space, p, variant="cohomology", coeff="Z"):
     """Cellular complex of a fan or compactification in the given variant."""
     if variant not in VARIANTS:
@@ -160,12 +145,12 @@ def build_complex(space, p, variant="cohomology", coeff="Z"):
         raise ValueError("coeff must be 'Z' or 'Q'")
     if isinstance(space, Fan):
         comp = compactification(space)
-        use_fan_faces = True
+        zero = space.zero_cone
+        # in index order: a fan's faces have sedentarity zero, and its origin is its one compact face
+        faces = [comp.face_index[(zero, zero)]] if _COMPACT_ONLY[variant] else comp._by_sedentarity[zero]
     else:
         comp = space
-        use_fan_faces = False
-    faces = _space_faces(comp, use_fan_faces, variant)
-    face_set = set(faces)
+        faces = range(len(comp.faces))
     dual = _DUAL_VARIANTS[variant]
     step = 1 if dual else -1
 
@@ -175,20 +160,29 @@ def build_complex(space, p, variant="cohomology", coeff="Z"):
     for fid in faces:
         q = comp.dim(fid)
         lab = spaces.setdefault(q, [])
-        faces_of.setdefault(q, []).append(fid)
+        rank = sheaf.rank(comp, fid, p)
+        faces_of.setdefault(q, []).append((fid, rank))
         offsets[fid] = len(lab)
-        lab.extend((fid, i) for i in range(sheaf.rank(comp, fid, p)))
+        lab.extend((fid, i) for i in range(rank))
+    side = 1 if dual else 0  # a coboundary reads the transport rows of a block, a boundary the restriction rows
 
-    def blocks(q):
-        # the blocks of the map out of degree q, made as _assemble reads them
-        for src in faces_of[q]:
-            for dst, sign in comp.cofaces_of(src) if dual else comp.covers_of(src):
-                if dst in face_set:
-                    M = sheaf.dual_transport(comp, p, src, dst) if dual else sheaf.restriction(comp, p, dst, src)
-                    rpos, cpos = range(offsets[src], offsets[src] + M.rows), range(offsets[dst], offsets[dst] + M.cols)
-                    yield rpos, cpos, sign, M.row_tuples()
+    def rows(q):
+        # the rows of the map out of degree q, face by face.  Each block in a face's rows
+        # fills the columns of one other face, so no two blocks add up, and with the other
+        # faces in increasing order, as their offsets are, every row comes out sorted
+        out = []
+        for src, rank in faces_of[q]:
+            if dual:
+                pairs = [(dst, sign) for dst, sign in comp.cofaces_of(src) if dst in offsets]
+            else:
+                pairs = sorted((dst, sign) for dst, sign in comp.covers_of(src) if dst in offsets)
+            blocks = sheaf.transports(comp, p, src, pairs, dual)
+            parts = [(offsets[dst], sign, block[side]) for dst, sign, block in blocks]
+            for i in range(rank):
+                out.append({off + c: sign * x for off, sign, block in parts for c, x in block[i]})
+        return SparseMatrix(len(out), len(spaces.get(q + step, ())), tuple(out))
 
-    maps = {q: _assemble(len(labs), len(spaces.get(q + step, ())), blocks(q)) for q, labs in spaces.items()}
+    maps = {q: rows(q) for q in spaces}
     gc = GradedComplex(comp, p, variant, coeff, step, {q: tuple(v) for q, v in spaces.items()}, maps)
     if not gc.check_dd_zero():
         raise AssertionError(f"the {variant} differential for p = {p} does not square to zero")
@@ -228,12 +222,7 @@ class ComplexGroups:
     def __init__(self, gc):
         self.gc = gc
         self._class_maps = {}
-        divisors = {q: zlinalg.snf_divisors([dict(r) for r in gc.maps[q].data]) for q in gc.spaces}
-        self.groups = {}
-        for q in sorted(gc.spaces):
-            d_in = divisors.get(q - gc.step, ())
-            torsion = tuple(d for d in d_in if d >= 2) if gc.coeff == "Z" else ()
-            self.groups[q] = AbGroup(gc.dim(q) - len(divisors[q]) - len(d_in), torsion)
+        self.groups = _groups(gc, lambda q: [dict(r) for r in gc.maps[q].data])
 
     def group(self, q):
         return self.groups.get(q, AbGroup(0))
@@ -322,6 +311,17 @@ class ComplexGroups:
         return self._class_maps[q]
 
 
+def _groups(gc, rows_of):
+    """H_q by degree, from the invariant factors of the dict rows ``rows_of(q)`` of each map, which are consumed."""
+    divisors = {q: zlinalg.snf_divisors(rows_of(q)) for q in gc.spaces}
+    out = {}
+    for q in sorted(gc.spaces):
+        d_in = divisors.get(q - gc.step, ())
+        torsion = tuple(d for d in d_in if d >= 2) if gc.coeff == "Z" else ()
+        out[q] = AbGroup(gc.dim(q) - len(divisors[q]) - len(d_in), torsion)
+    return out
+
+
 def groups(gc):
     """List of homology groups of the complex, indexed by degree."""
     cg = ComplexGroups(gc)
@@ -337,9 +337,11 @@ def table(space, coeff="Z", variant="cohomology"):
         d = space.fan.dim
     out = {}
     for p in range(d + 1):
-        gs = ComplexGroups(build_complex(space, p, variant, coeff))
-        out.update(((p, q), gs.group(q)) for q in range(d + 1))
-        del gs  # frees this complex before the next one is built
+        gc = build_complex(space, p, variant, coeff)
+        # the reduction consumes the complex's own rows, each map's freed once it is reduced
+        gs = _groups(gc, lambda q: list(gc.maps.pop(q).data))
+        out.update(((p, q), gs.get(q, AbGroup(0))) for q in range(d + 1))
+        del gc  # frees this complex before the next one is built
     return out
 
 
@@ -391,16 +393,7 @@ def coboundary(a):
     comp = a.comp
     acc = {}
     for gid, v in a.data.items():
-        for did, sign in comp.cofaces_of(gid):
-            block = sheaf.dual_transport(comp, a.p, gid, did)
-            cur = acc.get(did)
-            if cur is None:
-                cur = acc[did] = [0] * block.cols
-            for x, row in zip(v, block.row_tuples()):
-                if x:
-                    for j, y in enumerate(row):
-                        if y:
-                            cur[j] += sign * x * y
+        _transport_dual(comp, a.p, gid, comp.cofaces_of(gid), v, acc)
     out = Cochain(comp, a.p, a.q + 1)
     for did, cur in acc.items():
         out.set_value(did, cur)
@@ -452,8 +445,8 @@ def cup(a, b):
             coefficient = fan.varpi_face(t, eta, w)
             if coefficient == 0:
                 continue
-            a_here = _transport_dual(comp, a.p, mid_a, fid, av)
-            b_here = _transport_dual(comp, b.p, mid_b, fid, bv)
+            a_here = _transport_dual(comp, a.p, mid_a, ((fid, 1),), av, {})[fid]
+            b_here = _transport_dual(comp, b.p, mid_b, ((fid, 1),), bv, {})[fid]
             term = sheaf.wedge_duals(comp, fid, a.p, a_here, b.p, b_here)
             total = totals.get(fid)
             if total is None:
@@ -466,9 +459,18 @@ def cup(a, b):
     return out
 
 
-def _transport_dual(comp, p, gid, did, values):
-    M = sheaf.dual_transport(comp, p, gid, did)
-    return vecmat(values, M.row_tuples(), M.cols)
+def _transport_dual(comp, p, gid, pairs, values, acc):
+    """Add sign times the SF^p values at gamma, carried to delta, to ``acc[delta]`` for each (delta, sign); returns acc."""
+    for did, sign, (restricted, transport) in sheaf.transports(comp, p, gid, pairs, True):
+        cur = acc.get(did)
+        if cur is None:
+            cur = acc[did] = [0] * len(restricted)
+        for x, row in zip(values, transport):
+            if x:
+                x *= sign
+                for j, y in row:
+                    cur[j] += x * y
+    return acc
 
 
 def unit_cochain(comp):
@@ -544,10 +546,10 @@ def _cubical_block(fan, comp, p, t, s):
     m_t = star_t.quotient_rank
     # lift each basis vector of SF_(k_dst) at infinity of s through the
     # surjection from the mixed face (t, s)
-    R = sheaf.restriction(comp, k_dst, face_s, face_ts)
     mixed = sheaf.basis(comp, face_ts, k_dst)
     width = exterior.dim(m_t, k_dst)
-    lifts = [vecmat(c, mixed, width) for c in zlinalg.section_rows(R)]
+    section = zlinalg.section_rows(sheaf.restriction(comp, k_dst, face_s, face_ts), r_dst)
+    lifts = [vecmat(c, mixed, width) for c in section]
     cols = []
     for j in range(r_dst):
         w = exterior.wedge_coords(e_cls, 1, lifts[j], k_dst, m_t)
@@ -619,19 +621,14 @@ def fine_double_complex(fan, p):
         v_dst = entries.get((a, b + 1), [])
         horizontal[key] = [[0] * len(h_dst) for _ in labs]
         vertical[key] = [[0] * len(v_dst) for _ in labs]
-    for gid, did, sign in comp.all_cover_pairs():
-        tg, sg = comp.faces[gid]
-        td, sd = comp.faces[did]
-        block = sheaf.dual_transport(comp, p, gid, did)
+    for gid in range(len(comp.faces)):
         key, off_src = offsets[gid]
-        _, off_dst = offsets[did]
-        target = horizontal if tg == td else vertical
-        M = target[key]
-        for i in range(block.rows):
-            row = block.row(i)
-            for j in range(block.cols):
-                if row[j]:
-                    M[off_src + i][off_dst + j] += sign * row[j]
+        for did, sign, (_, transport) in sheaf.transports(comp, p, gid, comp.cofaces_of(gid), True):
+            _, off_dst = offsets[did]
+            M = (horizontal if comp.faces[gid][0] == comp.faces[did][0] else vertical)[key]
+            for i, row in enumerate(transport):
+                for j, x in row:
+                    M[off_src + i][off_dst + j] += sign * x
 
     dc = DoubleComplex(comp, p, {k: tuple(v) for k, v in entries.items()}, horizontal, vertical)
     # d^2 of the total complex splits into hh, hv + vh and vv, which land

@@ -5,11 +5,12 @@ coefficient lattice is the sublattice of the p-th exterior power of
 N^tau spanned by the p-th exterior powers of the tangent lattices of
 the cones containing sigma with the same sedentarity.  Bases are kept
 in HNF over the fixed wedge-monomial ordering of the star basis of
-N^tau, so every map in this module is an explicit integer matrix.
+N^tau, so every map in this module is exact over these bases.
 
 Bases are built from the top of the face poset down.  When sigma is
-maximal the generators are the p-fold wedges of the face's tangent
-basis (a full-rank one gives all of /\\^p, with no wedge taken);
+maximal the generators are the p-fold wedges of the projected rows of
+the cone lattice N_sigma, which span the tangent lattice N_sigma / N_tau
+(a full-rank one gives all of /\\^p, with no wedge taken);
 otherwise SF_p(tau, sigma) is the sum of SF_p(tau, sigma') over the
 cones sigma' covering sigma, since every maximal cone above sigma lies
 above one of them.  A lattice has one reduced HNF basis, so the HNF of
@@ -18,9 +19,11 @@ covers share one basis has it too, with no HNF run.
 
 Each compactification interns its bases: ``comp.sheaf_bases`` lists the
 distinct ones and ``comp.sheaf_ids[p][face]`` is the face's basis id.
-Solvers are kept per basis id, and restriction blocks, each with its
-transpose, per (id delta, id gamma) or, for a sedentarity drop, per
-(id delta, id gamma, :meth:`~tropfan.fan.Fan.transition_id`).
+Solvers are kept per basis id, and restriction blocks, each as sparse
+(column, entry) rows with the sparse rows of its transpose, per (id
+delta, id gamma) or, for a sedentarity drop, per (id delta, id gamma,
+:meth:`~tropfan.fan.Fan.transition_id`); :func:`transports` reads them
+face by face, and only dense kernels densify them.
 
 SF^p, the dual, is represented by value vectors on the HNF basis of
 SF_p; it is never materialized as a sublattice of an ambient dual
@@ -65,7 +68,8 @@ def basis_id(comp, fid, p):
 def _build_basis(comp, fid, p):
     fan = comp.fan
     t, s = comp.faces[fid]
-    m = fan.star(t).quotient_rank
+    star = fan.star(t)
+    m = star.quotient_rank
     if p == 0:
         return _intern(comp, ((1,),))
     if p < 0 or p > m:
@@ -80,8 +84,10 @@ def _build_basis(comp, fid, p):
         # the tangent lattice N_sigma / N_tau is saturated in N^tau, so at full rank it is all of it
         return _intern(comp, tuple(IntMatrix.identity(exterior.dim(m, p)).row_tuples()))
     else:
-        tangent = comp.tangent_lattice(fid).basis.row_tuples()
-        gens = [exterior.wedge_rows(list(subset), m) for subset in itertools.combinations(tangent, p)]
+        # the projected rows of N_sigma span N_sigma / N_tau, so their wedges span /\\^p of it
+        projected = (zlinalg.vecmat(row, star.proj) for row in fan.cone_lattice(s).basis.row_tuples())
+        spanning = [r for r in projected if any(r)]
+        gens = [exterior.wedge_rows(list(subset), m) for subset in itertools.combinations(spanning, p)]
     # the generators are int rows computed here: no re-coercion on the way in
     H = zlinalg.hnf(IntMatrix._trusted_rows(gens, exterior.dim(m, p)))
     return _intern(comp, tuple(r for r in H.row_tuples() if any(r)))
@@ -124,43 +130,65 @@ def coords_in(comp, fid, p, vec):
 
 
 def restriction(comp, p, gid, did):
-    """Matrix of i: SF_p(delta) -> SF_p(gamma) for a subface gamma of delta.
+    """Sparse rows of i: SF_p(delta) -> SF_p(gamma) for a subface gamma of delta.
 
     Same-sedentarity inclusions embed, sedentarity drops project; the
-    general case composes both.  Rows are indexed by the basis of
-    SF_p(delta), entries are coordinates over the basis of SF_p(gamma).
+    general case composes both.  Row i holds the (column, entry) pairs,
+    over the basis of SF_p(gamma), of basis element i of SF_p(delta).
     """
     return _block(comp, p, gid, did)[0]
 
 
 def dual_transport(comp, p, gid, did):
-    """Matrix of the dual map SF^p(gamma) -> SF^p(delta) on value rows: the transpose of :func:`restriction`."""
+    """Sparse rows of the dual map SF^p(gamma) -> SF^p(delta) on value rows: the transpose of :func:`restriction`."""
     return _block(comp, p, gid, did)[1]
 
 
 def _block(comp, p, gid, did):
-    """(restriction, its transpose), solved once per pair of basis ids and transition."""
+    """The block of a pair checked to be incident, as :func:`transports` yields it."""
     if not comp.is_subface(gid, did):
         raise ValueError("not an incident pair")
-    (tg, _), (td, _) = comp.faces[gid], comp.faces[did]
-    key = (basis_id(comp, did, p), basis_id(comp, gid, p))
-    if td != tg:
-        key += (comp.fan.transition_id(td, tg, p),)
-    block = comp.sheaf_blocks.get(key)
-    if block is None:
-        mapped = comp.sheaf_bases[key[0]]
-        if td != tg:
-            A = comp.fan.transition_wedge(td, tg, p)
-            width = exterior.dim(comp.fan.star(tg).quotient_rank, p)
-            mapped = [zlinalg.vecmat(row, A, width) for row in mapped]
-        target = basis_solver(comp, gid, p)
-        rows = [target.solve(v) if target is not None else (None if any(v) else ()) for v in mapped]
-        if None in rows:
-            what = "leaves the target lattice" if target is None else "is not integral over the target basis"
-            raise AssertionError(f"restriction of SF_{p} from face {did} to face {gid} {what}")
-        M = IntMatrix._trusted_rows(rows, rank(comp, gid, p))
-        block = comp.sheaf_blocks[key] = (M, M.transpose())
+    ((_, _, block),) = transports(comp, p, gid, ((did, 1),), True)
     return block
+
+
+def transports(comp, p, fid, pairs, up):
+    """(face, sign, (restriction, dual transport)) for each (face, sign) pair, in order, each block solved once per key.
+
+    The faces of ``pairs`` all contain the face (``up``) or all lie in
+    it; nothing checks that they do.  The face's basis id is read once.
+    """
+    faces, blocks, transition_id = comp.faces, comp.sheaf_blocks, comp.fan.transition_id
+    bid = basis_id(comp, fid, p)
+    ids = comp.sheaf_ids[p]
+    t = faces[fid][0]
+    for other, sign in pairs:
+        oid = ids[other]
+        if oid is None:
+            oid = basis_id(comp, other, p)
+        t_other = faces[other][0]
+        key = (oid, bid) if up else (bid, oid)
+        if t_other != t:
+            key += (transition_id(t_other, t, p) if up else transition_id(t, t_other, p),)
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = _solve_block(comp, p, key, *((fid, other) if up else (other, fid)))
+        yield other, sign, block
+
+
+def _solve_block(comp, p, key, gid, did):
+    """(restriction rows, transport rows) of the key's block, solved against the target basis."""
+    mapped = comp.sheaf_bases[key[0]]
+    if len(key) == 3:
+        A = comp.fan._transitions[key[2]]
+        width = exterior.dim(star_rank(comp, gid), p)
+        mapped = [zlinalg.vecmat(row, A, width) for row in mapped]
+    rows = [coords_in(comp, gid, p, v) for v in mapped]
+    if None in rows:
+        what = "is not integral over the target basis" if comp.sheaf_bases[key[1]] else "leaves the target lattice"
+        raise AssertionError(f"restriction of SF_{p} from face {did} to face {gid} {what}")
+    columns = zip(*rows) if rows else [()] * len(comp.sheaf_bases[key[1]])
+    return tuple(tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m) for m in (rows, columns))
 
 
 def extend_dual(comp, fid, p, values):

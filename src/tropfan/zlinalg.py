@@ -765,16 +765,16 @@ class FracSolver:
         return tuple(g)
 
 
-def section_rows(A):
-    """Integer rows x_j with x_j * A = e_j, one per column j of A.
+def section_rows(rows, cols):
+    """Integer rows x_j with x_j * A = e_j, one per column j of A, given as sparse rows of (column, entry) pairs.
 
-    Together they are a section of the surjection v -> v * A of Z^rows
-    onto Z^cols; all are solved against one :class:`RowSolver`.
+    Together they are a section of the surjection v -> v * A onto
+    Z^cols; A is densified once, for one :class:`RowSolver`.
     """
-    solver = RowSolver(A)
+    solver = RowSolver(IntMatrix._trusted_rows([[d.get(j, 0) for j in range(cols)] for d in map(dict, rows)], cols))
     out = []
-    for j in range(A.cols):
-        x = solver.solve(tuple(1 if i == j else 0 for i in range(A.cols)))
+    for j in range(cols):
+        x = solver.solve(tuple(1 if i == j else 0 for i in range(cols)))
         if x is None:
             raise AssertionError(f"map has no integral section: column {j} is not hit")
         out.append(x)

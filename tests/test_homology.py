@@ -128,23 +128,25 @@ class TestSparseDifferentials:
         assert gc.check_dd_zero() == (not any((A * B).entries))
 
     def test_flipped_block_exits_3_under_optimize(self):
-        # one sign flipped in one transport block: d^2 = 0 fails even under -O, and the CLI says where
+        # one sign flipped in one stored p = 1 block, in its rows and in its transpose: d^2 = 0
+        # fails even under -O, and the CLI says where.  The block maps between two different
+        # bases: one from a basis to itself may be the identity wherever it is read, and a sign
+        # flipped there is a change of basis, under which d^2 stays zero
         code = (
             "import sys\n"
             "from tropfan import cli, sheaf\n"
-            "from tropfan.zlinalg import IntMatrix\n"
-            "original = sheaf.dual_transport\n"
+            "original = sheaf._solve_block\n"
             "flipped = []\n"
-            "def wrapped(comp, p, gid, did):\n"
-            "    M = original(comp, p, gid, did)\n"
-            "    if p == 1 and any(M.entries) and flipped in ([], [(gid, did)]):\n"
-            "        flipped[:] = [(gid, did)]\n"
-            "        e = list(M.entries)\n"
-            "        k = next(i for i, x in enumerate(e) if x)\n"
-            "        e[k] = -e[k]\n"
-            "        M = IntMatrix(M.rows, M.cols, e)\n"
-            "    return M\n"
-            "sheaf.dual_transport = wrapped\n"
+            "def flip(rows, a, b):\n"
+            "    return tuple(tuple((c, -e if (r, c) == (a, b) else e) for c, e in row) for r, row in enumerate(rows))\n"
+            "def wrapped(comp, p, key, gid, did):\n"
+            "    restricted, transport = original(comp, p, key, gid, did)\n"
+            "    if p == 1 and not flipped and key[0] != key[1] and any(restricted):\n"
+            "        flipped.append(key)\n"
+            "        i, (j, _) = next((i, row[0]) for i, row in enumerate(restricted) if row)\n"
+            "        restricted, transport = flip(restricted, i, j), flip(transport, j, i)\n"
+            "    return restricted, transport\n"
+            "sheaf._solve_block = wrapped\n"
             f"sys.exit(cli.run(['cohomology', '--fan', {str(FANS / 'cube.json')!r}, '--space', 'comp']))\n"
         )
         res = subprocess.run(
@@ -153,6 +155,72 @@ class TestSparseDifferentials:
         )
         assert res.returncode == 3
         assert "the cohomology differential for p = 1 does not square to zero" in res.stderr
+
+
+def _dense_block(comp, p, gid, did, dual):
+    """The dense rows of the dual transport (``dual``) or of the restriction of an incident pair."""
+    rows = sheaf.dual_transport(comp, p, gid, did) if dual else sheaf.restriction(comp, p, gid, did)
+    width = sheaf.rank(comp, did if dual else gid, p)
+    out = [[0] * width for _ in rows]
+    for o, row in zip(out, rows):
+        for j, x in row:
+            o[j] = x
+    return out
+
+
+def _oracle_complex(space, p, variant, coeff):
+    """The complex as assembled from one checked dense block per cover pair by the dense ``_assemble``."""
+    comp = space if isinstance(space, homology.Compactification) else compactification(space)
+    use_fan_faces = comp is not space
+    zero = comp.fan.zero_cone
+    faces = []
+    for fid, (t, _) in enumerate(comp.faces):
+        if use_fan_faces and (t != zero or (homology._COMPACT_ONLY[variant] and fid != comp.face_index[(zero, zero)])):
+            continue
+        faces.append(fid)
+    face_set = set(faces)
+    dual = homology._DUAL_VARIANTS[variant]
+    step = 1 if dual else -1
+    spaces, offsets, faces_of = {}, {}, {}
+    for fid in faces:
+        q = comp.dim(fid)
+        lab = spaces.setdefault(q, [])
+        faces_of.setdefault(q, []).append(fid)
+        offsets[fid] = len(lab)
+        lab.extend((fid, i) for i in range(sheaf.rank(comp, fid, p)))
+    maps = {}
+    for q, labs in spaces.items():
+        blocks = []
+        for src in faces_of[q]:
+            for dst, sign in comp.cofaces_of(src) if dual else comp.covers_of(src):
+                if dst in face_set:
+                    M = _dense_block(comp, p, src, dst, True) if dual else _dense_block(comp, p, dst, src, False)
+                    rpos = range(offsets[src], offsets[src] + sheaf.rank(comp, src, p))
+                    cpos = range(offsets[dst], offsets[dst] + sheaf.rank(comp, dst, p))
+                    blocks.append((rpos, cpos, sign, M))
+        maps[q] = homology._assemble(len(labs), len(spaces.get(q + step, ())), blocks)
+    return {q: tuple(v) for q, v in spaces.items()}, maps
+
+
+class TestAssemblyOracle:
+    """Differentials assembled from the interned sparse blocks equal the dense per-pair assembly."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u53", "u44"])
+    def test_rows_and_column_order(self, name, seed, request, reordered):
+        fan = reordered(_oracle_fan(name, request), seed)
+        for space in (fan, compactification(fan)):
+            for variant in VARIANTS:
+                for p in range(fan.dim + 1):
+                    for coeff in ("Z", "Q"):
+                        gc = build_complex(space, p, variant, coeff)
+                        spaces, maps = _oracle_complex(space, p, variant, coeff)
+                        assert gc.spaces == spaces
+                        assert gc.maps.keys() == maps.keys()
+                        for q, m in maps.items():
+                            assert (gc.maps[q].rows, gc.maps[q].cols) == (m.rows, m.cols)
+                            # the same entries, each row's columns in the same order
+                            assert [list(r.items()) for r in gc.maps[q].data] == [list(r.items()) for r in m.data]
 
 
 class TestFixtureTables:
@@ -573,8 +641,8 @@ def _dense_cup(a, b):
             m_t = fan.star(t).quotient_rank
             w = exterior.wedge_coords(fan.nu_face(t, sigma), a.q, fan.nu_face(t, rest), b.q, m_t)
             coefficient = fan.varpi_face(t, eta, w)
-            a_here = homology._transport_dual(comp, a.p, mid_a, fid, av)
-            b_here = homology._transport_dual(comp, b.p, mid_b, fid, bv)
+            a_here = homology._transport_dual(comp, a.p, mid_a, ((fid, 1),), av, {})[fid]
+            b_here = homology._transport_dual(comp, b.p, mid_b, ((fid, 1),), bv, {})[fid]
             term = sheaf.wedge_duals(comp, fid, a.p, a_here, b.p, b_here)
             for i, x in enumerate(term):
                 total[i] += coefficient * x

@@ -16,6 +16,19 @@ from tropfan.matroid import Matroid, bergman_fan
 from tropfan.zlinalg import IntMatrix, Sublattice, vecmat
 
 
+def dense(rows, width):
+    """The IntMatrix of a block's sparse rows of (column, entry) pairs."""
+    out = [[0] * width for _ in rows]
+    for o, row in zip(out, rows):
+        for j, x in row:
+            o[j] = x
+    return IntMatrix.from_rows(out, width)
+
+
+def restriction_matrix(comp, p, gid, did):
+    return dense(sheaf.restriction(comp, p, gid, did), sheaf.rank(comp, gid, p))
+
+
 def origin_face(fan):
     comp = compactification(fan)
     return comp, comp.face_index[(fan.zero_cone, fan.zero_cone)]
@@ -59,7 +72,7 @@ class TestRestriction:
         top = cone2.cone_index((0, 1))
         gid = comp.face_index[(z, z)]
         did = comp.face_index[(z, top)]
-        M = sheaf.restriction(comp, 1, gid, did)
+        M = restriction_matrix(comp, 1, gid, did)
         # SF_1 at the big face includes into SF_1 at the vertex
         assert M.rows == 2 and M.cols == 2
         assert abs(exterior.det(M.row_list())) == 1
@@ -70,7 +83,7 @@ class TestRestriction:
         top = cone2.cone_index((0, 1))
         did = comp.face_index[(cone2.zero_cone, top)]
         gid = comp.face_index[(r1, top)]
-        M = sheaf.restriction(comp, 1, gid, did)
+        M = restriction_matrix(comp, 1, gid, did)
         assert M.row_tuples() == [(0,), (1,)]
 
     def test_zero_rank_target(self, delta):
@@ -78,7 +91,7 @@ class TestRestriction:
         r1 = delta.cone_index((0,))
         did = comp.face_index[(delta.zero_cone, r1)]
         gid = comp.face_index[(r1, r1)]
-        M = sheaf.restriction(comp, 1, gid, did)
+        M = restriction_matrix(comp, 1, gid, did)
         assert M.cols == 0
         assert sheaf.basis(comp, gid, 1) == ()
 
@@ -95,8 +108,8 @@ class TestRestriction:
         rng.shuffle(chains)
         for gid, mid, did in chains[:40]:
             for p in range(fan.dim + 1):
-                direct = sheaf.restriction(comp, p, gid, did)
-                two_step = sheaf.restriction(comp, p, mid, did) * sheaf.restriction(comp, p, gid, mid)
+                direct = restriction_matrix(comp, p, gid, did)
+                two_step = restriction_matrix(comp, p, mid, did) * restriction_matrix(comp, p, gid, mid)
                 assert direct == two_step
 
 
@@ -185,7 +198,7 @@ class TestFactoredBases:
             for gid, _ in comp.covers_of(did):
                 for p in range(cube.dim + 1):
                     M = sheaf.dual_transport(comp, p, gid, did)
-                    assert M == sheaf.restriction(comp, p, gid, did).transpose()
+                    assert dense(M, sheaf.rank(comp, did, p)) == restriction_matrix(comp, p, gid, did).transpose()
                     assert sheaf.dual_transport(comp, p, gid, did) is M
 
     @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4", "u35"])
@@ -254,6 +267,10 @@ class TestFactoredBases:
         assert out.startswith("raised: SF_1 basis rows at face 0 are linearly dependent")
 
 
+def _cover_pairs(comp):
+    return [(gid, did) for did in range(len(comp.faces)) for gid, _ in comp.covers_of(did)]
+
+
 def _oracle_bases(comp, p):
     """SF_p at every face, built per face without interning: the HNF of the bases above, or of the wedges."""
     fan = comp.fan
@@ -271,7 +288,10 @@ def _oracle_bases(comp, p):
         if above:
             gens = [row for eta in above for row in out[comp.face_index[(t, eta)]]]
         else:
-            tangent = comp.tangent_lattice(fid).basis.row_tuples()
+            # the HNF basis of the tangent lattice N_sigma / N_tau
+            star = fan.star(t)
+            projected = [vecmat(row, star.proj) for row in fan.cone_lattice(s).basis.row_tuples()]
+            tangent = Sublattice.from_rows(projected, m).basis.row_tuples()
             gens = [exterior.wedge_rows(list(sub), m) for sub in itertools.combinations(tangent, p)]
         H = zlinalg.hnf(IntMatrix.from_rows(gens, exterior.dim(m, p)))
         out[fid] = tuple(r for r in H.row_tuples() if any(r))
@@ -319,11 +339,15 @@ class TestInternedAgainstOracle:
         for p in range(fan.dim + 1):
             bases = _oracle_bases(comp, p)
             assert [sheaf.basis(comp, fid, p) for fid in range(len(comp.faces))] == [bases[f] for f in sorted(bases)]
-            for gid, did, _ in comp.all_cover_pairs():
-                R = sheaf.restriction(comp, p, gid, did)
+            for gid, did in _cover_pairs(comp):
+                rows, transport = sheaf.restriction(comp, p, gid, did), sheaf.dual_transport(comp, p, gid, did)
+                R = dense(rows, len(bases[gid]))
                 assert R.row_tuples() == _oracle_restriction(comp, p, bases, gid, did)
-                assert (R.rows, R.cols) == (len(bases[did]), len(bases[gid]))
-                assert sheaf.dual_transport(comp, p, gid, did) == R.transpose()
+                assert (len(rows), len(transport)) == (len(bases[did]), len(bases[gid]))
+                assert dense(transport, len(bases[did])) == R.transpose()
+                # sparse: increasing columns, no zero stored
+                assert all([j for j, _ in row] == sorted({j for j, _ in row}) and all(x for _, x in row)
+                           for row in rows + transport)
 
 
 class TestInterning:
@@ -347,7 +371,7 @@ class TestInterning:
         contents = set()
         projections = set()
         for p in range(fan.dim + 1):
-            for gid, did, _ in comp.all_cover_pairs():
+            for gid, did in _cover_pairs(comp):
                 sheaf.restriction(comp, p, gid, did)
                 (tg, _), (td, _) = comp.faces[gid], comp.faces[did]
                 drop = None

@@ -148,7 +148,8 @@ class TestRowSolver:
 
     def test_section_rows(self):
         A = IntMatrix.from_rows([(1, 2), (0, 1), (3, 7)])
-        for j, x in enumerate(zlinalg.section_rows(A)):
+        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in A.row_tuples()]
+        for j, x in enumerate(zlinalg.section_rows(sparse, A.cols)):
             assert zlinalg.vecmat(x, A.row_tuples(), A.cols) == tuple(int(i == j) for i in range(2))
 
 
