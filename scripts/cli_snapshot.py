@@ -3,8 +3,8 @@
 
 Runs ``tropfan.cli.run`` in-process, from the ``src/`` of the source tree
 named on the command line, over the ``fans/`` fixtures and the Bergman
-fan of K4, and runs ``cohomology`` and ``verify`` on the Bergman fan of
-U(4,4).  Two trees are compared by diffing their records:
+fan of K4, and runs ``cohomology``, ``verify`` and ``manifold-check`` on
+the Bergman fan of U(4,4).  Two trees are compared by diffing their records:
 
     python scripts/cli_snapshot.py <other tree> old.txt
     python scripts/cli_snapshot.py . new.txt
@@ -84,6 +84,9 @@ def cases(root, work):
     for coeff in ("Z", "Q"):
         out.append(["cohomology", "--fan", f, "--space", "comp", "--coeff", coeff])
     out.append(["verify", "--fan", f])
+    # every star's vanishing check, read off the stratum slices of the fan's complexes
+    for coeff in ("Z", "Q"):
+        out.append(["manifold-check", "--fan", f, "--coeff", coeff])
     return out
 
 

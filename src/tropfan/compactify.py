@@ -59,14 +59,15 @@ class Compactification:
         self._cone_sets = tuple(frozenset(c) for c in fan.cones)
         self._covers = None
         self._cofaces = None
-        # filled by tropfan.sheaf, which says how: the distinct coefficient-lattice
-        # bases, their ids by value, basis ids by p and face, solvers and blocks by id
+        # filled by tropfan.sheaf, which says how: the distinct coefficient-lattice bases, their
+        # ids by value, basis ids by p and face, solvers and blocks by id, and the blocks' pairs
         self.sheaf_bases = []
         self.sheaf_interned = {}
         self.sheaf_ids = {}
         self.sheaf_solvers = {}
         self.sheaf_extension = {}
         self.sheaf_blocks = {}
+        self.sheaf_pairs = {}
         # value dicts of the degree-one Chow cocycles by ray, and of the Chow
         # generator cocycles by cone, filled by tropfan.chow
         self.ray_cocycles = {}

@@ -192,37 +192,37 @@ def build_complex(space, p, variant="cohomology", coeff="Z"):
 class ComplexGroups:
     """Homology groups of a graded complex with a class map per degree.
 
-    The groups come from the invariant factors of the differentials
-    alone: each map is reduced once, as the outgoing map of its source
-    degree and the incoming map of its target degree.  With n cells in
-    degree q, H_q = Z^(n - rk d_out - rk d_in) plus the torsion of d_in:
-    the kernel of d_out is saturated, so the torsion of Z^n / im d_in
-    lies in it.
+    Both come from one reduction of the whole complex (Kaczynski, Mrozek
+    and Slusarek, 1998), run by :func:`_reduce` on copies of the rows.
+    Each map is eliminated once by its +-1 entries, in the order of
+    :func:`~tropfan.zlinalg.snf_divisors`, the map out of degree
+    q + step before the map out of q.  A unit at cell a of degree q and
+    cell b of degree q + step pairs a with b, over all degrees at once.
+    Clearing column b changes the basis of degree q only at a, a
+    coordinate that every cocycle has zero, so a is dropped: column a
+    leaves the map into q before that map is indexed.  In degree q + step
+    the image of a, the pivot row r scaled to 1 at b, replaces b; as a
+    coboundary its row in the map out of q + step, reduced already,
+    vanishes by d^2 = 0, so row b leaves that map's residual, and a class
+    x becomes x - x_b * r without coordinate b.  Each pair is recorded as
+    steps for :func:`~tropfan.zlinalg.replay`: a drop at a, and at b a
+    step with r.  A degree's drops come before its other steps, as the
+    map out of it is reduced before the map into it.
 
-    The class map of degree q is built on the first :meth:`class_of`
-    for it, from a reduction of the chain complex (Kaczynski, Mrozek and
-    Slusarek, 1998).  d_in and d_out are eliminated together by their
-    +-1 entries, in the order of :func:`~tropfan.zlinalg.snf_divisors`.
-    A unit at cell a of degree q and cell b of degree q + step in d_out
-    pairs a with b: once column b is cleared, a cocycle has coordinate
-    zero on a in the new basis, while its other coordinates are
-    unchanged, so a is dropped, with its row of d_out and its column of
-    d_in.  A unit at cell a' below and cell b of degree q in d_in pairs
-    them the other way: once column b is cleared, x is congruent to
-    x - x_b * r with r row a' scaled to 1 at b, which vanishes at b, so
-    b is dropped with its row of d_out.  Each dropped cell is recorded
-    as a step with its r, None for the first kind, for
-    :func:`~tropfan.zlinalg.replay`.  What is left is a small
-    residual complex, often with no differential at all; its kernel
-    basis, a solver over it and the quotient by the residual image give
-    the canonical coordinates, and that quotient is checked against the
-    group read off the divisors.
+    What is left is a residual complex, often with no differential at
+    all.  With n cells in degree q, H_q = Z^(n - rk d_out - rk d_in)
+    plus the torsion of d_in, each rank the map's units plus the rank of
+    its residual: the kernel of d_out is saturated, so the torsion of
+    Z^n / im d_in lies in it.  The class map of degree q is built on the
+    first :meth:`class_of` for it, from the steps of q, the residual
+    kernel basis with a solver over it, and the quotient by the residual
+    image, which is checked against the group.
     """
 
     def __init__(self, gc):
         self.gc = gc
         self._class_maps = {}
-        self.groups = _groups(gc, lambda q: [dict(r) for r in gc.maps[q].data])
+        self.groups, self._steps, self._residual = _reduce(gc, lambda q: [dict(r) for r in gc.maps[q].data], keep=True)
 
     def group(self, q):
         return self.groups.get(q, AbGroup(0))
@@ -246,64 +246,28 @@ class ComplexGroups:
         return quot.class_of(c)
 
     def _class_map(self, q):
-        """The reduction of degree q, built on first use.
-
-        Returns the recorded steps, the surviving cells, a solver over
-        the residual kernel basis (None when that kernel is trivial) and
-        the quotient by the residual image, checked against the group
-        read off the divisors.
-        """
+        """The steps, surviving cells, kernel solver (None if trivial) and residual quotient of degree q, built once."""
         if q not in self._class_maps:
             gc = self.gc
-            n = gc.dim(q)
-            d_in = gc.maps[q - gc.step].data if q - gc.step in gc.spaces else ()
-            # one sparse matrix: rows of d_in over the cells 0..n-1 of degree q,
-            # then the row of d_out of cell c, as row m + c, over columns n + j
-            m = len(d_in)
-            rows = [dict(r) for r in d_in]
-            rows += [{n + j: e for j, e in r.items()} for r in gc.map_out(q).data]
-            where, alive = zlinalg._sparse_index(rows)
-            steps = {}
-
-            def on_pivot(i, j):
-                if i >= m:
-                    # cell a = i - m against column j of d_out: drop column a of d_in
-                    a = i - m
-                    for k in where.pop(a, ()):
-                        rk = rows[k]
-                        del rk[a]
-                        if not rk:
-                            alive.discard(k)
-                    zlinalg.record_step(steps, a)
-                else:
-                    # row i of d_in against cell j: drop the row of d_out of cell j
-                    zlinalg.record_step(steps, j, rows[i])
-                    k = m + j
-                    if k in alive:
-                        for c in rows[k]:
-                            where[c].discard(k)
-                        alive.discard(k)
-
-            zlinalg._unit_pivots(rows, where, alive, on_pivot)
-            cells = [c for c in range(n) if c not in steps]
+            steps = self._steps.get(q, {})
+            cells = [c for c in range(gc.dim(q)) if c not in steps]
             pos = {c: i for i, c in enumerate(cells)}
             # the residual d_out, transposed: one row per column it still has
             transposed = {}
-            for c in cells:
-                for j, e in rows[m + c].items():
+            for c, r in self._residual.get(q, {}).items():
+                for j, e in r.items():
                     transposed.setdefault(j, [0] * len(cells))[pos[c]] = e
             K = zlinalg.kernel_basis(IntMatrix._trusted_rows(list(transposed.values()), len(cells)))
             solver = zlinalg.RowSolver(K) if K.rows else None
             rel_rows = []
-            for k in sorted(alive):
-                if k < m:
-                    v = [0] * len(cells)
-                    for c, e in rows[k].items():
-                        v[pos[c]] = e
-                    coeff = solver.solve(v) if solver else None
-                    if coeff is None:
-                        raise AssertionError(f"image does not lie in the kernel in degree {q}")
-                    rel_rows.append({j: e for j, e in enumerate(coeff) if e})
+            for r in self._residual.get(q - gc.step, {}).values():
+                v = [0] * len(cells)
+                for c, e in r.items():
+                    v[pos[c]] = e
+                coeff = solver.solve(v) if solver else None
+                if coeff is None:
+                    raise AssertionError(f"image does not lie in the kernel in degree {q}")
+                rel_rows.append({j: e for j, e in enumerate(coeff) if e})
             quot = LatticeQuotient(K.rows, rel_rows)
             if quot.group != self.group(q):
                 raise AssertionError(f"class map quotient {quot.group} differs from H_{q} = {self.group(q)}")
@@ -311,22 +275,47 @@ class ComplexGroups:
         return self._class_maps[q]
 
 
-def _groups(gc, rows_of):
-    """H_q by degree, from the invariant factors of the dict rows ``rows_of(q)`` of each map, which are consumed."""
-    divisors = {q: zlinalg.snf_divisors(rows_of(q)) for q in gc.spaces}
-    out = {}
-    for q in sorted(gc.spaces):
-        d_in = divisors.get(q - gc.step, ())
-        torsion = tuple(d for d in d_in if d >= 2) if gc.coeff == "Z" else ()
-        out[q] = AbGroup(gc.dim(q) - len(divisors[q]) - len(d_in), torsion)
-    return out
+def _reduce(gc, rows_of, keep=False):
+    """Groups by degree from one unit-pivot reduction of a complex, as :class:`ComplexGroups` describes it.
+
+    ``rows_of(q)`` gives the dict rows of the map out of degree q, which
+    are reduced in place.  Also returns the steps of each degree, recorded
+    only with ``keep`` (they hold the pivot rows), and the residual rows
+    of each map by cell; only copies of these reach the Smith forms.
+    """
+    step = gc.step
+    steps = {q: {} for q in gc.spaces}
+    units, dead, residual = {}, {}, {}
+    for q in sorted(gc.spaces, key=lambda q: -step * q):
+        rows = rows_of(q)
+        gone = dead.pop(q + step, None)
+        if gone:
+            for r in rows:
+                for c in gone.intersection(r):
+                    del r[c]
+        where, alive = zlinalg._sparse_index(rows)
+        pivots = zlinalg._unit_pivots(rows, where, alive)
+        units[q], dead[q] = len(pivots), {i for i, _ in pivots}
+        for i, j in pivots:
+            residual[q + step].pop(j, None)
+            if keep:
+                zlinalg.record_step(steps[q], i)
+                zlinalg.record_step(steps[q + step], j, rows[i])
+        residual[q] = {i: rows[i] for i in sorted(alive)}
+    rk, tor = {}, {}
+    for q, res in residual.items():
+        divisors = zlinalg.snf_divisors([dict(r) for r in res.values()])
+        rk[q] = units[q] + len(divisors)
+        tor[q] = tuple(d for d in divisors if d >= 2) if gc.coeff == "Z" else ()
+    groups = {q: AbGroup(gc.dim(q) - rk[q] - rk.get(q - step, 0), tor.get(q - step, ())) for q in sorted(gc.spaces)}
+    return groups, steps, residual
 
 
 def groups(gc):
     """List of homology groups of the complex, indexed by degree."""
-    cg = ComplexGroups(gc)
+    gs = _reduce(gc, lambda q: [dict(r) for r in gc.maps[q].data])[0]
     top = max(gc.spaces) if gc.spaces else 0
-    return [cg.group(q) for q in range(top + 1)]
+    return [gs.get(q, AbGroup(0)) for q in range(top + 1)]
 
 
 def table(space, coeff="Z", variant="cohomology"):
@@ -338,8 +327,8 @@ def table(space, coeff="Z", variant="cohomology"):
     out = {}
     for p in range(d + 1):
         gc = build_complex(space, p, variant, coeff)
-        # the reduction consumes the complex's own rows, each map's freed once it is reduced
-        gs = _groups(gc, lambda q: list(gc.maps.pop(q).data))
+        # the reduction consumes the complex's own rows, each map's freed once the map into it is reduced
+        gs = _reduce(gc, lambda q: gc.maps.pop(q).data)[0]
         out.update(((p, q), gs.get(q, AbGroup(0))) for q in range(d + 1))
         del gc  # frees this complex before the next one is built
     return out

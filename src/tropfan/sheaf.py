@@ -22,8 +22,10 @@ distinct ones and ``comp.sheaf_ids[p][face]`` is the face's basis id.
 Solvers are kept per basis id, and restriction blocks, each as sparse
 (column, entry) rows with the sparse rows of its transpose, per (id
 delta, id gamma) or, for a sedentarity drop, per (id delta, id gamma,
-:meth:`~tropfan.fan.Fan.transition_id`); :func:`transports` reads them
-face by face, and only dense kernels densify them.
+:meth:`~tropfan.fan.Fan.transition_id`), their pairs interned in
+``comp.sheaf_pairs`` (nearly all are +-1 at a small column);
+:func:`transports` reads them face by face, and only dense kernels
+densify them.
 
 SF^p, the dual, is represented by value vectors on the HNF basis of
 SF_p; it is never materialized as a sublattice of an ambient dual
@@ -188,7 +190,8 @@ def _solve_block(comp, p, key, gid, did):
         what = "is not integral over the target basis" if comp.sheaf_bases[key[1]] else "leaves the target lattice"
         raise AssertionError(f"restriction of SF_{p} from face {did} to face {gid} {what}")
     columns = zip(*rows) if rows else [()] * len(comp.sheaf_bases[key[1]])
-    return tuple(tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m) for m in (rows, columns))
+    intern = comp.sheaf_pairs.setdefault
+    return tuple(tuple(tuple(intern(jx, jx) for jx in enumerate(row) if jx[1]) for row in m) for m in (rows, columns))
 
 
 def extend_dual(comp, fid, p, values):

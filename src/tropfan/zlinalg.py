@@ -20,7 +20,10 @@ one convention: they pivot on the first ``ncols`` columns and carry the
 rest along by the same row operations.  A transform is never tracked on
 its own; whoever needs one reduces [A | I] and reads it off the carried
 block (:func:`snf`'s U, :class:`RowSolver`'s and :class:`FracSolver`'s
-T), so no elimination builds a transform that nobody reads.
+T), so no elimination builds a transform that nobody reads.  Sparse
+rows lose their +-1 pivots first (:func:`_unit_pivots`); each can be
+kept as a step (:func:`record_step`), which holds the pivot row itself,
+as no later pivot changes it, and a class map replays the steps.
 """
 
 from __future__ import annotations
@@ -367,8 +370,8 @@ def _sparse_index(rows):
     return where, {i for i, r in enumerate(rows) if r}
 
 
-def _unit_pivots(rows, where, alive, on_pivot=None):
-    """Split off every +-1 pivot of a sparse matrix, in place; returns their number.
+def _unit_pivots(rows, where, alive):
+    """Split off every +-1 pivot of a sparse matrix, in place; returns the (row, column) pivots in order.
 
     ``rows`` are dicts column -> nonzero entry, ``where`` maps each
     column to the indices of the rows with an entry in it, and ``alive``
@@ -377,11 +380,11 @@ def _unit_pivots(rows, where, alive, on_pivot=None):
     without touching any other, so the pivot splits off a divisor 1 and
     its row and column drop out.  Rows are visited shortest first and
     each takes the unit entry whose column is sparsest, which keeps
-    fill-in low.  ``on_pivot(i, j)`` is called once row i, with its unit
-    in column j, has cleared that column and left ``alive``; it may
-    drop further rows or columns from the three structures.
+    fill-in low.  A row leaves ``alive`` and ``where`` once it has
+    pivoted, so no later pivot changes it: a step of :func:`record_step`
+    may keep it by reference.
     """
-    units = 0
+    pivots = []
     progress = True
     while progress:
         progress = False
@@ -409,33 +412,30 @@ def _unit_pivots(rows, where, alive, on_pivot=None):
             for c in r:
                 where[c].discard(i)
             alive.discard(i)
-            units += 1
+            pivots.append((i, j))
             progress = True
-            if on_pivot is not None:
-                on_pivot(i, j)
-    return units
+    return pivots
 
 
 # the Smith form of the empty residual that unit pivots often leave
 _NO_RESIDUAL = SNFResult(*(IntMatrix._trusted(0, 0, ()) for _ in range(4)))
 
 
-def _units_then_snf(rows, on_pivot=None):
+def _units_then_snf(rows):
     """Unit pivots of dict rows, then the dense Smith form of what is left.
 
-    The rows are consumed by :func:`_unit_pivots`, which calls
-    ``on_pivot``.  Returns the number of unit pivots, the columns the
-    residual rows still have, in increasing order, and the Smith form
-    (no left transform) of the residual over them.
+    The rows are consumed by :func:`_unit_pivots`.  Returns its pivots,
+    the columns the residual rows still have, in increasing order, and
+    the Smith form (no left transform) of the residual over them.
     """
     where, alive = _sparse_index(rows)
-    units = _unit_pivots(rows, where, alive, on_pivot)
+    pivots = _unit_pivots(rows, where, alive)
     if not alive:
-        return units, [], _NO_RESIDUAL
+        return pivots, [], _NO_RESIDUAL
     residual = [rows[i] for i in sorted(alive)]
     cols = sorted(set().union(*residual))
     dense = [tuple(r.get(c, 0) for c in cols) for r in residual]
-    return units, cols, _snf(IntMatrix._trusted_rows(dense, len(cols)))
+    return pivots, cols, _snf(IntMatrix._trusted_rows(dense, len(cols)))
 
 
 def snf_divisors(rows):
@@ -444,8 +444,8 @@ def snf_divisors(rows):
     The rows are consumed: unit pivots first, on the sparse rows, then
     the residual block (:func:`_units_then_snf`).
     """
-    units, _, res = _units_then_snf(rows)
-    return (1,) * units + res.divisors
+    pivots, _, res = _units_then_snf(rows)
+    return (1,) * len(pivots) + res.divisors
 
 
 def hnf(M, ncols=None):
@@ -599,8 +599,7 @@ def in_rowspace(B, vec):
 
 def solve_int(A, b):
     """Integer solution x of x * A = b, or None.  A is an IntMatrix."""
-    coeff = in_rowspace(A, b)
-    return coeff
+    return in_rowspace(A, b)
 
 
 def vecmat(vec, rows, width=None):
@@ -784,12 +783,10 @@ def section_rows(rows, cols):
 def record_step(steps, j, row=None):
     """Record the unit pivot of a dict row at column j as the next step for :func:`replay`.
 
-    The step keeps the row scaled to 1 at j, without column j, or None
-    when there is no row: then it drops coordinate j and subtracts nothing.
+    The step keeps the row itself, which must not change afterwards, as
+    no row that :func:`_unit_pivots` has pivoted on does; with no row it
+    drops coordinate j and subtracts nothing.
     """
-    if row is not None:
-        s = row[j]
-        row = {c: s * e for c, e in row.items() if c != j}
     steps[j] = (len(steps), row)
 
 
@@ -797,11 +794,12 @@ def replay(steps, x):
     """Apply recorded unit-pivot steps to a sparse vector (dict column -> value), in place.
 
     ``steps`` maps each pivot column j to (k, r), k the step's place in
-    the pivot order and r from :func:`record_step`.  Step j drops
-    coordinate j, first subtracting x_j * r if x_j and r are nonzero.
-    Only the steps at columns that x reaches run, in the order of k: r
-    holds no earlier pivot column, and a later one it brings in runs in
-    turn.  Returns x.
+    the pivot order and r the pivot row from :func:`record_step`.  Step
+    j drops coordinate j, first subtracting x_j * r[j] * r (r scaled to
+    1 at j, as r[j] = +-1) off column j if x_j and r are nonzero.  Only
+    the steps at columns that x reaches run, in the order of k: r holds
+    no earlier pivot column, and a later one it brings in runs in turn.
+    Returns x.
     """
     heap = [(steps[j][0], j) for j in x if j in steps]
     heapq.heapify(heap)
@@ -810,7 +808,10 @@ def replay(steps, x):
         xj = x.pop(j, 0)
         r = steps[j][1]
         if xj and r:
+            xj *= r[j]
             for c, e in r.items():
+                if c == j:
+                    continue
                 v = x.get(c, 0) - xj * e
                 if v:
                     if c not in x and c in steps:
@@ -837,7 +838,9 @@ class LatticeQuotient:
         self.n = n
         rows = [dict(r) for r in relation_rows]
         self._steps = steps = {}
-        _, self._cols, res = _units_then_snf(rows, lambda i, j: record_step(steps, j, rows[i]))
+        pivots, self._cols, res = _units_then_snf(rows)
+        for i, j in pivots:
+            record_step(steps, j, rows[i])
         dropped = steps.keys() | self._cols
         self._kept = [c for c in range(n) if c not in dropped]
         self._V = res.V.row_tuples()

@@ -97,6 +97,26 @@ class TestSnfDivisors:
         assert snf_divisors([{}, {}, {}]) == ()
         assert snf_divisors(dict_rows(IntMatrix(2, 2, [0] * 4))) == ()
 
+    @given(sparse_unit_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_a_pivoted_row_never_changes_again(self, M):
+        # steps keep pivot rows by reference: each must end as it was when it left the live rows
+        rows = dict_rows(M)
+        where, live = zlinalg._sparse_index(rows)
+        left = {}
+
+        class Live(set):
+            def discard(self, i):
+                if i in self:
+                    left[i] = dict(rows[i])
+                super().discard(i)
+
+        pivots = zlinalg._unit_pivots(rows, where, Live(live))
+        assert len({i for i, _ in pivots}) == len({j for _, j in pivots}) == len(pivots)
+        for i, j in pivots:
+            assert rows[i] == left[i]
+            assert rows[i][j] in (1, -1)
+
 
 class TestSparseProduct:
     @given(sparse_unit_matrices(), st.data())
@@ -345,6 +365,16 @@ class TestLatticeQuotient:
         reps = q.free_representatives()
         assert len(reps) == 1
         assert any(q.class_of(reps[0]))
+
+    def test_canonical_coordinates_are_pinned(self):
+        # they follow the pivot order and the replay of the steps, which keep their pivot rows by reference
+        q = LatticeQuotient(3, [{0: 1, 1: 1, 2: -2}, {1: -3, 2: 3}])
+        assert [q.class_of(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 5))] == [(1, 2), (1, 1), (1, 0), (6, 0)]
+        assert q.free_representatives() == [(0, 0, 1)]
+        q = LatticeQuotient(4, [{0: 1, 1: 2}, {2: 4, 3: 6}])
+        vecs = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (3, -1, 2, 7))
+        assert [q.class_of(v) for v in vecs] == [(-2, 0, 0), (1, 0, 0), (0, 3, 1), (0, -2, 1), (-7, -8, 1)]
+        assert q.free_representatives() == [(0, 1, 0, 0), (0, 0, 1, 1)]
 
     @given(
         st.one_of(sparse_unit_matrices(), matrices(min_dim=0)),
