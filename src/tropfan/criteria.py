@@ -114,51 +114,51 @@ def homology_manifold_check(fan, weights=None, coeff="Z"):
     Poincare duality and the cohomology of the compactified star must
     vanish strictly below the diagonal (p > q).
 
-    The duality check runs on the star fan, whose Gram determinants the
-    reasons print.  The vanishing check reads every star off the
-    compactification of the fan itself.  Its closed stratum
-    D_tau = {(t, s) : tau a face of t} is closed under taking faces and
-    is the canonical compactification of star(tau), with (t, s) the face
-    (t / tau, s / tau) there.  SF_p at (t, s) depends only on star(t)
-    and the cones above s, and star(t) is the star of t / tau in
-    star(tau), so the two lattices are isomorphic.  The rows and columns
-    of D_tau's cells in the complex of the fan therefore form a complex
-    isomorphic to that of the compactified star, with the same groups.
-    Each degree-p complex of the fan is built, and checked for
-    d^2 = 0, once.
+    The vanishing check reads every star off the compactification of
+    the fan itself.  Its closed stratum D_tau = {(t, s) : tau a face of t}
+    is closed under taking faces and is the canonical compactification
+    of star(tau), with (t, s) the face (t / tau, s / tau) there.  SF_p at
+    (t, s) depends only on star(t) and the cones above s, and star(t) is
+    the star of t / tau in star(tau), so the two lattices are isomorphic.
+    The rows and columns of D_tau's cells in the complex of the fan
+    therefore form a complex isomorphic to that of the compactified
+    star, with the same groups.  The degree p is the outer loop: each
+    degree-p complex of the fan is built, and checked for d^2 = 0, once,
+    every star's slice of it is reduced in place, and it is freed before
+    the next one is built.  The origin's stratum is the whole
+    compactification, in the same cell order, so its slice is the
+    complex itself: it comes last and is reduced on the complex's own
+    rows.  The duality check then runs on each star fan, in cone order,
+    and the reasons print its Gram determinants.
     """
     if weights is None:
         weights = TropicalWeights.unit(fan)
     comp = homol.compactification(fan)
-    complexes = {}
-    results = {}
-    overall = True
-    for cone_idx in range(len(fan.cones)):
-        star = fan.star(cone_idx)
-        sub = star.fan
-        wsub = star.induced_weights(weights)
-        pd = chow_pd_check(sub, wsub, coeff)
-        bad_cells = []
-        stratum = comp.closed_stratum(cone_idx)
-        # H^{0,q} has no degree q < 0 to fail in
-        for p in range(1, sub.dim + 1):
-            if p not in complexes:
-                complexes[p] = homol.build_complex(comp, p, "cohomology", coeff)
-            # the slice is thrown away, so its rows are reduced in place
-            sliced = complexes[p].restrict(stratum)
-            gs = homol._reduce(sliced, lambda q: sliced.maps[q].data)[0]
+    origin = fan.zero_cone
+    # the dimension of each star fan, read off the largest cone above its cone
+    star_dims = [max(len(fan.cones[c]) for c in fan.cones_containing(i)) - len(c) for i, c in enumerate(fan.cones)]
+    bad_cells = [[] for _ in fan.cones]
+    # H^{0,q} has no degree q < 0 to fail in
+    for p in range(1, fan.dim + 1):
+        gc = homol.build_complex(comp, p, "cohomology", coeff)
+        for cone_idx in [i for i in range(len(fan.cones)) if i != origin] + [origin]:
+            if star_dims[cone_idx] < p:
+                continue
+            # the origin's stratum, last, is the complex itself; the reduction consumes the
+            # slice's own rows, each map's freed once the map into it is reduced
+            sliced = gc if cone_idx == origin else gc.restrict(comp.closed_stratum(cone_idx))
+            gs = homol._reduce(sliced, lambda q: sliced.maps.pop(q).data)[0]
             for q in range(p):
                 g = gs.get(q, AbGroup(0))
                 if not g.is_trivial:
-                    bad_cells.append((p, q, str(g)))
-        ok = pd.ok and not bad_cells
-        results[fan.cones[cone_idx]] = {
-            "pd": pd,
-            "vanishing_failures": bad_cells,
-            "ok": ok,
-        }
-        overall = overall and ok
-    return ManifoldReport(overall, results)
+                    bad_cells[cone_idx].append((p, q, str(g)))
+        del gc, sliced  # frees this complex before the next one is built
+    results = {}
+    for cone_idx, bad in enumerate(bad_cells):
+        star = fan.star(cone_idx)
+        pd = chow_pd_check(star.fan, star.induced_weights(weights), coeff)
+        results[fan.cones[cone_idx]] = {"pd": pd, "vanishing_failures": bad, "ok": pd.ok and not bad}
+    return ManifoldReport(all(r["ok"] for r in results.values()), results)
 
 
 def pd_weight(fan, weights, cochain):
@@ -332,22 +332,16 @@ def verification_report(fan):
     map to zero, (ii) the generator images generate H^{p,p}, (iii) the
     free ranks agree, and then by the orders of the torsion parts (see
     :func:`_psi_status`).
+
+    The Chow presentations come first.  Then the degree p is the outer
+    loop: the degree-p complex of the compactification is built, its
+    groups and the status of the comparison map in degree p are read
+    off it, and it is freed before the next one is built.
     """
     d = fan.dim
     unimod = is_unimodular(fan)[1]
     satur = is_saturated(fan)
     comp = homol.compactification(fan)
-
-    cohom = {}
-    cohom_q = {}
-    groups_by_p = {}
-    for p in range(d + 1):
-        gc = homol.build_complex(comp, p, "cohomology")
-        groups_by_p[p] = homol.ComplexGroups(gc)
-        for q in range(d + 1):
-            g = groups_by_p[p].group(q)
-            cohom[(p, q)] = g
-            cohom_q[(p, q)] = g.free_rank
 
     # one integral presentation per degree where it exists; the rational
     # rank is its free rank, or else that of the cokernel of the relations
@@ -363,6 +357,21 @@ def verification_report(fan):
             chow_groups[p] = None
             chow_q[p] = len(fan.cones_of_dim(p)) - len(zlinalg.snf_divisors(chow_mod.relation_matrix(fan, p)))
 
+    cohom = {}
+    cohom_q = {}
+    psi_status = {}
+    for p in range(d + 1):
+        groups = homol.ComplexGroups(homol.build_complex(comp, p, "cohomology"))
+        for q in range(d + 1):
+            g = groups.group(q)
+            cohom[(p, q)] = g
+            cohom_q[(p, q)] = g.free_rank
+        if unimod:
+            psi_status[p] = _psi_status_unimodular(fan, groups, pres[p], satur)
+        else:
+            psi_status[p] = "Q-iso" if chow_q[p] == cohom_q[(p, p)] else "Q-mismatch"
+        del groups  # frees this complex before the next one is built
+
     vanishing_obs = []
     guaranteed_ok = True
     for (p, q), g in sorted(cohom.items()):
@@ -377,15 +386,7 @@ def verification_report(fan):
         if p < q and cohom_q[(p, q)] != 0:
             guaranteed_ok = False
 
-    psi_status = {}
-    ring_checks = []
-    if unimod:
-        for p in range(d + 1):
-            psi_status[p] = _psi_status_unimodular(fan, groups_by_p[p], pres[p], satur)
-        ring_checks = _ring_spot_checks(fan, pres)
-    else:
-        for p in range(d + 1):
-            psi_status[p] = "Q-iso" if chow_q[p] == cohom_q[(p, p)] else "Q-mismatch"
+    ring_checks = _ring_spot_checks(fan, pres) if unimod else []
 
     expected = {True: "iso", False: "surjective-torsion-kernel"}[satur] if unimod else "Q-iso"
     ok = (

@@ -119,6 +119,7 @@ class Fan:
         self._star = {}
         self._nu = {}
         self._nu_face = {}
+        self._divisors = {}  # cone index -> Smith divisors of its rays, filled by _ray_divisors
         self._unimodular = None  # (per-cone, verdict), filled by is_unimodular
         # the distinct /\^k transitions, their ids by (t_small, t_big, k) and by value,
         # and the projection rows of each (t_small, t_big) they are made from
@@ -501,13 +502,23 @@ def _dependent_cones(fan):
     taken, largest cones first, only for cones no independent cone covers.
     """
     independent, dependent = set(), set()
-    for c in sorted(fan.cones, key=len, reverse=True):
+    for i in sorted(range(len(fan.cones)), key=lambda i: len(fan.cones[i]), reverse=True):
+        c = fan.cones[i]
         if c and c not in independent:
-            if len(zlinalg.snf_divisors([{k: x for k, x in enumerate(fan.rays[i]) if x} for i in c])) != len(c):
+            if len(_ray_divisors(fan, i)) != len(c):
                 dependent.add(c)
                 continue
         independent.update(c[:j] + c[j + 1 :] for j in range(len(c)))
     return [c for c in fan.cones if c in dependent]
+
+
+def _ray_divisors(fan, cone_idx):
+    """The Smith divisors of a cone's rays, taken once per fan: their number is the rank."""
+    divisors = fan._divisors.get(cone_idx)
+    if divisors is None:
+        rows = [{k: x for k, x in enumerate(fan.rays[i]) if x} for i in fan.cones[cone_idx]]
+        divisors = fan._divisors[cone_idx] = zlinalg.snf_divisors(rows)
+    return divisors
 
 
 def _separated_partners(fan, cone_ids):
@@ -604,13 +615,7 @@ def is_unimodular(fan):
     not change.
     """
     if fan._unimodular is None:
-        per_cone = {}
-        for i, c in enumerate(fan.cones):
-            if not c:
-                per_cone[i] = True
-                continue
-            rows = [{k: x for k, x in enumerate(fan.rays[j]) if x} for j in c]
-            per_cone[i] = zlinalg.snf_divisors(rows) == (1,) * len(c)
+        per_cone = {i: not c or _ray_divisors(fan, i) == (1,) * len(c) for i, c in enumerate(fan.cones)}
         fan._unimodular = (per_cone, all(per_cone.values()))
     return fan._unimodular
 

@@ -214,8 +214,9 @@ class ComplexGroups:
     plus the torsion of d_in, each rank the map's units plus the rank of
     its residual: the kernel of d_out is saturated, so the torsion of
     Z^n / im d_in lies in it.  The class map of degree q is built on the
-    first :meth:`class_of` for it, from the steps of q, the residual
-    kernel basis with a solver over it, and the quotient by the residual
+    first :meth:`class_of` for it, from the steps of q, one Smith form of
+    the residual d_out, which gives both the cycle test and the
+    coordinates over a kernel basis, and the quotient by the residual
     image, which is checked against the group.
     """
 
@@ -231,22 +232,24 @@ class ComplexGroups:
         """Canonical coordinates of the class of a cycle/cocycle given as distinct (cell, value) pairs."""
         if self.gc.coeff != "Z":
             raise ValueError("class map only available over Z")
-        steps, cells, solver, quot = self._class_map(q)
+        steps, test, coords, quot = self._class_map(q)
         x = {i: v for i, v in pairs if v}
         if sparse_vecmat(x.items(), self.gc.map_out(q).data):
             raise AssertionError(f"vector is not a cycle in degree {q}")
         replay(steps, x)
-        if solver is None:
-            if x:
-                raise AssertionError(f"nonzero vector in a trivial kernel in degree {q}")
-            return ()
-        c = solver.solve(tuple(x.get(i, 0) for i in cells))
-        if c is None:
+        if any(_dot(row, x) for row in test):
             raise AssertionError(f"reduced vector is not a cycle of the residual complex in degree {q}")
-        return quot.class_of(c)
+        return quot.class_of(tuple(_dot(row, x) for row in coords))
 
     def _class_map(self, q):
-        """The steps, surviving cells, kernel solver (None if trivial) and residual quotient of degree q, built once."""
+        """The steps, cycle test, kernel coordinates and residual quotient of degree q, built once.
+
+        One Smith form U T V = D of the transposed residual d_out T gives
+        both: with r its rank, a vector x on the surviving cells is a
+        cycle exactly when the first r coordinates of Vinv x vanish, and
+        the rest are its coordinates over the kernel basis, the columns of
+        V past r.  Both are kept as sparse rows over the cells.
+        """
         if q not in self._class_maps:
             gc = self.gc
             steps = self._steps.get(q, {})
@@ -257,22 +260,25 @@ class ComplexGroups:
             for c, r in self._residual.get(q, {}).items():
                 for j, e in r.items():
                     transposed.setdefault(j, [0] * len(cells))[pos[c]] = e
-            K = zlinalg.kernel_basis(IntMatrix._trusted_rows(list(transposed.values()), len(cells)))
-            solver = zlinalg.RowSolver(K) if K.rows else None
+            res = zlinalg._snf(IntMatrix._trusted_rows(list(transposed.values()), len(cells)))
+            vinv = [[(cells[j], e) for j, e in enumerate(row) if e] for row in res.Vinv.row_tuples()]
+            test, coords = vinv[: res.rank], vinv[res.rank :]
             rel_rows = []
             for r in self._residual.get(q - gc.step, {}).values():
-                v = [0] * len(cells)
-                for c, e in r.items():
-                    v[pos[c]] = e
-                coeff = solver.solve(v) if solver else None
-                if coeff is None:
+                if any(_dot(row, r) for row in test):
                     raise AssertionError(f"image does not lie in the kernel in degree {q}")
+                coeff = (_dot(row, r) for row in coords)
                 rel_rows.append({j: e for j, e in enumerate(coeff) if e})
-            quot = LatticeQuotient(K.rows, rel_rows)
+            quot = LatticeQuotient(len(coords), rel_rows)
             if quot.group != self.group(q):
                 raise AssertionError(f"class map quotient {quot.group} differs from H_{q} = {self.group(q)}")
-            self._class_maps[q] = (steps, cells, solver, quot)
+            self._class_maps[q] = (steps, test, coords, quot)
         return self._class_maps[q]
+
+
+def _dot(row, x):
+    """A sparse row of (cell, entry) pairs times a dict vector (cell -> value)."""
+    return sum(e * x.get(c, 0) for c, e in row)
 
 
 def _reduce(gc, rows_of, keep=False):

@@ -11,12 +11,12 @@ The main entry points are :func:`snf`, its divisors-only variant
 :class:`RowSolver`, :func:`kernel_basis`, :func:`cokernel_group`,
 :func:`saturate`, the quotient :class:`LatticeQuotient` with its step
 replay :func:`replay`,
-the rational elimination :func:`rref`, the row-vector products
-:func:`vecmat` and :func:`sparse_vecmat`, and the exact Bland-rule
-simplex :func:`feasible` / :func:`strict_lp_feasible`.
+the rational solvers :func:`solve_frac` and :class:`FracSolver`, the
+row-vector products :func:`vecmat` and :func:`sparse_vecmat`, and the
+exact Bland-rule simplex :func:`feasible` / :func:`strict_lp_feasible`.
 
-The three eliminations :func:`hnf`, :func:`_snf` and :func:`rref` share
-one convention: they pivot on the first ``ncols`` columns and carry the
+The three eliminations :func:`hnf`, :func:`_snf` and :func:`_eliminate`
+share one convention: they pivot on the first ``ncols`` columns and carry the
 rest along by the same row operations.  A transform is never tracked on
 its own; whoever needs one reduces [A | I] and reads it off the carried
 block (:func:`snf`'s U, :class:`RowSolver`'s and :class:`FracSolver`'s
@@ -618,35 +618,25 @@ def vecmat(vec, rows, width=None):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Echelon:
-    """Reduced row echelon form over Q of a list of rows.
-
-    ``rows`` holds every row after elimination, the pivot rows first
-    (scaled to a leading one); ``pivots`` lists their pivot columns.
-    """
-
-    rows: list
-    pivots: list
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-
 def _eliminate(rows, ncols=None):
-    """Fraction-free Gauss-Jordan elimination: (a, scale, pivots), in integers.
+    """Gauss-Jordan elimination over Q on the first ``ncols`` columns, in integers: (a, scale, pivots).
 
-    Row i of :func:`rref`'s result is ``a[i] / scale[i]``, with every
-    scale positive; a pivot row's scale is its (positive) pivot entry.
+    Row i of the reduced row echelon form is ``a[i] / scale[i]``, with
+    every scale positive; a pivot row's scale is its (positive) pivot
+    entry, so the pivot rows come first, scaled to a leading one, and
+    ``pivots`` lists their columns.  Pivots are taken column by column
+    from the first row at or below the current one with a nonzero entry;
+    columns past ``ncols`` (an augmented right-hand side) are carried
+    along but never pivoted on.
+
     Each input row is cleared of denominators once.  A pivot row P at
     column c, with pivot p, then clears column c of every other row R
     with entry f there by the cross-multiplication
     R <- (p R - f P) / gcd(p, f), its scale multiplied by p / gcd(p, f),
     and the row and its scale are divided by their common gcd, so the
-    scale stays the least common denominator of the rational row.  The
-    pivot choice is :func:`rref`'s, since R and the rational row have
-    the same zeros.
+    scale stays the least common denominator of the rational row.  R
+    and the rational row have the same zeros, so the pivots are those
+    of the same elimination in ``Fraction``s.
     """
     a, scale = [], []
     for r in rows:
@@ -693,19 +683,6 @@ def _eliminate(rows, ncols=None):
     return a, scale, pivots
 
 
-def rref(rows, ncols=None):
-    """Gauss-Jordan elimination over Q on the first ``ncols`` columns.
-
-    Pivots are taken column by column from the first row at or below
-    the current one with a nonzero entry.  Columns past ``ncols`` (an
-    augmented right-hand side) are carried along but never pivoted on.
-    The elimination runs in integers (:func:`_eliminate`); each entry
-    becomes a ``Fraction`` once, at the end.
-    """
-    a, scale, pivots = _eliminate(rows, ncols)
-    return Echelon([[Fraction(x, s) for x in row] for row, s in zip(a, scale)], pivots)
-
-
 def rank_frac(rows):
     """Rank of a matrix with Fraction/int entries."""
     return len(_eliminate(rows)[2])
@@ -733,8 +710,8 @@ def solve_frac(rows, rhs):
 class FracSolver:
     """Rational solutions g of rows . g = rhs for many rhs, from one elimination, scaled to integers.
 
-    The integer ``rows`` are eliminated once as ``rref`` of [rows | I] on
-    its first ``ncols`` columns; the identity block records the row
+    The integer ``rows`` are eliminated once, as :func:`_eliminate` of
+    [rows | I] on its first ``ncols`` columns; the identity block records the row
     operations T, which are scaled once by their least common
     denominator ``denominator``.
     The pivots are chosen as :func:`solve_frac` chooses them, so

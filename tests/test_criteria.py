@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,37 @@ class TestManifoldStrata:
         assert rep.ok == all(r["ok"] for r in want.values())
         if name == "cube":
             assert any(r["vanishing_failures"] for r in want.values())
+
+
+class TestOneComplexAlive:
+    """``verify`` and ``manifold-check`` free each degree's complex before they build the next one."""
+
+    @pytest.mark.parametrize("run", ["verify", "manifold Z", "manifold Q"])
+    @pytest.mark.parametrize("name", ["k4", "u53"])
+    def test_no_earlier_complex_is_alive_at_a_build(self, name, run, request, monkeypatch):
+        if name == "k4":
+            fan, weights = request.getfixturevalue("k4_pair")
+        else:
+            fan, weights = bergman_fan(Matroid.uniform(5, 3))
+        refs, alive_at_build = [], []
+        build = homology.build_complex
+
+        def tracked(*args, **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            gc = build(*args, **kwargs)
+            refs.append(weakref.ref(gc))
+            return gc
+
+        monkeypatch.setattr(homology, "build_complex", tracked)
+        if run == "verify":
+            verification_report(fan)
+            # one complex per degree p = 0, ..., d
+            assert len(refs) == fan.dim + 1
+        else:
+            homology_manifold_check(fan, weights, run.split()[1])
+            # H^{0,q} is never read
+            assert len(refs) == fan.dim
+        assert alive_at_build == [0] * len(refs)
 
 
 class TestManifoldConsequences:

@@ -199,6 +199,31 @@ class TestUnimodular:
     def test_decided_once_per_fan(self, p2):
         assert is_unimodular(p2) is is_unimodular(p2)
 
+    @pytest.mark.parametrize("name", ["k4", "u35", "dependent"])
+    def test_one_smith_pass_per_cone(self, name, request, monkeypatch):
+        # validate, then is_unimodular, on a fresh fan: each nonzero cone's rays are reduced at most once
+        if name == "dependent":
+            fan = Fan.from_max_cones(2, [(1, 0), (0, 1), (1, 1)], [(0, 1, 2)])
+        else:
+            base = _named_fan(name, request)
+            fan = Fan(base.rank, base.rays, base.cones, base.maximal)
+
+        def key(rows):
+            return tuple(tuple(sorted(r.items())) for r in rows)
+
+        calls = []
+        snf_divisors = zlinalg.snf_divisors
+        monkeypatch.setattr(zlinalg, "snf_divisors", lambda rows: calls.append(key(rows)) or snf_divisors(rows))
+        findings = [f.message for f in validate(fan).findings]
+        per_cone, verdict = is_unimodular(fan)
+        cone_keys = {key({k: x for k, x in enumerate(fan.rays[i]) if x} for i in c) for c in fan.cones if c}
+        assert len(calls) == len(set(calls)) and set(calls) <= cone_keys
+        if name == "dependent":
+            assert findings == ["cone (0, 1, 2) has dependent rays"]
+            assert [c for i, c in enumerate(fan.cones) if not per_cone[i]] == [(0, 1, 2)] and not verdict
+        else:
+            assert not findings and verdict
+
 
 class TestConeLattice:
     @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35"])

@@ -28,7 +28,6 @@ from tropfan.zlinalg import (
     hnf_basis,
     kernel_basis,
     rank_frac,
-    rref,
     saturate,
     in_rowspace,
     snf,
@@ -513,7 +512,7 @@ class TestSmithPivotSearch:
 
 
 def _fraction_rref(rows, ncols=None):
-    """Gauss-Jordan elimination in Fractions, pivoting as :func:`rref` does: (rows, pivots)."""
+    """Gauss-Jordan elimination in Fractions, pivoting as :func:`~tropfan.zlinalg._eliminate` does: (rows, pivots)."""
     a = [[Fraction(e) for e in r] for r in rows]
     m = len(a)
     if ncols is None:
@@ -536,6 +535,11 @@ def _fraction_rref(rows, ncols=None):
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def _rational_rows(a, scale):
+    """The rational rows ``a[i] / scale[i]`` of :func:`~tropfan.zlinalg._eliminate`'s result."""
+    return [[Fraction(x, s) for x in row] for row, s in zip(a, scale)]
 
 
 @st.composite
@@ -567,14 +571,15 @@ def rational_systems(draw, max_rows=6, max_cols=5):
 class TestRationalElimination:
     @given(rational_systems())
     @settings(max_examples=300, deadline=None)
-    def test_rref_matches_the_fraction_elimination(self, system):
+    def test_eliminate_matches_the_fraction_elimination(self, system):
         # the integer elimination gives every row, past the rank too, and every pivot of the Fraction one
         rows, ncols = system
-        ech = rref(rows, ncols)
+        a, scale, pivots = zlinalg._eliminate(rows, ncols)
         want_rows, want_pivots = _fraction_rref(rows, ncols)
-        assert ech.pivots == want_pivots
-        assert ech.rows == want_rows
-        assert all(type(x) is Fraction for row in ech.rows for x in row)
+        assert pivots == want_pivots
+        assert _rational_rows(a, scale) == want_rows
+        assert all(type(x) is int for row in a for x in row)
+        assert all(type(s) is int and s > 0 for s in scale)
 
     @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4"])
     def test_solver_denominator_on_coefficient_lattices(self, name, request):
@@ -633,12 +638,12 @@ class TestRationalElimination:
     @given(matrices())
     @settings(max_examples=100, deadline=None)
     def test_pivot_rows_span_the_row_space(self, M):
-        ech = rref(M.row_tuples())
-        pivot_rows = ech.rows[: ech.rank]
+        a, scale, pivots = zlinalg._eliminate(M.row_tuples())
+        pivot_rows = _rational_rows(a, scale)[: len(pivots)]
         for r in M.row_tuples():
             # the pivot rows are zero on each other's pivots: r is sum of r[c] * (pivot row at c)
-            assert tuple(r) == tuple(sum(r[c] * row[j] for row, c in zip(pivot_rows, ech.pivots)) for j in range(M.cols))
-        for row, c in zip(ech.rows, ech.pivots):
+            assert tuple(r) == tuple(sum(r[c] * row[j] for row, c in zip(pivot_rows, pivots)) for j in range(M.cols))
+        for row, c in zip(pivot_rows, pivots):
             assert row[c] == 1
 
 
