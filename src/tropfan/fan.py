@@ -302,6 +302,7 @@ class Fan:
         """Index in ``_transitions`` of /\\^k of the projection star(t_small) -> star(t_big), interned by value.
 
         Its rows are indexed by the k-monomials of star(t_small), its columns by those of star(t_big).
+        Swapped, the arguments give /\\^k of the section N^t_big -> N -> N^t_small of that projection.
         """
         key = (t_small, t_big, k)
         if key not in self._transition_ids:
@@ -621,10 +622,14 @@ def is_unimodular(fan):
 
 
 def is_saturated_at(fan, cone_idx):
-    """Saturation of the lattice generated by the star fan support: every invariant factor is 1."""
-    star = fan.star(cone_idx)
+    """Saturation of the lattice generated by the star fan support: every invariant factor is 1.
+
+    That lattice is L / N_tau in N^tau = N / N_tau, for L the sum of the lattices of the maximal
+    cones containing tau.  L contains N_tau, so N^tau / (L / N_tau) = N / L: L / N_tau is saturated
+    exactly when L is, which the Smith divisors of the cone-lattice rows in N decide, with no star.
+    """
     rows = [
-        {j: x for j, x in enumerate(vecmat(r, star.proj)) if x}
+        {j: x for j, x in enumerate(r) if x}
         for c in fan.cones_containing(cone_idx) if c in fan.maximal
         for r in fan.cone_lattice(c).basis.row_tuples()
     ]

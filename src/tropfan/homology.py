@@ -9,10 +9,13 @@ complexes are concentrated in degree zero.
 
 The cubical model rewrites the cohomology of the compactification as a
 complex indexed by the cones themselves with coefficients at the points
-at infinity; its equality of cohomology with the cellular model is the
-module's central consistency oracle, together with the fine double
-complex whose total complex must reproduce the cellular one on the
-nose.
+at infinity, the E1 page of the filtration by sedentarity.  No statement
+making it quasi-isomorphic to the cellular model is cited (arXiv
+2405.05014, Amini-Piquerez "Homology of tropical fans"), so it computes
+no output: its equality of cohomology with the cellular model, also on
+each closed stratum, is the module's central consistency oracle,
+together with the fine double complex whose total complex must
+reproduce the cellular one on the nose.
 """
 
 from __future__ import annotations
@@ -67,13 +70,16 @@ class GradedComplex:
         of those cells.  That block is the differential of the
         subcomplex: the set holds every face that one of its faces
         covers, so neither a boundary nor a coboundary evaluated on the
-        set reaches a face outside it.
+        set reaches a face outside it.  The points at infinity of an
+        up-closed set of cones cut a subcomplex out of the cubical model
+        too, whose differential runs from a cone to the cones covering it.
         """
         keep = {}
         for fid in sorted(face_ids):
             q, positions = self._cells.get(fid, (None, ()))
             if positions:
                 keep.setdefault(q, []).extend(positions)
+        keep = {q: sorted(olds) for q, olds in keep.items()}  # cubical cells follow the cones, not the face ids
         where = {q: {old: new for new, old in enumerate(olds)} for q, olds in keep.items()}
         spaces = {}
         maps = {}
@@ -485,7 +491,8 @@ def cubical_complex(fan, p, coeff="Z"):
 
     Degree q collects SF^(p-q) at the infinity point of each
     q-dimensional cone; the differential contracts by the unit normal
-    and pushes forward along the star projection.
+    and pushes forward along the star projection, on lifts along the star
+    section (:func:`_cubical_block`), into rows sorted by column.
     """
     from .fan import is_unimodular
 
@@ -498,21 +505,20 @@ def cubical_complex(fan, p, coeff="Z"):
         lab = []
         for s in fan.cones_of_dim(q):
             fid = comp.face_index[(s, s)]
-            offsets[s] = (q, len(lab))
+            offsets[s] = len(lab)
             lab.extend((fid, i) for i in range(sheaf.rank(comp, fid, p - q)))
         spaces[q] = tuple(lab)
 
     maps = {}
     for q in range(fan.dim + 1):
-        blocks = []
+        rows = [{} for _ in spaces[q]]
         for s in fan.cones_of_dim(q + 1):
             for t in fan.covers_of(s):
-                block = _cubical_block(fan, comp, p, t, s)
-                _, off_t = offsets[t]
-                _, off_s = offsets[s]
-                width = len(block[0]) if block else 0
-                blocks.append((range(off_t, off_t + len(block)), range(off_s, off_s + width), 1, block))
-        maps[q] = _assemble(len(spaces[q]), len(spaces.get(q + 1, ())), blocks)
+                for j, col in enumerate(_cubical_block(fan, comp, p, t, s), offsets[s]):
+                    for i, x in enumerate(col, offsets[t]):
+                        if x:
+                            rows[i][j] = x
+        maps[q] = SparseMatrix(len(rows), len(spaces.get(q + 1, ())), tuple(rows))
     gc = GradedComplex(comp, p, "cubical", coeff, 1, spaces, maps)
     if not gc.check_dd_zero():
         raise AssertionError(f"the cubical differential for p = {p} does not square to zero")
@@ -520,41 +526,29 @@ def cubical_complex(fan, p, coeff="Z"):
 
 
 def _cubical_block(fan, comp, p, t, s):
-    """Block of the cubical differential from infinity of t to infinity of s.
+    """Columns of the cubical differential from infinity of t to infinity of s.
 
-    Acts on dual value rows: contraction by the unit normal of t in s
-    followed by the pushforward along star(t) -> star(s).  The
-    pushforward is computed by lifting each target basis element into
-    the coefficient lattice of the mixed face (t, s) and pairing there.
+    Column j holds the coordinates over the SF_(k+1) basis at infinity of
+    t of e ^ v, for e the unit normal of t in s and v a lift to /\\^k N^t
+    of basis element b_j of SF_k at infinity of s, k = p - |s|: the
+    contraction by e followed by the pushforward along star(t) -> star(s).
+    Any lift serves, since two differ by an element of the kernel of
+    /\\^k N^t -> /\\^k N^s, which is e ^ /\\^(k-1) N^t (the kernel of N^t -> N^s
+    is Z e, e primitive), and e ^ e = 0; so v is b_j under /\\^k of the
+    star section N^s -> N -> N^t, the transition from s to t.
     """
-    k_src = p - len(fan.cones[t])
-    k_dst = p - len(fan.cones[s])
-    face_t = comp.face_index[(t, t)]
-    face_s = comp.face_index[(s, s)]
-    face_ts = comp.face_index[(t, s)]
-    r_src = sheaf.rank(comp, face_t, k_src)
-    r_dst = sheaf.rank(comp, face_s, k_dst)
-    if r_src == 0 or r_dst == 0:
-        return [[0] * r_dst for _ in range(r_src)]
-    star_t = fan.star(t)
-    e_cls = star_t.normals[s]
-    m_t = star_t.quotient_rank
-    # lift each basis vector of SF_(k_dst) at infinity of s through the
-    # surjection from the mixed face (t, s)
-    mixed = sheaf.basis(comp, face_ts, k_dst)
-    width = exterior.dim(m_t, k_dst)
-    section = zlinalg.section_rows(sheaf.restriction(comp, k_dst, face_s, face_ts), r_dst)
-    lifts = [vecmat(c, mixed, width) for c in section]
-    cols = []
-    for j in range(r_dst):
-        w = exterior.wedge_coords(e_cls, 1, lifts[j], k_dst, m_t)
-        coords = sheaf.coords_in(comp, face_t, k_src, w)
-        if coords is None:
-            raise AssertionError(
-                f"contraction into infinity of cone {fan.cones[t]} leaves SF^{k_src} there (p = {p})"
-            )
-        cols.append(coords)
-    return [[cols[j][i] for j in range(r_dst)] for i in range(r_src)]
+    k = p - len(fan.cones[s])
+    basis_s = sheaf.basis(comp, comp.face_index[(s, s)], k)
+    if not basis_s:
+        return []
+    star_t, face_t = fan.star(t), comp.face_index[(t, t)]
+    e, m_t = star_t.normals[s], star_t.quotient_rank
+    lift, width = fan._transitions[fan.transition_id(s, t, k)], exterior.dim(m_t, k)
+    wedges = (exterior.wedge_coords(e, 1, vecmat(b, lift, width), k, m_t) for b in basis_s)
+    cols = [sheaf.coords_in(comp, face_t, k + 1, w) for w in wedges]
+    if None in cols:
+        raise AssertionError(f"contraction into infinity of cone {fan.cones[t]} leaves SF^{k + 1} there (p = {p})")
+    return cols
 
 
 # fine double complex ------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -241,6 +242,35 @@ class TestConeLattice:
             assert not all(per_cone.values())
 
 
+def _saturated_in_the_star(fan, i):
+    """Saturation at a cone as the star gives it: the projected maximal cone lattices have index 1 in its saturation."""
+    star = fan.star(i)
+    rows = [
+        vecmat(r, star.proj)
+        for c in fan.cones_containing(i) if c in fan.maximal
+        for r in fan.cone_lattice(c).basis.row_tuples()
+    ]
+    return (zlinalg.saturate(Sublattice.from_rows(rows, star.quotient_rank))[1] if rows else 1) == 1
+
+
+def _random_simplicial_fan(seed):
+    """A seeded fan of a few maximal cones with independent primitive rays, in rank 2 to 4; its cones may overlap."""
+    rng = random.Random(seed)
+    rank = rng.randint(2, 4)
+    rays = set()
+    while len(rays) < rank + 3:
+        r = tuple(rng.randint(-3, 3) for _ in range(rank))
+        if math.gcd(*r) == 1:
+            rays.add(r)
+    rays = sorted(rays)
+    cones = []
+    while len(cones) < 4:
+        c = rng.sample(range(len(rays)), rng.randint(1, rank))
+        if len(zlinalg.snf_divisors([{j: x for j, x in enumerate(rays[i]) if x} for i in c])) == len(c):
+            cones.append(c)
+    return Fan.from_max_cones(rank, rays, cones)
+
+
 class TestSaturated:
     def test_delta_not_at_origin(self, delta):
         assert not is_saturated_at(delta, delta.zero_cone)
@@ -254,19 +284,22 @@ class TestSaturated:
         for i in range(len(cube.cones)):
             assert is_saturated_at(cube, i)
 
-    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35", "u63"])
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u35", "u44", "u63"])
     def test_matches_index_in_saturation(self, name, request):
-        # the Smith divisors of the star's rows against the index of their lattice in its saturation
+        # the Smith divisors of the cone lattices in N against the index of the projected lattice in its saturation
         fan = _named_fan(name, request)
         for i in range(len(fan.cones)):
-            star = fan.star(i)
-            rows = [
-                vecmat(r, star.proj)
-                for c in fan.cones_containing(i) if c in fan.maximal
-                for r in fan.cone_lattice(c).basis.row_tuples()
-            ]
-            index = zlinalg.saturate(Sublattice.from_rows(rows, star.quotient_rank))[1] if rows else 1
-            assert is_saturated_at(fan, i) == (index == 1)
+            assert is_saturated_at(fan, i) == _saturated_in_the_star(fan, i)
+
+    def test_matches_index_in_saturation_on_random_fans(self):
+        unsaturated = 0
+        for seed in range(80):
+            fan = _random_simplicial_fan(seed)
+            for i, cone in enumerate(fan.cones):
+                saturated = is_saturated_at(fan, i)
+                assert saturated == _saturated_in_the_star(fan, i), (seed, cone)
+                unsaturated += not saturated
+        assert unsaturated
 
     @pytest.mark.parametrize("name", FIXTURES + ["k4", "u44", "u35"])
     def test_cone_lattice_is_the_saturation(self, name, request):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tropfan import exterior, homology, sheaf, zlinalg
 from tropfan.chow import chow_generator_cocycle, ray_cocycle
-from tropfan.fan import TropicalWeights, is_unimodular
+from tropfan.fan import Fan, TropicalWeights, is_unimodular
 from tropfan.matroid import Matroid, bergman_fan
 from tropfan.homology import (
     Cochain,
@@ -619,6 +619,95 @@ class TestCubicalModel:
             cub = ComplexGroups(cubical_complex(sigma3, p, "Q"))
             for q in range(3):
                 assert cell.group(q).free_rank == cub.group(q).free_rank
+
+
+def _mixed_face_block(fan, comp, p, t, s):
+    """The cubical block from infinity of t to infinity of s as dense rows, lifted through the mixed face (t, s).
+
+    Each basis element of SF_k at infinity of s, k = p - |s|, lifts to
+    SF_k at (t, s) along an integral section of the restriction, and
+    column j holds the coordinates of the unit normal of t in s wedged
+    with lift j.
+    """
+    k = p - len(fan.cones[s])
+    face_t, face_s = comp.face_index[(t, t)], comp.face_index[(s, s)]
+    r_src, r_dst = sheaf.rank(comp, face_t, k + 1), sheaf.rank(comp, face_s, k)
+    if r_src == 0 or r_dst == 0:
+        return [[0] * r_dst for _ in range(r_src)]
+    star_t = fan.star(t)
+    m_t = star_t.quotient_rank
+    face_ts = comp.face_index[(t, s)]
+    mixed = sheaf.basis(comp, face_ts, k)
+    section = zlinalg.section_rows(sheaf.restriction(comp, k, face_s, face_ts), r_dst)
+    lifts = [zlinalg.vecmat(c, mixed, exterior.dim(m_t, k)) for c in section]
+    cols = [sheaf.coords_in(comp, face_t, k + 1, exterior.wedge_coords(star_t.normals[s], 1, v, k, m_t)) for v in lifts]
+    return [[col[i] for col in cols] for i in range(r_src)]
+
+
+UNIMODULAR_FIXTURES = [name for name in FIXTURES if name != "sigma3"]
+
+
+class TestCubicalOracles:
+    """The cubical model against the mixed-face lift it replaced and against the cellular slices."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize(
+        "name, coeff", [(n, "Z") for n in UNIMODULAR_FIXTURES + ["k4", "u53", "u44"]] + [("sigma3", "Q")]
+    )
+    def test_blocks_match_the_mixed_face_lift(self, name, coeff, seed, request, reordered):
+        fan = reordered(_oracle_fan(name, request), seed)
+        comp = compactification(fan)
+        for p in range(fan.dim + 1):
+            gc = cubical_complex(fan, p, coeff)
+            first = {q: {fid: k for k, (fid, i) in enumerate(labs) if i == 0} for q, labs in gc.spaces.items()}
+            blocks = {q: [] for q in gc.spaces}
+            for s, cone in enumerate(fan.cones):
+                for t in fan.covers_of(s):
+                    want = _mixed_face_block(fan, comp, p, t, s)
+                    cols = homology._cubical_block(fan, comp, p, t, s)
+                    assert [[col[i] for col in cols] for i in range(len(want))] == want, (cone, fan.cones[t], p)
+                    q = len(cone) - 1
+                    if want and want[0]:
+                        r0, c0 = first[q][comp.face_index[(t, t)]], first[q + 1][comp.face_index[(s, s)]]
+                        blocks[q].append((range(r0, r0 + len(want)), range(c0, c0 + len(want[0])), 1, want))
+            # the complex is those blocks, entry by entry and each row's columns in order
+            for q, m in gc.maps.items():
+                oracle = homology._assemble(m.rows, m.cols, blocks[q])
+                assert [list(r.items()) for r in m.data] == [list(r.items()) for r in oracle.data], (p, q)
+
+    @pytest.mark.parametrize("seed", [None, 23])
+    @pytest.mark.parametrize(
+        "name, coeff", [(n, "Z") for n in UNIMODULAR_FIXTURES + ["k4", "u53", "u63"]] + [(n, "Q") for n in FIXTURES]
+    )
+    def test_slices_match_the_cellular_slices(self, name, coeff, seed, request, reordered):
+        # H^(p,q) of D_tau is H^(q + |tau|) of the degree-(p + |tau|) cubical complex on the cones containing tau
+        fan = _oracle_fan(name, request)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        comp = compactification(fan)
+        cellular = [build_complex(comp, p, "cohomology", coeff) for p in range(fan.dim + 1)]
+        cubical = [cubical_complex(fan, p, coeff) for p in range(fan.dim + 1)]
+        for tau, cone in enumerate(fan.cones):
+            k = len(cone)
+            stratum = comp.closed_stratum(tau)
+            above = {comp.face_index[(s, s)] for s in fan.cones_containing(tau)}
+            for p in range(fan.dim - k + 1):
+                cell = ComplexGroups(cellular[p].restrict(stratum))
+                cub = ComplexGroups(cubical[p + k].restrict(above))
+                for q in range(fan.dim + 1):
+                    assert cell.group(q) == cub.group(q + k), (cone, p, q)
+
+    def test_slices_keep_the_cell_order_of_unsorted_cones(self, cube):
+        # cones of one dimension listed against the order of the points at infinity's face ids
+        cones = sorted(cube.cones, key=lambda c: (len(c), [-i for i in c]))
+        fan = Fan(cube.rank, cube.rays, cones, [cones.index(cube.cones[c]) for c in cube.maximal])
+        comp = compactification(fan)
+        complexes = [cubical_complex(fan, p) for p in range(fan.dim + 1)]
+        for tau in range(len(fan.cones)):
+            above = {comp.face_index[(s, s)] for s in fan.cones_containing(tau)}
+            for p, gc in enumerate(complexes):
+                for q, labs in gc.restrict(above).spaces.items():
+                    assert labs == tuple(lab for lab in gc.spaces[q] if lab[0] in above), (fan.cones[tau], p, q)
 
 
 class TestFineDoubleComplex:
