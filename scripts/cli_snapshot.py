@@ -3,8 +3,10 @@
 
 Runs ``tropfan.cli.run`` in-process, from the ``src/`` of the source tree
 named on the command line, over the ``fans/`` fixtures and the Bergman
-fan of K4, and runs ``cohomology``, ``verify`` and ``manifold-check`` on
-the Bergman fan of U(4,4).  Two trees are compared by diffing their records:
+fan of K4, runs ``cohomology``, ``verify`` and ``manifold-check`` on the
+Bergman fan of U(4,4), and ``verify`` on that of U(5,4), whose degree-2
+and degree-3 generator cocycles are cup products.  Two trees are compared
+by diffing their records:
 
     python scripts/cli_snapshot.py <other tree> old.txt
     python scripts/cli_snapshot.py . new.txt
@@ -87,6 +89,8 @@ def cases(root, work):
     # every star's vanishing check, read off the stratum slices of the fan's complexes
     for coeff in ("Z", "Q"):
         out.append(["manifold-check", "--fan", f, "--coeff", coeff])
+    # a 3-dim fan past U(4,4): the cup products of the Chow bridge on more rays
+    out.append(["verify", "--fan", str(bergman_file(work, "u54", matroid.Matroid.uniform(5, 4)))])
     return out
 
 

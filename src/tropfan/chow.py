@@ -252,15 +252,8 @@ def cycle_class(fan, w):
     p = w.dimension
     comp = homol.compactification(fan)
     gc = homol.build_complex(comp, p, "homology")
-    data = {}
-    for value, s in zip(w.values, fan.cones_of_dim(p)):
-        if not value:
-            continue
-        fid = comp.face_index[(fan.zero_cone, s)]
-        coords = sheaf.coords_in(comp, fid, p, fan.nu(s))
-        if coords is None:
-            raise AssertionError(f"the canonical multivector of cone {fan.cones[s]} leaves SF_{p} there")
-        data[fid] = tuple(value * c for c in coords)
+    coords = _chow_coords(fan, comp, p)
+    data = {fid: tuple(value * c for c in cs) for value, (fid, cs) in zip(w.values, coords) if value}
     groups = homol.ComplexGroups(gc)
     return HomologyClass(groups, p, groups.class_of(p, gc.pairs(homol.Chain(comp, p, p, data))))
 
@@ -298,22 +291,14 @@ def _chow_coords(fan, comp, p):
 
 
 def ray_cocycle(fan, ray):
-    """The corrected preimage cocycle of a degree-one generator.
-
-    Starts from the cochain supported on the faces joining a cone to
-    its join with the ray, with value one on the unit normal, then
-    subtracts the pushforward of its coboundary to the stratum at
-    infinity of the ray.  The difference is a cocycle.  Its values are
-    built once per compactification and ray; every call returns a new
-    cochain over a copy of them.
-    """
-    comp = homol.compactification(fan)
-    if ray not in comp.ray_cocycles:
-        comp.ray_cocycles[ray] = _ray_cocycle_values(fan, comp, ray)
-    return homol.Cochain(comp, 1, 1, dict(comp.ray_cocycles[ray]))
+    """The corrected preimage cocycle of a degree-one generator: the generator
+    cocycle of the ray's 1-cone, a new cochain over a copy of the memoised values."""
+    return chow_generator_cocycle(fan, fan.cone_index((ray,)))
 
 
 def _ray_cocycle_values(fan, comp, ray):
+    """Values of a - b, where a has value one on the unit normal at each face joining a cone to its
+    join with the ray and b pushes the coboundary of a to the ray's stratum at infinity; unchecked."""
     ray_cone = fan.cone_index((ray,))
     a = homol.Cochain(comp, 1, 1)
     for sp in range(len(fan.cones)):
@@ -343,21 +328,20 @@ def _ray_cocycle_values(fan, comp, ray):
         pushed = [sum(l * v for l, v in zip(lift, values)) for lift in lifts]
         cur = b.value(gid)
         b.set_value(gid, tuple(x + sign * y for x, y in zip(cur, pushed)))
-    result = a - b
-    if not homol.coboundary(result).is_zero():
-        raise AssertionError(f"the corrected cochain of ray {ray} is not a cocycle")
-    return result.data
+    return (a - b).data
 
 
 def chow_generator_cocycle(fan, cone_idx, coeff="Z"):
     """A cocycle representing the preimage of a Chow generator.
 
-    For a ray this is :func:`ray_cocycle`; for higher-dimensional cones
-    the cup product of the ray cocycles in ray order, taken as the cup
-    of the leading face's cocycle with the last ray's.  The values are
-    built and checked once per compactification and cone; every call
-    returns a new cochain over a copy of them.  The values are integers
-    for either ``coeff``, since cup products are.
+    For a ray this is the corrected ray cochain (see
+    :func:`_ray_cocycle_values`); for higher-dimensional cones the cup
+    product of the ray cocycles in ray order, taken as the cup of the
+    leading face's cocycle with the last ray's.  The values of every
+    cone, rays included, are built and checked once per
+    compactification in one memo; every call returns a new cochain over
+    a copy of them.  The values are integers for either ``coeff``, since
+    cup products are.
     """
     comp = homol.compactification(fan)
     cone = fan.cones[cone_idx]
@@ -371,12 +355,13 @@ def _generator_cocycle_values(fan, comp, cone_idx):
     memo = comp.generator_cocycles
     if cone_idx not in memo:
         cone = fan.cones[cone_idx]
-        last = ray_cocycle(fan, cone[-1])
         if len(cone) == 1:
-            result = last
+            result = homol.Cochain(comp, 1, 1, _ray_cocycle_values(fan, comp, cone[0]))
         else:
+            # the memo's values, not copies: cup does not change its inputs
             k = len(cone) - 1
             lead = homol.Cochain(comp, k, k, _generator_cocycle_values(fan, comp, fan.cone_index(cone[:-1])))
+            last = homol.Cochain(comp, 1, 1, _generator_cocycle_values(fan, comp, fan.cone_index(cone[-1:])))
             result = homol.cup(lead, last)
         if not homol.coboundary(result).is_zero():
             raise AssertionError(f"the generator cochain of cone {cone} is not a cocycle")

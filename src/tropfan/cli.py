@@ -219,10 +219,10 @@ def load_fan_data(data, origin="<fan>", strict=True):
         seen.add(key)
     if data.get("lattice", "ambient") == "ray-span":
         basis = zlinalg.hnf_basis(rays, rank)
-        M = zlinalg.IntMatrix.from_rows(basis, rank)
+        solver = zlinalg.RowSolver(zlinalg.IntMatrix.from_rows(basis, rank))
         new_rays = []
         for i, r in enumerate(rays):
-            c = zlinalg.in_rowspace(M, r)
+            c = solver.solve(r)
             if c is None:
                 raise AssertionError(f"ray {i} is not in the lattice its rays span")
             new_rays.append(c)

@@ -68,12 +68,10 @@ class Compactification:
         self.sheaf_extension = {}
         self.sheaf_blocks = {}
         self.sheaf_pairs = {}
-        # value dicts of the degree-one Chow cocycles by ray, and of the Chow
-        # generator cocycles by cone, filled by tropfan.chow
-        self.ray_cocycles = {}
+        # value dicts of the Chow generator cocycles by cone, rays included, filled by tropfan.chow
         self.generator_cocycles = {}
         # by p: (face id of (0, s), coordinates of nu(s) over SF_p there) for the
-        # p-cones s in index order, filled by tropfan.chow.cocycle_to_chow
+        # p-cones s in index order, filled by tropfan.chow's cocycle_to_chow and cycle_class
         self.chow_coords = {}
 
     def dim(self, fid):

@@ -483,22 +483,16 @@ def _ring_spot_checks(fan, pres):
     if fan.dim < 2:
         return []
     checks = []
-    cocycle_cache = {}
-
-    def cocycle(s):
-        if s not in cocycle_cache:
-            cocycle_cache[s] = chow_mod.chow_generator_cocycle(fan, s)
-        return cocycle_cache[s]
-
     pres1, pres2 = pres[1], pres[2]
     rays = fan.cones_of_dim(1)
+    cocycles = {s: chow_mod.chow_generator_cocycle(fan, s) for s in rays}
     pairs = [(a, b) for a in rays for b in rays if a <= b]
     for s1, s2 in pairs:
         span = fan.join(s1, s2)
         if span is not None and fan.cones[span] == fan.cones[s1] + fan.cones[s2]:
             cupped = chow_mod.chow_generator_cocycle(fan, span)
         else:
-            cupped = homol.cup(cocycle(s1), cocycle(s2))
+            cupped = homol.cup(cocycles[s1], cocycles[s2])
         lhs = chow_mod.cocycle_to_chow(fan, cupped)
         rhs = chow_mod.chow_multiply(fan, pres1.generator(s1), pres1.generator(s2))
         checks.append(((fan.cones[s1], fan.cones[s2]), pres2.classes_equal(lhs, rhs)))

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import prod
 
 from . import exterior, sheaf, zlinalg
 from .compactify import Compactification, comp_faces
-from .fan import Fan
+from .fan import Fan, _ray_divisors
 from .zlinalg import AbGroup, IntMatrix, LatticeQuotient, SparseMatrix, replay, sparse_vecmat, vecmat
 
 VARIANTS = ("cohomology", "homology", "borel_moore", "compact_support")
@@ -407,10 +408,10 @@ def cup(a, b):
     The value on a face (tau, eta) sums, over intermediate cones sigma,
     the wedge of the restriction of a at (tau, sigma) with the pullback
     of b at (sigma, eta), weighted by the orientation coefficient of the
-    multivector decomposition of the face.  Only the pairs where both a
-    and b are nonzero contribute, so the sum walks the supports: each
-    nonzero value of a at (tau, sigma) meets each nonzero value of b at
-    (sigma, eta).
+    multivector decomposition of the face, read off the ray order by
+    :func:`_cup_coefficient`.  Only the pairs where both a and b are
+    nonzero contribute, so the sum walks the supports: each nonzero
+    value of a at (tau, sigma) meets each nonzero value of b at (sigma, eta).
     """
     if a.comp is not b.comp:
         raise ValueError("cochains live on different compactifications")
@@ -430,22 +431,12 @@ def cup(a, b):
         partners = b_from.get(sigma)
         if partners is None:
             continue
-        c_sigma = fan.cones[sigma]
-        nu_a = fan.nu_face(t, sigma)
-        m_t = fan.star(t).quotient_rank
         for mid_b, eta, bv in partners:
             fid = comp.face_index[(t, eta)]
             rank_out = sheaf.rank(comp, fid, p)
             if rank_out == 0:
                 continue
-            # orientation coefficient: nu_face(t, t + (eta - sigma)) lifts
-            # nu_face(sigma, eta) to star(t), and any two lifts differ by
-            # multivectors divisible by the kernel, which nu_face(t, sigma) spans
-            rest = fan.cone_index(fan.cones[t] + tuple(r for r in fan.cones[eta] if r not in c_sigma))
-            w = exterior.wedge_coords(nu_a, a.q, fan.nu_face(t, rest), b.q, m_t)
-            coefficient = fan.varpi_face(t, eta, w)
-            if coefficient == 0:
-                continue
+            coefficient = _cup_coefficient(fan, t, sigma, eta)
             a_here = _transport_dual(comp, a.p, mid_a, ((fid, 1),), av, {})[fid]
             b_here = _transport_dual(comp, b.p, mid_b, ((fid, 1),), bv, {})[fid]
             term = sheaf.wedge_duals(comp, fid, a.p, a_here, b.p, b_here)
@@ -458,6 +449,26 @@ def cup(a, b):
     for fid in sorted(totals):
         out.set_value(fid, totals[fid])
     return out
+
+
+def _cup_coefficient(fan, t, sigma, eta):
+    """The c with nu_face(t, sigma) ^ nu_face(t, t + (eta - sigma)) = c * nu_face(t, eta), for t < sigma < eta.
+
+    ``Fan.nu(c)`` is the wedge of c's rays in index order over idx(c),
+    the index of their span in N_c (the product of their Smith
+    divisors), and nu_face(t, c) is its image in star(t), since the
+    wedge is functorial.  So with outer the rays of sigma - t and inner
+    those of eta - sigma, the left side is the projected outer rays
+    wedged with the inner ones over idx(outer) * idx(inner), and sorting
+    outer + inner costs the shuffle sign: c = shuffle_sign(outer, inner)
+    * idx(outer + inner) / (idx(outer) * idx(inner)), an integer, the
+    index of N_outer + N_inner in N_(outer + inner).
+    """
+    cones = fan.cones
+    outer = tuple(r for r in cones[sigma] if r not in cones[t])
+    inner = tuple(r for r in cones[eta] if r not in cones[sigma])
+    union, a, b = (prod(_ray_divisors(fan, fan._cone_index[c])) for c in (tuple(sorted(outer + inner)), outer, inner))
+    return exterior.shuffle_sign(outer, inner) * (union // (a * b))
 
 
 def _transport_dual(comp, p, gid, pairs, values, acc):

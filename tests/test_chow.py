@@ -24,6 +24,7 @@ from tropfan.chow import (
 )
 from tropfan.fan import TropicalWeights
 from tropfan.homology import ComplexGroups, build_complex, compactification, cup
+from tropfan.matroid import Matroid, bergman_fan
 from tropfan.zlinalg import AbGroup, IntMatrix, LatticeQuotient
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -437,17 +438,32 @@ class TestPsiMaps:
         assert ray_cocycle(cube, ray).data == want
 
     def test_corrupted_ray_cocycle_raises_under_optimize(self):
-        # the generator cocycles are checked once, when built, and the raise names the cone
+        # every generator cocycle, rays included, is checked once, when built, and the raise
+        # names the cone: a ray cochain that is no cocycle fails its own check, and a memo
+        # entry changed after its check fails the check of a cone cupped from it (U(4,4):
+        # the cube is 2-dim, so its 2-cones sit in top degree, where every cochain is a cocycle)
         code = (
+            "from tropfan import chow\n"
             "from tropfan.cli import load_fan_file\n"
-            "from tropfan.chow import chow_generator_cocycle, ray_cocycle\n"
+            "from tropfan.chow import chow_generator_cocycle\n"
             "from tropfan.homology import compactification\n"
+            "from tropfan.matroid import Matroid, bergman_fan\n"
+            "def corrupt(values):\n"
+            "    fid = next(iter(values))\n"
+            "    values[fid] = tuple(x + 1 for x in values[fid])\n"
+            "    return values\n"
+            "fan = bergman_fan(Matroid.uniform(4, 4))[0]\n"
+            "ray = fan.cone_index((0,))\n"
+            "chow_generator_cocycle(fan, ray)\n"
+            "corrupt(compactification(fan).generator_cocycles[ray])\n"
+            "edge = next(s for s in fan.cones_of_dim(2) if fan.cones[s][0] == 0)\n"
+            "try:\n"
+            "    chow_generator_cocycle(fan, edge)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+            "built = chow._ray_cocycle_values\n"
+            "chow._ray_cocycle_values = lambda *args: corrupt(built(*args))\n"
             f"fan = load_fan_file({str(ROOT / 'fans' / 'cube.json')!r})[0]\n"
-            "comp = compactification(fan)\n"
-            "ray_cocycle(fan, 0)\n"
-            "values = comp.ray_cocycles[0]\n"
-            "fid = next(iter(values))\n"
-            "values[fid] = tuple(x + 1 for x in values[fid])\n"
             "try:\n"
             "    chow_generator_cocycle(fan, fan.cone_index((0, 1)))\n"
             "except AssertionError as exc:\n"
@@ -456,5 +472,29 @@ class TestPsiMaps:
         out = subprocess.run(
             [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        ).stdout
-        assert out.startswith("raised: the generator cochain of cone (0,) is not a cocycle")
+        ).stdout.splitlines()
+        fan = bergman_fan(Matroid.uniform(4, 4))[0]
+        edge = next(fan.cones[s] for s in fan.cones_of_dim(2) if fan.cones[s][0] == 0)
+        assert out == [
+            f"raised: the generator cochain of cone {edge} is not a cocycle",
+            "raised: the generator cochain of cone (0,) is not a cocycle",
+        ]
+
+    def test_one_cocycle_check_per_generator(self, monkeypatch):
+        # a ray cocycle costs two coboundaries (the correction and the check), a higher cone one
+        from tropfan.cli import load_fan_file
+
+        fan = load_fan_file(str(ROOT / "fans" / "cube.json"))[0]
+        calls = []
+        coboundary = homology.coboundary
+
+        def counted(a):
+            calls.append(a.q)
+            return coboundary(a)
+
+        monkeypatch.setattr(homology, "coboundary", counted)
+        for s in range(len(fan.cones)):
+            chow_generator_cocycle(fan, s)
+        rays, higher = len(fan.cones_of_dim(1)), len(fan.cones) - 1 - len(fan.cones_of_dim(1))
+        assert (rays, higher) == (8, 12)
+        assert len(calls) == 2 * rays + higher == 28

@@ -180,7 +180,7 @@ class TestRaySpanLattice:
         code = (
             "import sys\n"
             "from tropfan import cli, zlinalg\n"
-            "zlinalg.in_rowspace = lambda B, vec: None\n"
+            "zlinalg.RowSolver.solve = lambda self, vec: None\n"
             f"sys.exit(cli.run(['diagnostics', '--fan', {FAN('cube')!r}]))\n"
         )
         res = subprocess.run(

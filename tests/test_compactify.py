@@ -9,7 +9,7 @@ import pytest
 from tropfan import exterior, sheaf, zlinalg
 from tropfan.compactify import Compactification, comp_faces
 from tropfan.fan import Fan
-from tropfan.homology import build_complex, compactification
+from tropfan.homology import _cup_coefficient, build_complex, compactification
 from tropfan.matroid import Matroid, bergman_fan
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -167,6 +167,48 @@ class TestSignOracle:
             assert sign == comp.face_sign(gid, did) == _determinant_sign(comp, gid, did), (comp.faces[gid], comp.faces[did])
 
 
+def _skew_fan():
+    """2-cones in Z^3: the rays of (0, 1) span index 2 in N_sigma, the other two are unimodular."""
+    return Fan.from_max_cones(3, [(1, 0, 0), (1, 2, 0), (0, 1, 2)], [[0, 1], [1, 2], [0, 2]])
+
+
+class TestCupCoefficientOracle:
+    """The cup's orientation coefficient from the ray order equals the wedge read against nu_face."""
+
+    @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4", "u53", "u44", "skew"])
+    def test_every_triple_matches_the_wedge(self, name, request):
+        if name == "k4":
+            fan = request.getfixturevalue("k4_pair")[0]
+        elif name in TestSignOracle.UNIFORM:
+            fan = bergman_fan(Matroid.uniform(*TestSignOracle.UNIFORM[name]))[0]
+        elif name == "skew":
+            fan = _skew_fan()
+        else:
+            fan = request.getfixturevalue(name)
+        values = []
+        for eta, c_eta in enumerate(fan.cones):
+            for t_size in range(len(c_eta) + 1):
+                for c_t in itertools.combinations(c_eta, t_size):
+                    free = [r for r in c_eta if r not in c_t]
+                    t = fan.cone_index(c_t)
+                    m_t = fan.star(t).quotient_rank
+                    for a_q in range(len(free) + 1):
+                        for picked in itertools.combinations(free, a_q):
+                            sigma = fan.cone_index(c_t + picked)
+                            rest = fan.cone_index(c_t + tuple(r for r in free if r not in picked))
+                            w = exterior.wedge_coords(
+                                fan.nu_face(t, sigma), a_q, fan.nu_face(t, rest), len(free) - a_q, m_t
+                            )
+                            want = fan.varpi_face(t, eta, w)
+                            got = _cup_coefficient(fan, t, sigma, eta)
+                            assert got == want and type(got) is type(want), (c_t, c_t + picked, c_eta)
+                            values.append(got)
+        assert values
+        if name in ("sigma3", "skew"):
+            # the cones whose rays do not span their lattice give coefficients other than +-1
+            assert any(abs(c) != 1 for c in values)
+
+
 def _solve_lift(fan, t, sigma, k, target):
     """A rational multivector of star(t) mapping to ``target`` in star(sigma)."""
     A = fan._transitions[fan.transition_id(t, sigma, k)]
@@ -270,8 +312,7 @@ class TestTangentLattice:
         elif name == "u35":
             fan = bergman_fan(Matroid.uniform(5, 3))[0]
         elif name == "skew":
-            # 2-cones in Z^3: the rays of (0, 1) span index 2 in N_sigma, the other two are unimodular
-            fan = Fan.from_max_cones(3, [(1, 0, 0), (1, 2, 0), (0, 1, 2)], [[0, 1], [1, 2], [0, 2]])
+            fan = _skew_fan()
         else:
             fan = request.getfixturevalue(name)
         comp = Compactification(fan)
