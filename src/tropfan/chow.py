@@ -12,7 +12,10 @@ matrix and pair with Chow classes coordinatewise.
 of the compactification against the canonical multivectors;
 ``chow_generator_cocycle`` builds the explicit preimage cocycle of a
 generator, correcting the naive ray cochain by a pushforward supported
-at infinity and cupping ray cocycles for higher degrees.
+at infinity and cupping ray cocycles for higher degrees.  Cups against a
+ray's cocycle share its memo in ``comp.ray_cups``, which dies with the
+compactification; ``verify``'s ring checks use it too, and compare two
+classes by one class map of their difference.
 """
 
 from __future__ import annotations
@@ -148,13 +151,10 @@ def _ray_times_generator(fan, ray, cone_idx, coeff):
             m = zlinalg.solve_frac([list(r) for r in rows], rhs)
             if m is None:
                 raise ValueError("no linear form separates the ray inside its cone")
-        for zeta, gen in enumerate(fan.rays):
-            if zeta in cone:
-                continue
-            join = fan.join(fan.cone_index((zeta,)), cone_idx)
-            if join is None:
-                continue
-            coefficient = sum(mi * gi for mi, gi in zip(m, gen))
+        # the joins of the cone with the rays outside it are the cones covering it
+        for join in fan.covered_by(cone_idx):
+            zeta = next(r for r in fan.cones[join] if r not in cone)
+            coefficient = sum(mi * gi for mi, gi in zip(m, fan.rays[zeta]))
             if coefficient:
                 out[join] = -coefficient
     fan._ray_products[key] = out
@@ -253,40 +253,40 @@ def cycle_class(fan, w):
     comp = homol.compactification(fan)
     gc = homol.build_complex(comp, p, "homology")
     coords = _chow_coords(fan, comp, p)
-    data = {fid: tuple(value * c for c in cs) for value, (fid, cs) in zip(w.values, coords) if value}
+    data = {fid: tuple(w.values[i] * c for c in cs) for fid, (i, cs) in coords.items() if w.values[i]}
     groups = homol.ComplexGroups(gc)
     return HomologyClass(groups, p, groups.class_of(p, gc.pairs(homol.Chain(comp, p, p, data))))
 
 
 def cocycle_to_chow(fan, cochain):
     """Chow vector of a (p, p)-cocycle: sedentarity-zero values against
-    the canonical multivectors."""
+    the canonical multivectors.  Only the cochain's support is read."""
     comp = cochain.comp
     if not homol.coboundary(cochain).is_zero():
         raise ValueError("input cochain is not a cocycle")
-    data = cochain.data
-    out = []
-    for fid, coords in _chow_coords(fan, comp, cochain.q):
-        values = data.get(fid)
-        out.append(sum(v * c for v, c in zip(values, coords)) if values is not None else 0)
+    coords = _chow_coords(fan, comp, cochain.q)
+    out = [0] * len(coords)
+    for fid, values in cochain.data.items():
+        hit = coords.get(fid)
+        if hit is not None:
+            out[hit[0]] = sum(v * c for v, c in zip(values, hit[1]))
     return ChowClass(fan, cochain.q, out)
 
 
 def _chow_coords(fan, comp, p):
-    """The face (0, s) and the coordinates of nu(s) over SF_p there, per p-cone s.
+    """Per p-cone s, in index order: the face (0, s) -> (position of s, coordinates of nu(s) over SF_p there).
 
     Solved once per compactification and p.
     """
     cache = comp.chow_coords
     if p not in cache:
-        rows = []
-        for s in fan.cones_of_dim(p):
+        cache[p] = {}
+        for i, s in enumerate(fan.cones_of_dim(p)):
             fid = comp.face_index[(fan.zero_cone, s)]
             coords = sheaf.coords_in(comp, fid, p, fan.nu(s))
             if coords is None:
                 raise AssertionError(f"the canonical multivector of cone {fan.cones[s]} leaves SF_{p} there")
-            rows.append((fid, coords))
-        cache[p] = tuple(rows)
+            cache[p][fid] = (i, coords)
     return cache[p]
 
 
@@ -299,14 +299,10 @@ def ray_cocycle(fan, ray):
 def _ray_cocycle_values(fan, comp, ray):
     """Values of a - b, where a has value one on the unit normal at each face joining a cone to its
     join with the ray and b pushes the coboundary of a to the ray's stratum at infinity; unchecked."""
-    ray_cone = fan.cone_index((ray,))
     a = homol.Cochain(comp, 1, 1)
-    for sp in range(len(fan.cones)):
-        if ray in fan.cones[sp]:
-            continue
-        join = fan.join(ray_cone, sp)
-        if join is None:
-            continue
+    # each cone sp without the ray whose join with it is a cone: the facet of that join opposite the ray
+    for join in fan.cones_containing(fan.cone_index((ray,))):
+        sp = fan.cone_index(tuple(r for r in fan.cones[join] if r != ray))
         fid = comp.face_index[(sp, join)]
         c = sheaf.coords_in(comp, fid, 1, fan.star(sp).normals[join])
         if c is None:
@@ -361,8 +357,9 @@ def _generator_cocycle_values(fan, comp, cone_idx):
             # the memo's values, not copies: cup does not change its inputs
             k = len(cone) - 1
             lead = homol.Cochain(comp, k, k, _generator_cocycle_values(fan, comp, fan.cone_index(cone[:-1])))
-            last = homol.Cochain(comp, 1, 1, _generator_cocycle_values(fan, comp, fan.cone_index(cone[-1:])))
-            result = homol.cup(lead, last)
+            ray = fan.cone_index(cone[-1:])
+            last = homol.Cochain(comp, 1, 1, _generator_cocycle_values(fan, comp, ray))
+            result = homol.cup(lead, last, comp.ray_cups.setdefault(ray, {}))
         if not homol.coboundary(result).is_zero():
             raise AssertionError(f"the generator cochain of cone {cone} is not a cocycle")
         memo[cone_idx] = result.data

@@ -57,8 +57,8 @@ class Compactification:
         for fid, (t, _) in enumerate(faces):
             self._by_sedentarity[t].append(fid)
         self._cone_sets = tuple(frozenset(c) for c in fan.cones)
-        self._covers = None
-        self._cofaces = None
+        self._covers = [None] * len(faces)
+        self._cofaces = [None] * len(faces)
         # filled by tropfan.sheaf, which says how: the distinct coefficient-lattice bases, their
         # ids by value, basis ids by p and face, solvers and blocks by id, and the blocks' pairs
         self.sheaf_bases = []
@@ -68,10 +68,12 @@ class Compactification:
         self.sheaf_extension = {}
         self.sheaf_blocks = {}
         self.sheaf_pairs = {}
-        # value dicts of the Chow generator cocycles by cone, rays included, filled by tropfan.chow
+        # value dicts of the Chow generator cocycles by cone, rays included, filled by tropfan.chow;
+        # by ray cone, the memo of homology.cup for cups against that ray's generator cocycle
         self.generator_cocycles = {}
-        # by p: (face id of (0, s), coordinates of nu(s) over SF_p there) for the
-        # p-cones s in index order, filled by tropfan.chow's cocycle_to_chow and cycle_class
+        self.ray_cups = {}
+        # by p: face id of (0, s) -> (position of s, coordinates of nu(s) over SF_p there) for
+        # the p-cones s in index order, filled by tropfan.chow's cocycle_to_chow and cycle_class
         self.chow_coords = {}
 
     def dim(self, fid):
@@ -100,54 +102,36 @@ class Compactification:
         return sets[td] <= sets[tg] <= sets[sg] <= sets[sd]
 
     def covers_of(self, did):
-        """List of (gamma, sign) over the faces gamma covered by delta."""
-        if self._covers is None:
-            self._build_covers()
+        """List of (gamma, sign) over the faces gamma covered by delta, built on first read."""
+        if self._covers[did] is None:
+            fan, (t, s) = self.fan, self.faces[did]
+            free = [(r, f) for r, f in zip(fan.cones[s], fan.covers_of(s)) if r not in self._cone_sets[t]]
+            # same sedentarity: drop one ray of sigma outside tau; then sedentarity raises: tau grows inside sigma
+            raised = [fan._cone_index[tuple(sorted(fan.cones[t] + (r,)))] for r, _ in free]
+            self._covers[did] = [(self.face_index[(t, f)], _cover_sign(pos, False)) for pos, (_, f) in enumerate(free)]
+            self._covers[did] += [(self.face_index[(u, s)], _cover_sign(pos, True)) for pos, u in enumerate(raised)]
         return self._covers[did]
 
     def cofaces_of(self, gid):
-        """List of (delta, sign) over the faces delta covering gamma."""
-        if self._covers is None:
-            self._build_covers()
+        """List of (delta, sign) over the faces delta covering gamma, in increasing id, built on first read."""
+        if self._cofaces[gid] is None:
+            fan, (t, s) = self.fan, self.faces[gid]
+            sets = self._cone_sets
+            # sigma gains a ray r, or tau loses one; the sign counts the rays of sigma minus tau below r
+            uppers = [((t, c), r, False) for c in fan.covered_by(s) for r in sets[c] - sets[s]]
+            uppers += [((f, s), r, True) for r, f in zip(fan.cones[t], fan.covers_of(t))]
+            free = sets[s] - sets[t]
+            self._cofaces[gid] = sorted(
+                (self.face_index[face], _cover_sign(sum(1 for x in free if x < r), drop)) for face, r, drop in uppers
+            )
         return self._cofaces[gid]
-
-    def _build_covers(self):
-        cones = self.fan.cones
-        # the facets of each cone, by the position of the ray they drop, and
-        # each cone's covers by the ray they add: the fan's indexes, read once
-        facets = [self.fan.covers_of(c) for c in range(len(cones))]
-        raised = [{} for _ in cones]
-        for c, below in enumerate(facets):
-            for r, f in zip(cones[c], below):
-                raised[f][r] = c
-        covers = [[] for _ in self.faces]
-        for did, (t, s) in enumerate(self.faces):
-            free = [(r, f) for r, f in zip(cones[s], facets[s]) if r not in self._cone_sets[t]]
-            # same sedentarity: drop one ray of sigma outside tau
-            for pos, (_, f) in enumerate(free):
-                covers[did].append((self.face_index[(t, f)], _cover_sign(pos, False)))
-            # sedentarity raise on the subface: tau grows inside sigma
-            for pos, (r, _) in enumerate(free):
-                covers[did].append((self.face_index[(raised[t][r], s)], _cover_sign(pos, True)))
-        cofaces = [[] for _ in self.faces]
-        for did, lst in enumerate(covers):
-            for gid, sign in lst:
-                cofaces[gid].append((did, sign))
-        self._covers = covers
-        self._cofaces = cofaces
 
     def face_sign(self, gid, did):
         """Incidence sign of a covering pair gamma below delta."""
-        if self.dims[gid] + 1 != self.dims[did] or not self.is_subface(gid, did):
-            raise ValueError("not a covering pair")
-        cones = self.fan.cones
-        (tg, sg), (td, sd) = self.faces[gid], self.faces[did]
-        free = [r for r in cones[sd] if r not in cones[td]]
-        # exactly one of tau and sigma differs, by one ray
-        drop = tg != td
-        sets = self._cone_sets
-        (r,) = sets[tg] - sets[td] if drop else sets[sd] - sets[sg]
-        return _cover_sign(free.index(r), drop)
+        for g, sign in self.covers_of(did):
+            if g == gid:
+                return sign
+        raise ValueError("not a covering pair")
 
 
 def _cover_sign(pos, drop):

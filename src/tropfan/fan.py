@@ -422,8 +422,8 @@ def _build_star(fan, cone_idx):
         raise AssertionError(f"cone {cone} has dependent rays")
     if res.divisors != (1,) * k:
         raise AssertionError(f"cone lattice of cone {cone} is not saturated: divisors {res.divisors}")
-    proj = tuple(tuple(res.V[i, j] for j in range(k, n)) for i in range(n))
-    section = tuple(tuple(res.Vinv[i, j] for j in range(n)) for i in range(k, n))
+    proj = tuple(row[k:] for row in res.V.row_tuples())
+    section = tuple(res.Vinv.row_tuples()[k:])
     cone_set = set(cone)
     for c in covers:
         extra = next(i for i in fan.cones[c] if i not in cone_set)

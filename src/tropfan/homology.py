@@ -402,7 +402,7 @@ def coboundary(a):
     return out
 
 
-def cup(a, b):
+def cup(a, b, memo=None):
     """Cup product of cochains on the same compactification.
 
     The value on a face (tau, eta) sums, over intermediate cones sigma,
@@ -412,17 +412,24 @@ def cup(a, b):
     :func:`_cup_coefficient`.  Only the pairs where both a and b are
     nonzero contribute, so the sum walks the supports: each nonzero
     value of a at (tau, sigma) meets each nonzero value of b at (sigma, eta).
+
+    ``memo``, a dict a caller keeps for one b (empty at first), holds b's
+    partner index (its nonzero values by sigma) and, by (b face, output
+    face), b's value carried there and extended, for every cup against b.
     """
     if a.comp is not b.comp:
         raise ValueError("cochains live on different compactifications")
     comp = a.comp
     fan = comp.fan
     p = a.p + b.p
-    b_from = {}
-    for mid_b, bv in b.data.items():
-        if comp.dims[mid_b] == b.q and any(bv):
-            sigma, eta = comp.faces[mid_b]
-            b_from.setdefault(sigma, []).append((mid_b, eta, bv))
+    memo = {} if memo is None else memo
+    if not memo:
+        memo["partners"], memo["extended"] = {}, {}
+        for mid_b, bv in b.data.items():
+            if comp.dims[mid_b] == b.q and any(bv):
+                sigma, eta = comp.faces[mid_b]
+                memo["partners"].setdefault(sigma, []).append((mid_b, eta, bv))
+    b_from, extended = memo["partners"], memo["extended"]
     totals = {}
     for mid_a, av in a.data.items():
         if comp.dims[mid_a] != a.q or not any(av):
@@ -438,8 +445,11 @@ def cup(a, b):
                 continue
             coefficient = _cup_coefficient(fan, t, sigma, eta)
             a_here = _transport_dual(comp, a.p, mid_a, ((fid, 1),), av, {})[fid]
-            b_here = _transport_dual(comp, b.p, mid_b, ((fid, 1),), bv, {})[fid]
-            term = sheaf.wedge_duals(comp, fid, a.p, a_here, b.p, b_here)
+            b_ext = extended.get((mid_b, fid))
+            if b_ext is None:
+                b_here = _transport_dual(comp, b.p, mid_b, ((fid, 1),), bv, {})[fid]
+                b_ext = extended[mid_b, fid] = sheaf.extend_dual(comp, fid, b.p, b_here)
+            term = sheaf.wedge_duals(comp, fid, a.p, sheaf.extend_dual(comp, fid, a.p, a_here), b.p, b_ext)
             total = totals.get(fid)
             if total is None:
                 total = totals[fid] = [0] * rank_out

@@ -82,7 +82,10 @@ def _build_basis(comp, fid, p):
         if len(ids) == 1:
             return ids.pop()
         gens = [row for i in ids for row in comp.sheaf_bases[i]]
-    elif len(fan.cones[s]) - len(fan.cones[t]) == m:
+    elif p > comp.dims[fid]:
+        # the tangent lattice N_sigma / N_tau has rank |sigma| - |tau|, so /\\^p of it is zero
+        return _intern(comp, ())
+    elif comp.dims[fid] == m:
         # the tangent lattice N_sigma / N_tau is saturated in N^tau, so at full rank it is all of it
         return _intern(comp, tuple(IntMatrix.identity(exterior.dim(m, p)).row_tuples()))
     else:
@@ -224,17 +227,15 @@ def exact_quotient(values, d, what):
     return tuple(out)
 
 
-def wedge_duals(comp, fid, p, a_values, q, b_values):
-    """Wedge of dual elements of SF^p and SF^q as a dual element of SF^(p+q).
+def wedge_duals(comp, fid, p, a_ext, q, b_ext):
+    """Wedge of dual elements of SF^p and SF^q, given as their :func:`extend_dual` pairs (D * g, D), in SF^(p+q).
 
     The scaled extensions are wedged in integers, and each value on the
     SF_(p+q) basis is divided once by D_a * D_b.  The division is exact:
     SF_(p+q) is spanned by wedges of p and q tangent vectors of one
     cone, and both extensions are integral on such wedges.
     """
-    m = star_rank(comp, fid)
-    a_hat, da = extend_dual(comp, fid, p, a_values)
-    b_hat, db = extend_dual(comp, fid, q, b_values)
-    prod = exterior.wedge_coords(a_hat, p, b_hat, q, m)
+    (a_hat, da), (b_hat, db) = a_ext, b_ext
+    prod = exterior.wedge_coords(a_hat, p, b_hat, q, star_rank(comp, fid))
     values = [sum(f * x for f, x in zip(prod, row) if x) for row in basis(comp, fid, p + q)]
     return exact_quotient(values, da * db, f"the wedge of SF^{p} and SF^{q} values at face {fid}")

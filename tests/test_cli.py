@@ -468,3 +468,4 @@ class TestTracedNamesBind:
             for part in cls_path:
                 owner = getattr(owner, part)
             assert attr in owner.__dict__, path
+            assert callable(owner.__dict__[attr]), path

@@ -41,6 +41,28 @@ class TestFaceCounts:
             assert len(comp.covers_of(fid)) == 2 * comp.dim(fid)
 
 
+def _whole_poset_covers(comp):
+    """Covers and cofaces of every face in one pass over the poset, as built before they were built per face."""
+    cones = comp.fan.cones
+    facets = [comp.fan.covers_of(c) for c in range(len(cones))]
+    raised = [{} for _ in cones]
+    for c, below in enumerate(facets):
+        for r, f in zip(cones[c], below):
+            raised[f][r] = c
+    covers = [[] for _ in comp.faces]
+    for did, (t, s) in enumerate(comp.faces):
+        free = [(r, f) for r, f in zip(cones[s], facets[s]) if r not in cones[t]]
+        for pos, (_, f) in enumerate(free):
+            covers[did].append((comp.face_index[(t, f)], -1 if pos % 2 else 1))
+        for pos, (r, _) in enumerate(free):
+            covers[did].append((comp.face_index[(raised[t][r], s)], 1 if pos % 2 else -1))
+    cofaces = [[] for _ in comp.faces]
+    for did, lst in enumerate(covers):
+        for gid, sign in lst:
+            cofaces[gid].append((did, sign))
+    return covers, cofaces
+
+
 class TestIncidenceIndex:
     @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4"])
     def test_cofaces_transpose_covers(self, name, request):
@@ -51,6 +73,23 @@ class TestIncidenceIndex:
         up = sorted((gid, did, sign) for gid in range(n) for did, sign in comp.cofaces_of(gid))
         assert up == down
         assert len(set(down)) == len(down)
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4", "u44"])
+    def test_per_face_covers_match_the_whole_poset_pass(self, name, seed, request, reordered):
+        if name == "u44":
+            fan = bergman_fan(Matroid.uniform(4, 4))[0]
+        else:
+            fan = request.getfixturevalue("k4_pair")[0] if name == "k4" else request.getfixturevalue(name)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        comp = Compactification(fan)
+        covers, cofaces = _whole_poset_covers(comp)
+        # cofaces first, in reverse, so neither list is built from the other's reads
+        for fid in reversed(range(len(comp.faces))):
+            assert comp.cofaces_of(fid) == cofaces[fid], fid
+        for fid in range(len(comp.faces)):
+            assert comp.covers_of(fid) == covers[fid], fid
 
     @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4"])
     def test_faces_of_dim_partition(self, name, request):

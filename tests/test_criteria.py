@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from tropfan import chow, homology, zlinalg
+from tropfan import chow, homology, sheaf, zlinalg
 from tropfan.criteria import (
     _psi_status,
+    _ring_spot_checks,
     _stratum_pairing_values,
     chow_to_cohomology_map,
     chow_pd_check,
@@ -500,10 +501,60 @@ def _two_lp_kleiman(fan, f, vacuous=None):
 def _oracle_fan(name, request):
     if name == "k4":
         return request.getfixturevalue("k4_pair")[0]
-    if name in ("u53", "u44"):
+    if name in ("u53", "u63", "u44"):
         n, r = int(name[1]), int(name[2])
         return bergman_fan(Matroid.uniform(n, r))[0]
     return request.getfixturevalue(name)
+
+
+def _dense_ring_checks(fan, pres):
+    """The ring checks as dense class comparisons: the cup, memo-free, read on every 2-cone, against chow_multiply."""
+    comp = compactification(fan)
+    pres1, pres2 = pres[1], pres[2]
+    rays = fan.cones_of_dim(1)
+    checks = []
+    for s1, s2 in ((a, b) for a in rays for b in rays if a <= b):
+        span = fan.join(s1, s2)
+        if span is not None and fan.cones[span] == fan.cones[s1] + fan.cones[s2]:
+            cupped = chow.chow_generator_cocycle(fan, span)
+        else:
+            cupped = homology.cup(chow.chow_generator_cocycle(fan, s1), chow.chow_generator_cocycle(fan, s2))
+        assert homology.coboundary(cupped).is_zero()
+        lhs = []
+        for s in fan.cones_of_dim(2):
+            fid = comp.face_index[(fan.zero_cone, s)]
+            coords = sheaf.coords_in(comp, fid, 2, fan.nu(s))
+            lhs.append(sum(v * c for v, c in zip(cupped.value(fid), coords)))
+        rhs = chow.chow_multiply(fan, pres1.generator(s1), pres1.generator(s2))
+        checks.append(((fan.cones[s1], fan.cones[s2]), pres2.classes_equal(chow.ChowClass(fan, 2, lhs), rhs)))
+    return checks
+
+
+class TestRingCheckOracle:
+    """One class map of lhs - rhs per ring check gives the verdicts of the two dense classes compared."""
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    @pytest.mark.parametrize("seed", [None, 23])
+    @pytest.mark.parametrize("name", ["k4", "u53", "u63", "u44"])
+    def test_verdicts_match_the_dense_comparison(self, name, seed, perturb, request, reordered, monkeypatch):
+        fan = _oracle_fan(name, request)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        pres = {k: chow.chow_group(fan, k) for k in (1, 2)}
+        if perturb:
+            # a product off by one 2-cone generator on every third pair, on both sides, so some checks fail
+            exact, first = chow.multiply_sparse, fan.cones_of_dim(2)[0]
+
+            def perturbed(fan, x, y, coeff="Z"):
+                out = dict(exact(fan, x, y, coeff))
+                if (sum(x) + sum(y)) % 3 == 0:
+                    out[first] = out.get(first, 0) + 1
+                return out
+
+            monkeypatch.setattr(chow, "multiply_sparse", perturbed)
+        got = _ring_spot_checks(fan, pres)
+        assert got == _dense_ring_checks(fan, pres)
+        assert {flag for _, flag in got} == ({True, False} if perturb else {True})
 
 
 def _known_functions(name, fan):

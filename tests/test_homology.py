@@ -896,7 +896,8 @@ def _dense_cup(a, b):
             coefficient = fan.varpi_face(t, eta, w)
             a_here = homology._transport_dual(comp, a.p, mid_a, ((fid, 1),), av, {})[fid]
             b_here = homology._transport_dual(comp, b.p, mid_b, ((fid, 1),), bv, {})[fid]
-            term = sheaf.wedge_duals(comp, fid, a.p, a_here, b.p, b_here)
+            a_ext, b_ext = sheaf.extend_dual(comp, fid, a.p, a_here), sheaf.extend_dual(comp, fid, b.p, b_here)
+            term = sheaf.wedge_duals(comp, fid, a.p, a_ext, b.p, b_ext)
             for i, x in enumerate(term):
                 total[i] += coefficient * x
         out.set_value(fid, total)
@@ -939,6 +940,26 @@ class TestCupOracle:
                 assert all(type(x) is int for v in got.values() for x in v)
                 pairs += 1
         assert pairs > len(cochains)
+
+    @pytest.mark.parametrize("seed", [None, 23])
+    @pytest.mark.parametrize("name", UNIMODULAR_FIXTURES + ["k4", "u53", "u63", "u44"])
+    def test_memoised_ray_cups_match_the_dense_loop(self, name, seed, request, reordered):
+        fan = _oracle_fan(name, request)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        comp = compactification(fan)
+        rays = fan.cones_of_dim(1)
+        # the (lead, ray) pairs of the generator cocycles, then those of the ring checks
+        pairs = [(fan.cone_index(c[:-1]), fan.cone_index(c[-1:])) for c in fan.cones if len(c) >= 2]
+        pairs += [(s1, s2) for s1 in rays for s2 in rays if s1 <= s2]
+        for lead, ray in pairs:
+            a, b = chow_generator_cocycle(fan, lead), chow_generator_cocycle(fan, ray)
+            got = cup(a, b, comp.ray_cups.setdefault(ray, {})).data
+            assert list(got.items()) == list(_dense_cup(a, b).data.items()), (fan.cones[lead], fan.cones[ray])
+            assert all(type(x) is int for v in got.values() for x in v)
+        # the memos, shared by every lead above and by the generator cocycles' own cups, hold extensions
+        # wherever a cup of two rays can be nonzero
+        assert fan.dim < 2 or any(memo["extended"] for memo in comp.ray_cups.values())
 
     @pytest.mark.parametrize("seed", [None, 23])
     @pytest.mark.parametrize("name", ["p2", "cube", "k4", "u44"])

@@ -219,7 +219,8 @@ class TestFactoredBases:
                 for q in range(fan.dim + 1 - p):
                     a = tuple(rng.randint(-4, 4) for _ in sheaf.basis(comp, fid, p))
                     b = tuple(rng.randint(-4, 4) for _ in sheaf.basis(comp, fid, q))
-                    got = sheaf.wedge_duals(comp, fid, p, a, q, b)
+                    a_ext, b_ext = sheaf.extend_dual(comp, fid, p, a), sheaf.extend_dual(comp, fid, q, b)
+                    got = sheaf.wedge_duals(comp, fid, p, a_ext, q, b_ext)
                     assert all(type(x) is int for x in got)
                     prod = exterior.wedge_coords(rational_extension(fid, p, a), p, rational_extension(fid, q, b), q, m)
                     assert got == tuple(sum(f * x for f, x in zip(prod, row)) for row in sheaf.basis(comp, fid, p + q))
@@ -234,7 +235,7 @@ class TestFactoredBases:
             "comp = compactification(fan)\n"
             "comp.sheaf_bases[sheaf.basis_id(comp, 0, 1)] = ((2, 0), (0, 1))\n"
             "try:\n"
-            "    sheaf.wedge_duals(comp, 0, 1, (1, 0), 1, (0, 1))\n"
+            "    sheaf.wedge_duals(comp, 0, 1, sheaf.extend_dual(comp, 0, 1, (1, 0)), 1, sheaf.extend_dual(comp, 0, 1, (0, 1)))\n"
             "except AssertionError as exc:\n"
             "    print('raised:', exc)\n"
         )
