@@ -3,8 +3,10 @@
 
 Runs ``tropfan.cli.run`` in-process, from the ``src/`` of the source tree
 named on the command line, over the ``fans/`` fixtures and the Bergman
-fan of K4, runs ``cohomology``, ``verify`` and ``manifold-check`` on the
-Bergman fan of U(4,4), and ``verify`` on that of U(5,4), whose degree-2
+fan of K4, runs ``cohomology`` (every variant on the compactification,
+whose ``bm`` complexes are the largest chain complexes of the tables),
+``verify`` and ``manifold-check`` on the Bergman fan of U(4,4), and
+``verify`` on that of U(5,4), whose degree-2
 and degree-3 generator cocycles are cup products.  Two trees are compared
 by diffing their records:
 
@@ -83,8 +85,9 @@ def cases(root, work):
     for variant in ("c", "bm"):
         for coeff in ("Z", "Q"):
             out.append(["cohomology", "--fan", f, "--space", "fan", "--variant", variant, "--coeff", coeff])
-    for coeff in ("Z", "Q"):
-        out.append(["cohomology", "--fan", f, "--space", "comp", "--coeff", coeff])
+    for variant in ("std", "bm", "c"):
+        for coeff in ("Z", "Q"):
+            out.append(["cohomology", "--fan", f, "--space", "comp", "--variant", variant, "--coeff", coeff])
     out.append(["verify", "--fan", f])
     # every star's vanishing check, read off the stratum slices of the fan's complexes
     for coeff in ("Z", "Q"):

@@ -11,12 +11,18 @@ Covering relations come in two kinds: same sedentarity
 ((tau, sigma') below (tau, sigma) for sigma' a facet of sigma) and
 sedentarity drop ((tau, sigma) below (tau', sigma) for tau' a facet of
 tau).  The incidence sign of a covering pair orients the cell complex.
+Incidence is kept in one direction, from a face up to its cofaces: a
+chain differential is the transpose of a cochain one, so the faces a
+face covers are never listed.
 
 The signs are read off the ray order.  For a cover of gamma by
 delta = (tau, sigma), let r be the ray in which the two differ (the ray
 gamma drops from sigma, or adds to tau) and k the number of rays of
 sigma minus tau with index below r.  A same-sedentarity cover has sign
-(-1)^k and a sedentarity drop -(-1)^k.  Reason: the face multivector of
+(-1)^k and a sedentarity drop -(-1)^k.  k is read off positions in
+the sorted cones: if sigma adds r at position j, k is j minus the rays
+of tau below r; if tau drops its i-th ray r, k is the rays of sigma
+below r minus i.  Reason: the face multivector of
 (tau, sigma) is a positive multiple of the wedge of the projected rays
 of sigma minus tau in index order (``Fan.nu`` is signed so on the rays,
 and the star projection is linear), and moving the projected r to its
@@ -28,6 +34,7 @@ checked where the stars are built.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
 
 class Compactification:
@@ -57,7 +64,6 @@ class Compactification:
         for fid, (t, _) in enumerate(faces):
             self._by_sedentarity[t].append(fid)
         self._cone_sets = tuple(frozenset(c) for c in fan.cones)
-        self._covers = [None] * len(faces)
         self._cofaces = [None] * len(faces)
         # filled by tropfan.sheaf, which says how: the distinct coefficient-lattice bases, their
         # ids by value, basis ids by p and face, solvers and blocks by id, and the blocks' pairs
@@ -101,46 +107,26 @@ class Compactification:
         sets = self._cone_sets
         return sets[td] <= sets[tg] <= sets[sg] <= sets[sd]
 
-    def covers_of(self, did):
-        """List of (gamma, sign) over the faces gamma covered by delta, built on first read."""
-        if self._covers[did] is None:
-            fan, (t, s) = self.fan, self.faces[did]
-            free = [(r, f) for r, f in zip(fan.cones[s], fan.covers_of(s)) if r not in self._cone_sets[t]]
-            # same sedentarity: drop one ray of sigma outside tau; then sedentarity raises: tau grows inside sigma
-            raised = [fan._cone_index[tuple(sorted(fan.cones[t] + (r,)))] for r, _ in free]
-            self._covers[did] = [(self.face_index[(t, f)], _cover_sign(pos, False)) for pos, (_, f) in enumerate(free)]
-            self._covers[did] += [(self.face_index[(u, s)], _cover_sign(pos, True)) for pos, u in enumerate(raised)]
-        return self._covers[did]
-
     def cofaces_of(self, gid):
         """List of (delta, sign) over the faces delta covering gamma, in increasing id, built on first read."""
         if self._cofaces[gid] is None:
-            fan, (t, s) = self.fan, self.faces[gid]
-            sets = self._cone_sets
-            # sigma gains a ray r, or tau loses one; the sign counts the rays of sigma minus tau below r
-            uppers = [((t, c), r, False) for c in fan.covered_by(s) for r in sets[c] - sets[s]]
-            uppers += [((f, s), r, True) for r, f in zip(fan.cones[t], fan.covers_of(t))]
-            free = sets[s] - sets[t]
-            self._cofaces[gid] = sorted(
-                (self.face_index[face], _cover_sign(sum(1 for x in free if x < r), drop)) for face, r, drop in uppers
-            )
+            fan, index, (t, s) = self.fan, self.face_index, self.faces[gid]
+            tau, sigma = fan.cones[t], fan.cones[s]
+            # (-1)^k, k as above, where sigma gains the ray at position j of a cover c (the ray the
+            # j-th facet of c drops), and -(-1)^k where tau loses its i-th ray r
+            gains = [(c, fan.covers_of(c).index(s)) for c in fan.covered_by(s)]
+            uppers = [(index[(t, c)], -1 if (j - bisect_left(tau, fan.cones[c][j])) % 2 else 1) for c, j in gains]
+            drops = enumerate(zip(tau, fan.covers_of(t)))
+            uppers += [(index[(f, s)], 1 if (bisect_left(sigma, r) - i) % 2 else -1) for i, (r, f) in drops]
+            self._cofaces[gid] = sorted(uppers)
         return self._cofaces[gid]
 
     def face_sign(self, gid, did):
         """Incidence sign of a covering pair gamma below delta."""
-        for g, sign in self.covers_of(did):
-            if g == gid:
+        for d, sign in self.cofaces_of(gid):
+            if d == did:
                 return sign
         raise ValueError("not a covering pair")
-
-
-def _cover_sign(pos, drop):
-    """Incidence sign of a cover whose ray r has ``pos`` rays of sigma minus tau below it.
-
-    (tau, sigma) is the upper face; ``drop`` marks a sedentarity drop.
-    """
-    sign = -1 if pos % 2 else 1
-    return -sign if drop else sign
 
 
 def comp_faces(fan):

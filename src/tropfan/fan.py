@@ -113,6 +113,7 @@ class Fan:
         self._by_dim = {}
         for i, c in enumerate(self.cones):
             self._by_dim.setdefault(len(c), []).append(i)
+        self._facets = None  # facet tuples by cone, in ray order, filled by covers_of
         self._cofaces = None  # up-cover lists, the transpose of covers_of
         self._containing = {}
         self._lattice = {}
@@ -173,9 +174,11 @@ class Fan:
         return len({len(self.cones[i]) for i in self.maximal}) <= 1
 
     def covers_of(self, cone_idx):
-        """Indices of cones covered by cone_idx (one ray removed)."""
-        c = self.cones[cone_idx]
-        return [self._cone_index[tuple(x for x in c if x != i)] for i in c]
+        """Indices of cones covered by cone_idx, the k-th removing its k-th ray; built once per fan."""
+        if self._facets is None:
+            index = self._cone_index
+            self._facets = [tuple(index[c[:k] + c[k + 1:]] for k in range(len(c))) for c in self.cones]
+        return self._facets[cone_idx]
 
     def covered_by(self, cone_idx):
         """Indices of cones covering cone_idx (one ray added)."""

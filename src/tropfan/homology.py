@@ -5,7 +5,9 @@ canonical compactification: cohomology and homology over the compact
 faces, tropical cohomology with compact support and Borel-Moore
 homology over all faces.  A fan, viewed as a polyhedral space in its
 own right, has a single compact face (the origin), so its standard
-complexes are concentrated in degree zero.
+complexes are concentrated in degree zero.  Each boundary is the
+transpose of the matching coboundary: both are read off the same
+blocks, from every face up to its cofaces.
 
 The cubical model rewrites the cohomology of the compactification as a
 complex indexed by the cones themselves with coefficients at the points
@@ -163,33 +165,33 @@ def build_complex(space, p, variant="cohomology", coeff="Z"):
 
     spaces = {}
     offsets = {}
-    faces_of = {}
+    ranks = {}
     for fid in faces:
-        q = comp.dim(fid)
-        lab = spaces.setdefault(q, [])
-        rank = sheaf.rank(comp, fid, p)
-        faces_of.setdefault(q, []).append((fid, rank))
+        lab = spaces.setdefault(comp.dim(fid), [])
+        rank = ranks[fid] = sheaf.rank(comp, fid, p)
         offsets[fid] = len(lab)
         lab.extend((fid, i) for i in range(rank))
-    side = 1 if dual else 0  # a coboundary reads the transport rows of a block, a boundary the restriction rows
 
-    def rows(q):
-        # the rows of the map out of degree q, face by face.  Each block in a face's rows
-        # fills the columns of one other face, so no two blocks add up, and with the other
-        # faces in increasing order, as their offsets are, every row comes out sorted
-        out = []
-        for src, rank in faces_of[q]:
-            if dual:
-                pairs = [(dst, sign) for dst, sign in comp.cofaces_of(src) if dst in offsets]
-            else:
-                pairs = sorted((dst, sign) for dst, sign in comp.covers_of(src) if dst in offsets)
-            blocks = sheaf.transports(comp, p, src, pairs, dual)
-            parts = [(offsets[dst], sign, block[side]) for dst, sign, block in blocks]
-            for i in range(rank):
-                out.append({off + c: sign * x for off, sign, block in parts for c, x in block[i]})
-        return SparseMatrix(len(out), len(spaces.get(q + step, ())), tuple(out))
+    # one walk up the faces in increasing id, as their offsets are: a coboundary takes a face's
+    # rows from its coface blocks, a boundary scatters each block's rows into the coface's cells.
+    # No two blocks add up, and every row's columns come out increasing
+    data = {q: [] if dual else [{} for _ in labs] for q, labs in spaces.items()}
+    for gid in faces:
+        pairs = [(did, sign) for did, sign in comp.cofaces_of(gid) if did in offsets]
+        blocks = sheaf.transports(comp, p, gid, pairs)
+        if dual:
+            parts = [(offsets[did], sign, block) for did, sign, block in blocks]
+            data[comp.dims[gid]].extend(
+                {off + i: sign * x for off, sign, block in parts for i, x in block[j]} for j in range(ranks[gid])
+            )
+            continue
+        for did, sign, block in blocks:
+            off, upper = offsets[did], data[comp.dims[did]]
+            for j, row in enumerate(block, offsets[gid]):
+                for i, x in row:
+                    upper[off + i][j] = sign * x
 
-    maps = {q: rows(q) for q in spaces}
+    maps = {q: SparseMatrix(len(out), len(spaces.get(q + step, ())), tuple(out)) for q, out in data.items()}
     gc = GradedComplex(comp, p, variant, coeff, step, {q: tuple(v) for q, v in spaces.items()}, maps)
     if not gc.check_dd_zero():
         raise AssertionError(f"the {variant} differential for p = {p} does not square to zero")
@@ -483,10 +485,11 @@ def _cup_coefficient(fan, t, sigma, eta):
 
 def _transport_dual(comp, p, gid, pairs, values, acc):
     """Add sign times the SF^p values at gamma, carried to delta, to ``acc[delta]`` for each (delta, sign); returns acc."""
-    for did, sign, (restricted, transport) in sheaf.transports(comp, p, gid, pairs, True):
+    for did, sign, transport in sheaf.transports(comp, p, gid, pairs):
         cur = acc.get(did)
         if cur is None:
-            cur = acc[did] = [0] * len(restricted)
+            # transports has read delta's basis id
+            cur = acc[did] = [0] * len(comp.sheaf_bases[comp.sheaf_ids[p][did]])
         for x, row in zip(values, transport):
             if x:
                 x *= sign
@@ -633,7 +636,7 @@ def fine_double_complex(fan, p):
         vertical[key] = [[0] * len(v_dst) for _ in labs]
     for gid in range(len(comp.faces)):
         key, off_src = offsets[gid]
-        for did, sign, (_, transport) in sheaf.transports(comp, p, gid, comp.cofaces_of(gid), True):
+        for did, sign, transport in sheaf.transports(comp, p, gid, comp.cofaces_of(gid)):
             _, off_dst = offsets[did]
             M = (horizontal if comp.faces[gid][0] == comp.faces[did][0] else vertical)[key]
             for i, row in enumerate(transport):

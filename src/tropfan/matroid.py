@@ -12,7 +12,6 @@ flat F, and cones are chains of proper flats.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 from .fan import Fan, TropicalWeights
 
@@ -29,6 +28,7 @@ class Matroid:
         if len(sizes) != 1:
             raise ValueError("all bases must have the same cardinality")
         (self.rank_value,) = sizes
+        self._rank_cache = {}
         for b in self.bases:
             if any(e < 0 or e >= n for e in b):
                 raise ValueError("basis element out of range")
@@ -57,21 +57,15 @@ class Matroid:
         comp_count = _components(vertices, edges, range(n))
         tree_size = vertices - comp_count
         for subset in itertools.combinations(range(n), tree_size):
-            if _components(vertices, edges, subset) == comp_count and not _has_cycle(
-                vertices, edges, subset
-            ):
+            # V - c edges leaving c components form a spanning forest: they cannot close a cycle
+            if _components(vertices, edges, subset) == comp_count:
                 spanning.append(frozenset(subset))
         return cls(n, spanning)
 
     def rank(self, subset=None):
         if subset is None:
             return self.rank_value
-        s = frozenset(subset)
-        return max(len(s & b) for b in self.bases) if self.bases else 0
-
-    @cached_property
-    def _rank_cache(self):
-        return {}
+        return self._rk(frozenset(subset))
 
     def _rk(self, s):
         cache = self._rank_cache
@@ -124,21 +118,18 @@ def _components(vertices, edges, subset):
     return len({find(v) for v in range(vertices)})
 
 
-def _has_cycle(vertices, edges, subset):
-    return _components(vertices, edges, subset) != vertices - len(list(subset))
-
-
 def bergman_fan(matroid, name=""):
     """The Bergman fan of a loopless matroid with its unit weights.
 
     Rays correspond to proper nonempty flats, cones to chains of such
     flats; the fan is pure of dimension rank - 1 and carries the weight
-    one on every facet.
+    one on every facet.  On the empty ground set it is the origin in
+    Z^0, which Z^0 modulo the all-ones vector is.
     """
     if matroid.loops():
         raise ValueError("matroid has loops")
     n = matroid.n
-    ambient = n - 1
+    ambient = max(n - 1, 0)
     flats_by_rank = matroid.flats()
     proper = []
     for r in sorted(flats_by_rank):
@@ -163,7 +154,7 @@ def bergman_fan(matroid, name=""):
 
     maximal = []
     d = matroid.rank_value - 1
-    if d == 0:
+    if d <= 0:
         fan = Fan(ambient, rays, [()], {0}, name=name)
         return fan, TropicalWeights.unit(fan)
     for chain in _chains(flat_sets, d):

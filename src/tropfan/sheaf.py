@@ -19,13 +19,14 @@ covers share one basis has it too, with no HNF run.
 
 Each compactification interns its bases: ``comp.sheaf_bases`` lists the
 distinct ones and ``comp.sheaf_ids[p][face]`` is the face's basis id.
-Solvers are kept per basis id, and restriction blocks, each as sparse
-(column, entry) rows with the sparse rows of its transpose, per (id
-delta, id gamma) or, for a sedentarity drop, per (id delta, id gamma,
-:meth:`~tropfan.fan.Fan.transition_id`), their pairs interned in
-``comp.sheaf_pairs`` (nearly all are +-1 at a small column);
-:func:`transports` reads them face by face, and only dense kernels
-densify them.
+Solvers are kept per basis id, and restriction blocks per (id delta,
+id gamma) or, for a sedentarity drop, per (id delta, id gamma,
+:meth:`~tropfan.fan.Fan.transition_id`).  A block is stored once, as
+the sparse (column, entry) rows of its dual transport from gamma up to
+delta, their pairs interned in ``comp.sheaf_pairs`` (nearly all are
++-1 at a small column); :func:`transports` reads them face by face,
+from the lower face, and :func:`restriction` transposes one on read.
+Only dense kernels densify them.
 
 SF^p, the dual, is represented by value vectors on the HNF basis of
 SF_p; it is never materialized as a sublattice of an ambient dual
@@ -139,29 +140,34 @@ def restriction(comp, p, gid, did):
 
     Same-sedentarity inclusions embed, sedentarity drops project; the
     general case composes both.  Row i holds the (column, entry) pairs,
-    over the basis of SF_p(gamma), of basis element i of SF_p(delta).
+    over the basis of SF_p(gamma), of basis element i of SF_p(delta):
+    the stored transport block, transposed on read.
     """
-    return _block(comp, p, gid, did)[0]
+    transport = dual_transport(comp, p, gid, did)
+    rows = [[] for _ in range(rank(comp, did, p))]
+    for j, row in enumerate(transport):
+        for i, x in row:
+            rows[i].append((j, x))
+    return tuple(map(tuple, rows))
 
 
 def dual_transport(comp, p, gid, did):
-    """Sparse rows of the dual map SF^p(gamma) -> SF^p(delta) on value rows: the transpose of :func:`restriction`."""
-    return _block(comp, p, gid, did)[1]
-
-
-def _block(comp, p, gid, did):
-    """The block of a pair checked to be incident, as :func:`transports` yields it."""
+    """Sparse rows of the dual map SF^p(gamma) -> SF^p(delta) on value rows, for a subface gamma of delta."""
     if not comp.is_subface(gid, did):
         raise ValueError("not an incident pair")
-    ((_, _, block),) = transports(comp, p, gid, ((did, 1),), True)
+    ((_, _, block),) = transports(comp, p, gid, ((did, 1),))
     return block
 
 
-def transports(comp, p, fid, pairs, up):
-    """(face, sign, (restriction, dual transport)) for each (face, sign) pair, in order, each block solved once per key.
+def transports(comp, p, fid, pairs):
+    """(face, sign, transport rows) for each (face, sign) pair, in order, each block solved once per key.
 
-    The faces of ``pairs`` all contain the face (``up``) or all lie in
-    it; nothing checks that they do.  The face's basis id is read once.
+    The faces of ``pairs`` all contain the face; nothing checks that
+    they do.  Row j of a block carries the face's j-th dual basis value
+    up: its (column, entry) pairs hold, at each basis element i of the
+    coface, the j-th coordinate of that element's restriction to the
+    face.  A boundary reads the same rows transposed.  The face's basis
+    id is read once.
     """
     faces, blocks, transition_id = comp.faces, comp.sheaf_blocks, comp.fan.transition_id
     bid = basis_id(comp, fid, p)
@@ -172,17 +178,15 @@ def transports(comp, p, fid, pairs, up):
         if oid is None:
             oid = basis_id(comp, other, p)
         t_other = faces[other][0]
-        key = (oid, bid) if up else (bid, oid)
-        if t_other != t:
-            key += (transition_id(t_other, t, p) if up else transition_id(t, t_other, p),)
+        key = (oid, bid) if t_other == t else (oid, bid, transition_id(t_other, t, p))
         block = blocks.get(key)
         if block is None:
-            block = blocks[key] = _solve_block(comp, p, key, *((fid, other) if up else (other, fid)))
+            block = blocks[key] = _solve_block(comp, p, key, fid, other)
         yield other, sign, block
 
 
 def _solve_block(comp, p, key, gid, did):
-    """(restriction rows, transport rows) of the key's block, solved against the target basis."""
+    """The transport rows of the key's block: the columns of its restriction, solved against the lower basis."""
     mapped = comp.sheaf_bases[key[0]]
     if len(key) == 3:
         A = comp.fan._transitions[key[2]]
@@ -194,7 +198,7 @@ def _solve_block(comp, p, key, gid, did):
         raise AssertionError(f"restriction of SF_{p} from face {did} to face {gid} {what}")
     columns = zip(*rows) if rows else [()] * len(comp.sheaf_bases[key[1]])
     intern = comp.sheaf_pairs.setdefault
-    return tuple(tuple(tuple(intern(jx, jx) for jx in enumerate(row) if jx[1]) for row in m) for m in (rows, columns))
+    return tuple(tuple(intern(ix, ix) for ix in enumerate(column) if ix[1]) for column in columns)
 
 
 def extend_dual(comp, fid, p, values):

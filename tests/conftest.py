@@ -96,3 +96,18 @@ def _reordered(fan, seed):
 def reordered():
     """``reordered(fan, seed)``: the fan with seeded ray and cone numbering."""
     return _reordered
+
+
+def _face_covers(comp):
+    """By face delta, the (gamma, sign) pairs over the faces it covers, in increasing id: the transpose of ``cofaces_of``."""
+    covers = [[] for _ in comp.faces]
+    for gid in range(len(comp.faces)):
+        for did, sign in comp.cofaces_of(gid):
+            covers[did].append((gid, sign))
+    return covers
+
+
+@pytest.fixture(scope="session")
+def face_covers():
+    """``face_covers(comp)``: every face's covers, read off the cofaces."""
+    return _face_covers

@@ -145,6 +145,23 @@ class TestBergman:
         out = tmp_path / "out.json"
         assert run(["bergman", "--matroid", m.as_posix(), "-o", str(out)]) == 2
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "uniform", "n": 0, "r": 0},
+        {"type": "graphic", "vertices": 3, "edges": []},
+        {"type": "uniform", "n": 1, "r": 1},
+    ])
+    def test_empty_ground_set_writes_the_origin_in_z0(self, spec, tmp_path, capsys):
+        # Z^0 modulo the all-ones vector is Z^0, so the fan is its origin, as for U(1,1)
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(spec))
+        out = tmp_path / "out.json"
+        assert run(["bergman", "--matroid", str(m), "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert (data["rank"], data["rays"], data["maximal_cones"], data["weights"]) == (0, [], [[]], [1])
+        capsys.readouterr()
+        assert run(["verify", "--fan", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verdict: pass"
+
 
 class TestChowAndMW:
     def test_chow_table(self, capsys):

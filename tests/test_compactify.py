@@ -35,14 +35,15 @@ class TestFaceCounts:
         expected = sum(2 ** len(c) for c in fan.cones)
         assert len(comp.faces) == expected
 
-    def test_cover_count_is_twice_dimension(self, cube):
+    def test_cover_count_is_twice_dimension(self, cube, face_covers):
         comp = compactification(cube)
+        covers = face_covers(comp)
         for fid in range(len(comp.faces)):
-            assert len(comp.covers_of(fid)) == 2 * comp.dim(fid)
+            assert len(covers[fid]) == 2 * comp.dim(fid)
 
 
 def _whole_poset_covers(comp):
-    """Covers and cofaces of every face in one pass over the poset, as built before they were built per face."""
+    """Covers and cofaces of every face in one pass over the poset, as built before cofaces were built per face."""
     cones = comp.fan.cones
     facets = [comp.fan.covers_of(c) for c in range(len(cones))]
     raised = [{} for _ in cones]
@@ -69,14 +70,15 @@ class TestIncidenceIndex:
         fan = request.getfixturevalue("k4_pair")[0] if name == "k4" else request.getfixturevalue(name)
         comp = compactification(fan)
         n = len(comp.faces)
-        down = sorted((gid, did, sign) for did in range(n) for gid, sign in comp.covers_of(did))
+        covers, _ = _whole_poset_covers(comp)
+        down = sorted((gid, did, sign) for did in range(n) for gid, sign in covers[did])
         up = sorted((gid, did, sign) for gid in range(n) for did, sign in comp.cofaces_of(gid))
         assert up == down
         assert len(set(down)) == len(down)
 
     @pytest.mark.parametrize("seed", [None, 5])
     @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4", "u44"])
-    def test_per_face_covers_match_the_whole_poset_pass(self, name, seed, request, reordered):
+    def test_per_face_covers_match_the_whole_poset_pass(self, name, seed, request, reordered, face_covers):
         if name == "u44":
             fan = bergman_fan(Matroid.uniform(4, 4))[0]
         else:
@@ -85,11 +87,12 @@ class TestIncidenceIndex:
             fan = reordered(fan, seed)
         comp = Compactification(fan)
         covers, cofaces = _whole_poset_covers(comp)
-        # cofaces first, in reverse, so neither list is built from the other's reads
-        for fid in reversed(range(len(comp.faces))):
-            assert comp.cofaces_of(fid) == cofaces[fid], fid
         for fid in range(len(comp.faces)):
-            assert comp.covers_of(fid) == covers[fid], fid
+            assert comp.cofaces_of(fid) == cofaces[fid], fid
+        # the covers, read as the transpose of the cofaces, in increasing id
+        read = face_covers(comp)
+        for fid in range(len(comp.faces)):
+            assert read[fid] == sorted(covers[fid]), fid
 
     @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4"])
     def test_faces_of_dim_partition(self, name, request):
@@ -200,7 +203,7 @@ class TestSignOracle:
         if seed is not None:
             fan = reordered(fan, seed)
         comp = Compactification(fan)
-        pairs = [(gid, did, sign) for did in range(len(comp.faces)) for gid, sign in comp.covers_of(did)]
+        pairs = [(gid, did, sign) for gid in range(len(comp.faces)) for did, sign in comp.cofaces_of(gid)]
         assert pairs
         for gid, did, sign in pairs:
             assert sign == comp.face_sign(gid, did) == _determinant_sign(comp, gid, did), (comp.faces[gid], comp.faces[did])

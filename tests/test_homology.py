@@ -128,8 +128,8 @@ class TestSparseDifferentials:
         assert gc.check_dd_zero() == (not any((A * B).entries))
 
     def test_flipped_block_exits_3_under_optimize(self):
-        # one sign flipped in one stored p = 1 block, in its rows and in its transpose: d^2 = 0
-        # fails even under -O, and the CLI says where.  The block maps between two different
+        # one sign flipped in one stored p = 1 block, read by both the coboundary and, transposed,
+        # the boundary: d^2 = 0 fails even under -O, and the CLI says where.  The block maps between two different
         # bases: one from a basis to itself may be the identity wherever it is read, and a sign
         # flipped there is a change of basis, under which d^2 stays zero
         code = (
@@ -140,12 +140,12 @@ class TestSparseDifferentials:
             "def flip(rows, a, b):\n"
             "    return tuple(tuple((c, -e if (r, c) == (a, b) else e) for c, e in row) for r, row in enumerate(rows))\n"
             "def wrapped(comp, p, key, gid, did):\n"
-            "    restricted, transport = original(comp, p, key, gid, did)\n"
-            "    if p == 1 and not flipped and key[0] != key[1] and any(restricted):\n"
+            "    transport = original(comp, p, key, gid, did)\n"
+            "    if p == 1 and not flipped and key[0] != key[1] and any(transport):\n"
             "        flipped.append(key)\n"
-            "        i, (j, _) = next((i, row[0]) for i, row in enumerate(restricted) if row)\n"
-            "        restricted, transport = flip(restricted, i, j), flip(transport, j, i)\n"
-            "    return restricted, transport\n"
+            "        j, (i, _) = next((j, row[0]) for j, row in enumerate(transport) if row)\n"
+            "        transport = flip(transport, j, i)\n"
+            "    return transport\n"
             "sheaf._solve_block = wrapped\n"
             f"sys.exit(cli.run(['cohomology', '--fan', {str(FANS / 'cube.json')!r}, '--space', 'comp']))\n"
         )
@@ -168,8 +168,11 @@ def _dense_block(comp, p, gid, did, dual):
     return out
 
 
-def _oracle_complex(space, p, variant, coeff):
-    """The complex as assembled from one checked dense block per cover pair by the dense ``_assemble``."""
+def _oracle_complex(space, p, variant, coeff, covers):
+    """The complex as assembled from one checked dense block per cover pair by the dense ``_assemble``.
+
+    ``covers`` lists each face's covers, as the ``face_covers`` fixture reads them.
+    """
     comp = space if isinstance(space, homology.Compactification) else compactification(space)
     use_fan_faces = comp is not space
     zero = comp.fan.zero_cone
@@ -192,7 +195,7 @@ def _oracle_complex(space, p, variant, coeff):
     for q, labs in spaces.items():
         blocks = []
         for src in faces_of[q]:
-            for dst, sign in comp.cofaces_of(src) if dual else comp.covers_of(src):
+            for dst, sign in comp.cofaces_of(src) if dual else covers[src]:
                 if dst in face_set:
                     M = _dense_block(comp, p, src, dst, True) if dual else _dense_block(comp, p, dst, src, False)
                     rpos = range(offsets[src], offsets[src] + sheaf.rank(comp, src, p))
@@ -207,20 +210,50 @@ class TestAssemblyOracle:
 
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("name", FIXTURES + ["k4", "u53", "u44"])
-    def test_rows_and_column_order(self, name, seed, request, reordered):
+    def test_rows_and_column_order(self, name, seed, request, reordered, face_covers):
         fan = reordered(_oracle_fan(name, request), seed)
+        covers = face_covers(compactification(fan))
         for space in (fan, compactification(fan)):
             for variant in VARIANTS:
                 for p in range(fan.dim + 1):
                     for coeff in ("Z", "Q"):
                         gc = build_complex(space, p, variant, coeff)
-                        spaces, maps = _oracle_complex(space, p, variant, coeff)
+                        spaces, maps = _oracle_complex(space, p, variant, coeff, covers)
                         assert gc.spaces == spaces
                         assert gc.maps.keys() == maps.keys()
                         for q, m in maps.items():
                             assert (gc.maps[q].rows, gc.maps[q].cols) == (m.rows, m.cols)
                             # the same entries, each row's columns in the same order
                             assert [list(r.items()) for r in gc.maps[q].data] == [list(r.items()) for r in m.data]
+
+
+class TestChainsTransposeCochains:
+    """Each chain differential is the exact transpose of the matching cochain differential."""
+
+    @pytest.mark.parametrize("seed", [None, 13])
+    @pytest.mark.parametrize("name", FIXTURES + ["k4", "u53", "u44"])
+    def test_boundary_is_the_transposed_coboundary(self, name, seed, request, reordered):
+        fan = _oracle_fan(name, request)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        for space in (fan, compactification(fan)):
+            for chains, cochains in (("homology", "cohomology"), ("borel_moore", "compact_support")):
+                for p in range(fan.dim + 1):
+                    down, up = build_complex(space, p, chains), build_complex(space, p, cochains)
+                    assert down.spaces == up.spaces
+                    assert down.maps.keys() == up.maps.keys()
+                    for q, m in down.maps.items():
+                        # the map into degree q - 1 against the transpose of the map out of it, if any
+                        transposed = [{} for _ in range(m.rows)]
+                        coboundary = up.maps.get(q - 1)
+                        if coboundary is not None:
+                            assert (coboundary.rows, coboundary.cols) == (m.cols, m.rows)
+                            for j, row in enumerate(coboundary.data):
+                                for i, x in row.items():
+                                    transposed[i][j] = x
+                        else:
+                            assert m.cols == 0
+                        assert [list(r.items()) for r in m.data] == [list(r.items()) for r in transposed]
 
 
 class TestFixtureTables:
@@ -989,16 +1022,17 @@ class TestStratumSlices:
 
     @pytest.mark.parametrize("seed", [None, 23])
     @pytest.mark.parametrize("name", FIXTURES + ["k4", "u53"])
-    def test_closed_stratum_is_the_face_closed_set_above_the_cone(self, name, seed, request, reordered):
+    def test_closed_stratum_is_the_face_closed_set_above_the_cone(self, name, seed, request, reordered, face_covers):
         fan = _oracle_fan(name, request)
         if seed is not None:
             fan = reordered(fan, seed)
         comp = compactification(fan)
+        covers = face_covers(comp)
         for tau, cone in enumerate(fan.cones):
             stratum = comp.closed_stratum(tau)
             assert stratum == [fid for fid, (t, _) in enumerate(comp.faces) if set(cone) <= set(fan.cones[t])]
             inside = set(stratum)
-            assert all(gid in inside for did in stratum for gid, _ in comp.covers_of(did)), cone
+            assert all(gid in inside for did in stratum for gid, _ in covers[did]), cone
 
     @pytest.mark.parametrize("seed", [None, 23])
     @pytest.mark.parametrize("coeff", ["Z", "Q"])
