@@ -320,8 +320,18 @@ def _ray_cocycle_values(fan, comp, ray):
         t_up = fan.cone_index(tuple(sorted(fan.cones[t] + (ray,))))
         gid = comp.face_index[(t_up, eta)]
         sign = comp.face_sign(gid, did)
-        lifts = zlinalg.section_rows(sheaf.restriction(comp, 1, gid, did), sheaf.rank(comp, gid, 1))
-        pushed = [sum(l * v for l, v in zip(lift, values)) for lift in lifts]
+        # each SF_1 basis element at gid lifted along the star section N^t_up -> N -> N^t: the lift
+        # stays in SF_1 at did, since the kernel of N^t -> N^t_up is Z e, e in every N_sigma / N_t
+        # with sigma containing eta
+        section, width = fan._transitions[fan.transition_id(t_up, t, 1)], fan.star(t).quotient_rank
+        pushed = []
+        for v in sheaf.basis(comp, gid, 1):
+            lift = sheaf.coords_in(comp, did, 1, zlinalg.vecmat(v, section, width))
+            if lift is None:
+                raise AssertionError(
+                    f"the lift of SF_1 at face {gid} along the star section leaves SF_1 at face {did} (ray {ray})"
+                )
+            pushed.append(sum(x * y for x, y in zip(lift, values)))
         cur = b.value(gid)
         b.set_value(gid, tuple(x + sign * y for x, y in zip(cur, pushed)))
     return (a - b).data

@@ -66,12 +66,12 @@ class Compactification:
         self._cone_sets = tuple(frozenset(c) for c in fan.cones)
         self._cofaces = [None] * len(faces)
         # filled by tropfan.sheaf, which says how: the distinct coefficient-lattice bases, their
-        # ids by value, basis ids by p and face, solvers and blocks by id, and the blocks' pairs
+        # ids by value, basis ids by p and face, one solver per basis id for coordinates and
+        # extensions alike, blocks by id, and the blocks' pairs
         self.sheaf_bases = []
         self.sheaf_interned = {}
         self.sheaf_ids = {}
         self.sheaf_solvers = {}
-        self.sheaf_extension = {}
         self.sheaf_blocks = {}
         self.sheaf_pairs = {}
         # value dicts of the Chow generator cocycles by cone, rays included, filled by tropfan.chow;

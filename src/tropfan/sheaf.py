@@ -35,13 +35,13 @@ contraction maps all reduce to exact integer solves against these
 bases.
 
 Wedges and contractions of dual elements need their values on every
-wedge monomial.  ``comp.sheaf_extension`` keeps one rational
-elimination per basis id and width whose row operations are scaled
-once by their common denominator D, so an extension is an integer
-vector D * g.  The integer result of a wedge or contraction is divided
-once by the product of the denominators; the division is exact because
-the result is evaluated on lattices spanned by wedges of tangent
-vectors, and an inexact one raises, naming the face and degrees.
+wedge monomial.  The basis id's solver, the one that gives coordinates,
+also gives them: its back substitution is scaled once by a common
+denominator D, so an extension is an integer vector D * g.  The integer
+result of a wedge or contraction is divided once by the product of the
+denominators; the division is exact because the result is evaluated on
+lattices spanned by wedges of tangent vectors, and an inexact one
+raises, naming the face and degrees.
 """
 
 from __future__ import annotations
@@ -204,19 +204,18 @@ def _solve_block(comp, p, key, gid, did):
 def extend_dual(comp, fid, p, values):
     """An extension of a dual element to all wedge monomials, scaled to integers: (D * g, D).
 
-    Deterministic: g holds the coordinates with B g = values that
-    Gaussian elimination on the basis B gives with free coordinates
-    pinned to zero, from one :class:`~tropfan.zlinalg.FracSolver` per
-    basis id and width, and D is that solver's common denominator.  Two
+    Deterministic: g holds the coordinates with B g = values that are
+    zero off the pivot columns of the basis B, as Gaussian elimination
+    gives them with free coordinates pinned to zero, from the basis id's
+    :func:`basis_solver`, and D is that solver's denominator.  Two
     extensions differ by a form vanishing on SF_p, which is invisible
     to every use below.
     """
-    bid, width = basis_id(comp, fid, p), exterior.dim(star_rank(comp, fid), p)
-    solver = comp.sheaf_extension.get((bid, width))
+    solver = basis_solver(comp, fid, p)
     if solver is None:
-        solver = comp.sheaf_extension[bid, width] = zlinalg.FracSolver(comp.sheaf_bases[bid], width)
-        if solver.rank != len(comp.sheaf_bases[bid]):
-            raise AssertionError(f"SF_{p} basis rows at face {fid} are linearly dependent")
+        return (0,) * exterior.dim(star_rank(comp, fid), p), 1
+    if solver.rank != solver.rows:
+        raise AssertionError(f"SF_{p} basis rows at face {fid} are linearly dependent")
     return solver.solve_scaled(values), solver.denominator
 
 

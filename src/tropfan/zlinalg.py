@@ -10,20 +10,21 @@ The main entry points are :func:`snf`, its divisors-only variant
 :func:`snf_divisors`, :func:`hnf`, the factor-once solver
 :class:`RowSolver`, :func:`kernel_basis`, :func:`cokernel_group`,
 :func:`saturate`, the quotient :class:`LatticeQuotient` with its step
-replay :func:`replay`,
-the rational solvers :func:`solve_frac` and :class:`FracSolver`, the
+replay :func:`replay`, the rational solver :func:`solve_frac`, the
 row-vector products :func:`vecmat` and :func:`sparse_vecmat`, and the
 exact Bland-rule simplex :func:`feasible` / :func:`strict_lp_feasible`.
 
-The three eliminations :func:`hnf`, :func:`_snf` and :func:`_eliminate`
-share one convention: they pivot on the first ``ncols`` columns and carry the
-rest along by the same row operations.  A transform is never tracked on
-its own; whoever needs one reduces [A | I] and reads it off the carried
-block (:func:`snf`'s U, :class:`RowSolver`'s and :class:`FracSolver`'s
-T), so no elimination builds a transform that nobody reads.  Sparse
-rows lose their +-1 pivots first (:func:`_unit_pivots`); each can be
-kept as a step (:func:`record_step`), which holds the pivot row itself,
-as no later pivot changes it, and a class map replays the steps.
+The two eliminations :func:`hnf` and :func:`_snf` share one convention:
+they pivot on the first ``ncols`` columns and carry the rest along by the
+same row operations.  A transform is never tracked on its own; whoever
+needs one reduces [A | I] and reads it off the carried block
+(:func:`snf`'s U, :class:`RowSolver`'s T), so no elimination builds a
+transform that nobody reads.  Every exact solve, integral or rational,
+factors its matrix with :func:`hnf`; :func:`_snf` serves the groups and
+quotients.  Sparse rows lose their +-1 pivots first
+(:func:`_unit_pivots`); each can be kept as a step (:func:`record_step`),
+which holds the pivot row itself, as no later pivot changes it, and a
+class map replays the steps.
 """
 
 from __future__ import annotations
@@ -549,26 +550,24 @@ def saturate(L):
 
 
 class RowSolver:
-    """Integer solutions x of x * B = v for many v, from one HNF of B.
+    """Integer solutions x of x * B = v, and rational ones g of B * g = r, for many v and r, from one HNF of B.
 
     B is factored once as :func:`hnf` of [B | I] on B's columns, which
     gives [H | T] with H = T * B; each :meth:`solve` reduces v against
-    the pivot rows of H and maps the coefficients back through T.  B
-    need not be in HNF.
+    the pivot rows of H and maps the coefficients back through T, and
+    each :meth:`solve_scaled` back-substitutes T * r on them.  B need not
+    be in HNF.
     """
 
     def __init__(self, B):
         n = B.cols
-        self.rows = B.rows
-        # (pivot column, pivot, nonzero entries) of each nonzero row of H, and that row of T
-        self._pivots = []
-        self._T = []
-        for row in hnf(IntMatrix._trusted_rows(_with_identity(B.row_tuples()), n + B.rows), n).row_tuples():
-            nz = [(j, row[j]) for j in range(n) if row[j]]
-            if not nz:
-                break
-            self._pivots.append((nz[0][0], nz[0][1], nz))
-            self._T.append(row[n:])
+        self.rows, self.cols = B.rows, n
+        H = hnf(IntMatrix._trusted_rows(_with_identity(B.row_tuples()), n + B.rows), n)
+        # the rows of T past the rank span the left kernel of B: B * g = r is solvable iff they annihilate r
+        self._pivots, self._T, self._null = _split_echelon(H, n)
+        self.rank = len(self._pivots)
+        # the determinant of H's pivot block, so denominator * g is integral for an integer r (Cramer)
+        self.denominator = math.prod(pivot for _, pivot, _ in self._pivots)
 
     def solve(self, vec):
         """Coefficients x with x * B = vec, or None if there are none."""
@@ -585,6 +584,53 @@ class RowSolver:
         if any(v):
             return None
         return vecmat(coeff, self._T, self.rows)
+
+    def solve_scaled(self, rhs):
+        """``denominator`` times the rational g with B * g = rhs that is zero off H's pivot columns, or None.
+
+        The columns of B at H's pivot columns are independent and every
+        echelon form of B pivots on them, so g is unique: it is the
+        solution Gauss-Jordan elimination gives with free coordinates
+        zero.  It is integral for an integer ``rhs``.
+        """
+        if any(_dot(t, rhs) for t in self._null):
+            return None
+        d = self.denominator
+        return _back_substitute(self._pivots, [d * _dot(t, rhs) for t in self._T], self.cols)
+
+
+def _split_echelon(H, n):
+    """The (column, pivot, nonzero entries) of each nonzero row of an :func:`hnf` on its first n columns.
+
+    Also returns the carried part of those rows, and that of the rows
+    past the rank, which are zero on the first n columns.
+    """
+    rows = H.row_tuples()
+    pivots = []
+    for row in rows:
+        nz = [(j, row[j]) for j in range(n) if row[j]]
+        if not nz:
+            break
+        pivots.append((nz[0][0], nz[0][1], nz))
+    rank = len(pivots)
+    return pivots, [row[n:] for row in rows[:rank]], [row[n:] for row in rows[rank:]]
+
+
+def _dot(row, vec):
+    return sum(x * y for x, y in zip(row, vec) if x)
+
+
+def _back_substitute(pivots, u, n):
+    """The g with H * g = u that is zero off the pivot columns, last pivot first.
+
+    ``pivots`` holds the (column, pivot, nonzero entries) of H's echelon
+    rows.  Every division must be exact, as it is for u scaled by the
+    product of the pivots.
+    """
+    g = [0] * n
+    for (c, pivot, nz), x in zip(reversed(pivots), reversed(u)):
+        g[c] = (x - sum(e * g[j] for j, e in nz[1:])) // pivot
+    return tuple(g)
 
 
 def in_rowspace(B, vec):
@@ -618,143 +664,39 @@ def vecmat(vec, rows, width=None):
     return tuple(out)
 
 
-def _eliminate(rows, ncols=None):
-    """Gauss-Jordan elimination over Q on the first ``ncols`` columns, in integers: (a, scale, pivots).
-
-    Row i of the reduced row echelon form is ``a[i] / scale[i]``, with
-    every scale positive; a pivot row's scale is its (positive) pivot
-    entry, so the pivot rows come first, scaled to a leading one, and
-    ``pivots`` lists their columns.  Pivots are taken column by column
-    from the first row at or below the current one with a nonzero entry;
-    columns past ``ncols`` (an augmented right-hand side) are carried
-    along but never pivoted on.
-
-    Each input row is cleared of denominators once.  A pivot row P at
-    column c, with pivot p, then clears column c of every other row R
-    with entry f there by the cross-multiplication
-    R <- (p R - f P) / gcd(p, f), its scale multiplied by p / gcd(p, f),
-    and the row and its scale are divided by their common gcd, so the
-    scale stays the least common denominator of the rational row.  R
-    and the rational row have the same zeros, so the pivots are those
-    of the same elimination in ``Fraction``s.
-    """
-    a, scale = [], []
-    for r in rows:
-        d = math.lcm(*(x.denominator for x in r))
-        a.append([x.numerator * (d // x.denominator) for x in r])
-        scale.append(d)
-    m = len(a)
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        scale[piv] = scale[r]
-        prow = a[r]
-        g = math.gcd(*prow)
-        if prow[c] < 0:
-            g = -g
-        if g != 1:
-            prow = a[r] = [x // g for x in prow]
-        p = scale[r] = prow[c]
-        for i in range(m):
-            f = a[i][c]
-            if i == r or not f:
-                continue
-            g = math.gcd(p, f)
-            keep, sub = p // g, f // g
-            row = [keep * x - sub * y for x, y in zip(a[i], prow)]
-            s = scale[i] * keep
-            if s != 1:
-                g = math.gcd(s, *row)
-                if g != 1:
-                    row = [x // g for x in row]
-                    s //= g
-            a[i] = row
-            scale[i] = s
-        pivots.append(c)
-        r += 1
-    return a, scale, pivots
+def _integer_row(row):
+    """A row of Fraction/int entries times the least common denominator of its entries."""
+    d = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def rank_frac(rows):
-    """Rank of a matrix with Fraction/int entries."""
-    return len(_eliminate(rows)[2])
+    """Rank of a matrix with Fraction/int entries, read off a :class:`RowSolver` of its rows cleared of denominators."""
+    if not rows:
+        return 0
+    ints = [_integer_row(r) for r in rows]
+    return RowSolver(IntMatrix._trusted_rows(ints, len(ints[0]))).rank
 
 
 def solve_frac(rows, rhs):
     """One rational solution g of rows . g = rhs, or None.
 
     ``rows`` is a list of coefficient rows (the system is
-    sum_j rows[i][j] * g[j] = rhs[i]).  Free variables are set to zero,
-    which makes the solution deterministic.
+    sum_j rows[i][j] * g[j] = rhs[i]) of Fraction/int entries.  Each
+    equation is cleared of denominators and rhs is carried through one
+    :func:`hnf` on the coefficient columns.  Free variables are set to
+    zero, which makes the solution deterministic: it is
+    :meth:`RowSolver.solve_scaled`'s, by the same back substitution.
     """
     if not rows:
         return ()
     n = len(rows[0])
-    a, _, pivots = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)], n)
-    if any(row[n] for row in a[len(pivots) :]):
+    augmented = [_integer_row((*r, b)) for r, b in zip(rows, rhs)]
+    pivots, u, rest = _split_echelon(hnf(IntMatrix._trusted_rows(augmented, n + 1), n), n)
+    if any(x for x, in rest):
         return None
-    g = [Fraction(0)] * n
-    for row, c in zip(a, pivots):
-        g[c] = Fraction(row[n], row[c])
-    return tuple(g)
-
-
-class FracSolver:
-    """Rational solutions g of rows . g = rhs for many rhs, from one elimination, scaled to integers.
-
-    The integer ``rows`` are eliminated once, as :func:`_eliminate` of
-    [rows | I] on its first ``ncols`` columns; the identity block records the row
-    operations T, which are scaled once by their least common
-    denominator ``denominator``.
-    The pivots are chosen as :func:`solve_frac` chooses them, so
-    :meth:`solve_scaled` returns ``denominator`` times the same
-    solution: free coordinates zero, g[pivot_k] = T_k . rhs, and None
-    when a row of T past the rank does not annihilate rhs.
-    """
-
-    def __init__(self, rows, ncols):
-        a, scale, pivots = _eliminate(_with_identity(rows), ncols)
-        # row k of T is a[k][ncols:] / scale[k]; scale[k] is the least common denominator of
-        # the whole row, and for integer rows that of T's part, since the rest is T times rows
-        self.denominator = d = math.lcm(*scale)
-        ops = [[(j, x * (d // s)) for j, x in enumerate(row[ncols:]) if x] for row, s in zip(a, scale)]
-        self.ncols = ncols
-        self.rank = len(pivots)
-        self._pivots = list(zip(pivots, ops))
-        self._null = ops[self.rank :]
-
-    def solve_scaled(self, rhs):
-        """``denominator`` times the solution g, in integers for an integer rhs, or None."""
-        if any(sum(x * rhs[j] for j, x in t) for t in self._null):
-            return None
-        g = [0] * self.ncols
-        for c, t in self._pivots:
-            g[c] = sum(x * rhs[j] for j, x in t)
-        return tuple(g)
-
-
-def section_rows(rows, cols):
-    """Integer rows x_j with x_j * A = e_j, one per column j of A, given as sparse rows of (column, entry) pairs.
-
-    Together they are a section of the surjection v -> v * A onto
-    Z^cols; A is densified once, for one :class:`RowSolver`.
-    """
-    solver = RowSolver(IntMatrix._trusted_rows([[d.get(j, 0) for j in range(cols)] for d in map(dict, rows)], cols))
-    out = []
-    for j in range(cols):
-        x = solver.solve(tuple(1 if i == j else 0 for i in range(cols)))
-        if x is None:
-            raise AssertionError(f"map has no integral section: column {j} is not hit")
-        out.append(x)
-    return out
+    d = math.prod(pivot for _, pivot, _ in pivots)
+    return tuple(Fraction(x, d) for x in _back_substitute(pivots, [d * x for x, in u], n))
 
 
 def record_step(steps, j, row=None):

@@ -313,6 +313,84 @@ class TestCycleClass:
             assert zlinalg.snf(mat).divisors == (1,) * len(basis)
 
 
+def _section_pushforward(fan, comp, ray):
+    """``chow._ray_cocycle_values`` with b pushed through an integral section of each restriction.
+
+    The oracle of the star-section lift: at each face (t, eta) of the
+    coboundary of a below which the ray enters the sedentarity, a
+    :class:`~tropfan.zlinalg.RowSolver` of the restriction
+    SF_1(t, eta) -> SF_1(t + ray, eta) solves for a preimage of every
+    basis element there.
+    """
+    a = homology.Cochain(comp, 1, 1)
+    for join in fan.cones_containing(fan.cone_index((ray,))):
+        sp = fan.cone_index(tuple(r for r in fan.cones[join] if r != ray))
+        fid = comp.face_index[(sp, join)]
+        a.set_value(fid, zlinalg.primitive_cosolution(sheaf.coords_in(comp, fid, 1, fan.star(sp).normals[join])))
+    b = homology.Cochain(comp, 1, 1)
+    for did, values in homology.coboundary(a).data.items():
+        t, eta = comp.faces[did]
+        if ray in fan.cones[t] or ray not in fan.cones[eta]:
+            continue
+        gid = comp.face_index[(fan.cone_index(tuple(sorted(fan.cones[t] + (ray,)))), eta)]
+        r = sheaf.rank(comp, gid, 1)
+        rows = [dict(row) for row in sheaf.restriction(comp, 1, gid, did)]
+        solver = zlinalg.RowSolver(IntMatrix.from_rows([[row.get(j, 0) for j in range(r)] for row in rows], r))
+        lifts = [solver.solve(tuple(int(i == j) for i in range(r))) for j in range(r)]
+        pushed = [sum(x * v for x, v in zip(lift, values)) for lift in lifts]
+        sign = comp.face_sign(gid, did)
+        b.set_value(gid, tuple(x + sign * y for x, y in zip(b.value(gid), pushed)))
+    return (a - b).data
+
+
+_LIFT_FANS = ["p2", "delta", "cone2", "cube", "u23", "k4", "u53", "u44", "u54"]
+
+
+def _lift_fan(name, request):
+    if name == "k4":
+        return request.getfixturevalue("k4_pair")[0]
+    if name[0] == "u" and name != "u23":
+        return bergman_fan(Matroid.uniform(int(name[1]), int(name[2])))[0]
+    return request.getfixturevalue(name)
+
+
+class TestRayCocycleLift:
+    """The ray cocycles' star-section lift against the per-face section of the restriction it replaced."""
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("name", _LIFT_FANS)
+    def test_matches_the_restriction_section(self, name, seed, request, reordered):
+        fan = _lift_fan(name, request)
+        if seed is not None:
+            fan = reordered(fan, seed)
+        comp = compactification(fan)
+        for ray in range(len(fan.rays)):
+            assert chow._ray_cocycle_values(fan, comp, ray) == _section_pushforward(fan, comp, ray), ray
+
+    def test_projection_rows_are_not_a_lift(self, reordered):
+        # the lift read off the transposed projection N^t -> N^t_up, not off the section, misses the oracle
+        fan = reordered(bergman_fan(Matroid.uniform(5, 3))[0], 0)
+        comp = compactification(fan)
+        want = {ray: _section_pushforward(fan, comp, ray) for ray in range(len(fan.rays))}
+        section_id = fan.transition_id
+
+        def projection_id(t_big, t_small, k):
+            if not set(fan.cones[t_small]) < set(fan.cones[t_big]):
+                return section_id(t_big, t_small, k)
+            proj = fan._transitions[section_id(t_small, t_big, k)]
+            fan._transitions.append(tuple(zip(*proj)))
+            return len(fan._transitions) - 1
+
+        fan.transition_id = projection_id
+        missed = 0
+        for ray in range(len(fan.rays)):
+            try:
+                missed += chow._ray_cocycle_values(fan, comp, ray) != want[ray]
+            except AssertionError:
+                missed += 1
+        assert missed
+
+
 def _solved_chow(fan, cochain):
     """``cocycle_to_chow`` with a ``coords_in`` solve per cone and call: the oracle of its cached coordinates."""
     comp = cochain.comp

@@ -671,7 +671,9 @@ def _mixed_face_block(fan, comp, p, t, s):
     m_t = star_t.quotient_rank
     face_ts = comp.face_index[(t, s)]
     mixed = sheaf.basis(comp, face_ts, k)
-    section = zlinalg.section_rows(sheaf.restriction(comp, k, face_s, face_ts), r_dst)
+    rows = [dict(r) for r in sheaf.restriction(comp, k, face_s, face_ts)]
+    solver = zlinalg.RowSolver(zlinalg.IntMatrix.from_rows([[r.get(j, 0) for j in range(r_dst)] for r in rows], r_dst))
+    section = [solver.solve(tuple(int(i == j) for i in range(r_dst))) for j in range(r_dst)]
     lifts = [zlinalg.vecmat(c, mixed, exterior.dim(m_t, k)) for c in section]
     cols = [sheaf.coords_in(comp, face_t, k + 1, exterior.wedge_coords(star_t.normals[s], 1, v, k, m_t)) for v in lifts]
     return [[col[i] for col in cols] for i in range(r_src)]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropfan import exterior, sheaf, zlinalg
+from tropfan import sheaf, zlinalg
 from tropfan.homology import compactification
 from tropfan.zlinalg import (
     EQ,
@@ -164,12 +164,6 @@ class TestRowSolver:
         assert solver.solve((2, 3)) == (1, 1)
         assert solver.solve((1, 0)) is None
         assert solver.solve((0, 4)) is None
-
-    def test_section_rows(self):
-        A = IntMatrix.from_rows([(1, 2), (0, 1), (3, 7)])
-        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in A.row_tuples()]
-        for j, x in enumerate(zlinalg.section_rows(sparse, A.cols)):
-            assert zlinalg.vecmat(x, A.row_tuples(), A.cols) == tuple(int(i == j) for i in range(2))
 
 
 class TestSNF:
@@ -512,7 +506,12 @@ class TestSmithPivotSearch:
 
 
 def _fraction_rref(rows, ncols=None):
-    """Gauss-Jordan elimination in Fractions, pivoting as :func:`~tropfan.zlinalg._eliminate` does: (rows, pivots)."""
+    """Gauss-Jordan elimination in Fractions on the first ``ncols`` columns, carrying the rest: (rows, pivots).
+
+    Pivots are taken column by column from the first row at or below the
+    current one with a nonzero entry, and each pivot row is scaled to a
+    leading one.
+    """
     a = [[Fraction(e) for e in r] for r in rows]
     m = len(a)
     if ncols is None:
@@ -537,9 +536,33 @@ def _fraction_rref(rows, ncols=None):
     return a, pivots
 
 
-def _rational_rows(a, scale):
-    """The rational rows ``a[i] / scale[i]`` of :func:`~tropfan.zlinalg._eliminate`'s result."""
-    return [[Fraction(x, s) for x in row] for row, s in zip(a, scale)]
+def _fraction_solution(rows, rhs, ncols):
+    """The solution g of rows . g = rhs with free coordinates zero, from :func:`_fraction_rref`, or None."""
+    a, pivots = _fraction_rref([list(r[:ncols]) + [b] for r, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] for row in a[len(pivots) :]):
+        return None
+    g = [Fraction(0)] * ncols
+    for row, c in zip(a, pivots):
+        g[c] = row[ncols]
+    return tuple(g)
+
+
+def _cleared(rows):
+    """Each rational row times the least common denominator of its entries, as ints."""
+    out = []
+    for r in rows:
+        d = math.lcm(*(Fraction(x).denominator for x in r))
+        out.append([int(x * d) for x in r])
+    return out
+
+
+def _check_scaled(solver, rhs, want):
+    """``solver.solve_scaled(rhs)``, in ints, is ``denominator`` times ``want``, or None with it."""
+    scaled = solver.solve_scaled(rhs)
+    assert (scaled is None) == (want is None)
+    if scaled is not None:
+        assert all(type(x) is int for x in scaled)
+        assert tuple(Fraction(x, solver.denominator) for x in scaled) == want
 
 
 @st.composite
@@ -571,32 +594,71 @@ def rational_systems(draw, max_rows=6, max_cols=5):
 class TestRationalElimination:
     @given(rational_systems())
     @settings(max_examples=300, deadline=None)
-    def test_eliminate_matches_the_fraction_elimination(self, system):
-        # the integer elimination gives every row, past the rank too, and every pivot of the Fraction one
+    def test_solve_frac_matches_the_fraction_elimination(self, system):
+        # each carried column as a right-hand side, and the zero one: Fraction entries straight into
+        # solve_frac and rank_frac, and each equation cleared of denominators into a RowSolver
         rows, ncols = system
-        a, scale, pivots = zlinalg._eliminate(rows, ncols)
-        want_rows, want_pivots = _fraction_rref(rows, ncols)
-        assert pivots == want_pivots
-        assert _rational_rows(a, scale) == want_rows
-        assert all(type(x) is int for row in a for x in row)
-        assert all(type(s) is int and s > 0 for s in scale)
+        coeffs = [r[:ncols] for r in rows]
+        rank = len(_fraction_rref(coeffs, ncols)[1])
+        assert rank_frac(coeffs) == rank
+        for rhs in [[r[c] for r in rows] for c in range(ncols, len(rows[0]) if rows else 0)] + [[0] * len(rows)]:
+            want = _fraction_solution(rows, rhs, ncols)
+            if rows:
+                assert solve_frac(coeffs, rhs) == want
+            equations = _cleared([list(r) + [b] for r, b in zip(coeffs, rhs)])
+            solver = RowSolver(IntMatrix.from_rows([e[:ncols] for e in equations], ncols))
+            assert solver.rank == rank
+            _check_scaled(solver, [e[ncols] for e in equations], want)
+
+    @given(rational_systems(), st.lists(st.lists(st.integers(-9, 9), min_size=9, max_size=9), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_factored_solver_matches_solve_frac(self, system, draws):
+        # one factorization of the cleared rows against the carried columns, one consistent
+        # right-hand side B . x and one arbitrary per draw
+        rows, ncols = system
+        cleared = _cleared(rows)
+        B = [r[:ncols] for r in cleared]
+        solver = RowSolver(IntMatrix.from_rows(B, ncols))
+        assert solver.rank == rank_frac(B) == len(_fraction_rref(B, ncols)[1])
+        carried = [[r[c] for r in cleared] for c in range(ncols, len(rows[0]) if rows else 0)]
+        drawn = [[sum(a * x for a, x in zip(r, draw)) for r in B] for draw in draws] + [d[: len(B)] for d in draws]
+        for rhs in carried + drawn:
+            want = _fraction_solution(B, rhs, ncols)
+            if B:
+                assert solve_frac(B, rhs) == want
+            _check_scaled(solver, rhs, want)
+
+    @given(rational_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_hnf_pivots_are_the_fraction_pivots(self, system):
+        # every echelon form pivots on the same columns, so the back substitution on H's pivot rows
+        # pins the same free coordinates to zero as the Fraction elimination
+        rows, ncols = system
+        cleared = _cleared(rows)
+        solver = RowSolver(IntMatrix.from_rows([r[:ncols] for r in cleared], ncols))
+        pivots = _fraction_rref(rows, ncols)[1]
+        assert [c for c, _, _ in solver._pivots] == pivots
+        assert solver.denominator == math.prod(e for _, e, _ in solver._pivots) > 0
+        whole = RowSolver(IntMatrix.from_rows(cleared, len(rows[0]) if rows else 0))
+        assert rank_frac(rows) == len(_fraction_rref(rows)[1]) == whole.rank
 
     @pytest.mark.parametrize("name", ["p2", "delta", "sigma3", "cone2", "cube", "u23", "k4"])
     def test_solver_denominator_on_coefficient_lattices(self, name, request):
-        # the common denominator of the row operations, as the Fraction elimination of [B | I] gives it
+        # on every SF_p basis, the basis solver's denominator clears the Fraction solution of each unit
+        # right-hand side, and solve_scaled gives exactly that multiple
         fan = request.getfixturevalue("k4_pair")[0] if name == "k4" else request.getfixturevalue(name)
         comp = compactification(fan)
         seen = set()
         for fid in range(len(comp.faces)):
             for p in range(fan.dim + 1):
                 b = sheaf.basis(comp, fid, p)
-                width = exterior.dim(sheaf.star_rank(comp, fid), p)
-                if (b, width) in seen:
+                if not b or b in seen:
                     continue
-                seen.add((b, width))
-                T = [row[width:] for row in _fraction_rref(zlinalg._with_identity(b), width)[0]]
-                want = math.lcm(*(x.denominator for row in T for x in row))
-                assert zlinalg.FracSolver(b, width).denominator == want
+                seen.add(b)
+                solver = sheaf.basis_solver(comp, fid, p)
+                for i in range(len(b)):
+                    unit = [int(i == j) for j in range(len(b))]
+                    _check_scaled(solver, unit, _fraction_solution(b, unit, len(b[0])))
         assert len(seen) > 1
 
     @given(matrices(), st.lists(st.integers(-9, 9), min_size=4, max_size=4), st.booleans())
@@ -617,34 +679,6 @@ class TestRationalElimination:
             assert len(sol) == M.cols
             for r, b in zip(rows, rhs):
                 assert sum(a * x for a, x in zip(r, sol)) == b
-
-    @given(matrices(), st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=4))
-    @settings(max_examples=200, deadline=None)
-    def test_factored_solver_matches_solve_frac(self, M, draws):
-        rows = M.row_tuples()
-        solver = zlinalg.FracSolver(rows, M.cols)
-        assert solver.rank == rank_frac(rows)
-        T = [row[M.cols :] for row in _fraction_rref(zlinalg._with_identity(rows), M.cols)[0]]
-        assert solver.denominator == math.lcm(*(x.denominator for row in T for x in row))
-        for draw in draws:
-            # one consistent right-hand side M . x and one arbitrary
-            for rhs in ([sum(a * x for a, x in zip(r, draw)) for r in rows], draw[: M.rows]):
-                scaled, want = solver.solve_scaled(rhs), solve_frac(rows, rhs)
-                assert (scaled is None) == (want is None)
-                if scaled is not None:
-                    assert all(type(x) is int for x in scaled)
-                    assert tuple(Fraction(x, solver.denominator) for x in scaled) == want
-
-    @given(matrices())
-    @settings(max_examples=100, deadline=None)
-    def test_pivot_rows_span_the_row_space(self, M):
-        a, scale, pivots = zlinalg._eliminate(M.row_tuples())
-        pivot_rows = _rational_rows(a, scale)[: len(pivots)]
-        for r in M.row_tuples():
-            # the pivot rows are zero on each other's pivots: r is sum of r[c] * (pivot row at c)
-            assert tuple(r) == tuple(sum(r[c] * row[j] for row, c in zip(pivot_rows, pivots)) for j in range(M.cols))
-        for row, c in zip(pivot_rows, pivots):
-            assert row[c] == 1
 
 
 @st.composite
